@@ -3,18 +3,18 @@
 * ``test_conv2d_backward_col2im`` — the vectorised kernel-offset scatter-add
   against the historical Python double loop over output positions (the exact
   code shipped before the optimisation), on identical inputs.
-* ``test_backend_wall_clock_20_clients`` — serial vs. thread(-vs. process)
-  backend wall clock on a full-participation 20-client federation, with the
-  bit-identical-history guarantee asserted on the side.
+* ``test_backend_wall_clock_20_clients`` — serial vs. thread backend wall
+  clock on a full-participation 20-client federation, with the
+  bit-identical-history guarantee asserted on the side.  The speedup depends
+  on the host's cores, so it is recorded, not asserted.
 
-Timings are always recorded (``extra_info``); the speedup *assertions* only
-run off-CI and, for the backend bench, on multi-core hosts — wall-clock
-thresholds are too noisy on shared CI runners to gate a pipeline on.
+Timings are always recorded (``extra_info``); the col2im speedup assertion
+only runs off-CI — wall-clock thresholds are too noisy on shared CI runners
+to gate a pipeline on.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 
@@ -85,7 +85,7 @@ def test_conv2d_backward_col2im(benchmark):
 
 
 def test_backend_wall_clock_20_clients(benchmark):
-    """Serial vs. parallel backend wall clock on a 20-client round plan."""
+    """Serial vs. thread backend wall clock on a 20-client round plan."""
     config = ExperimentConfig(
         dataset="femnist",
         num_clients=20,
@@ -99,14 +99,10 @@ def test_backend_wall_clock_20_clients(benchmark):
         local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
         seed=3,
     )
-    backends = ["serial", "thread"]
-    if "fork" in multiprocessing.get_all_start_methods():
-        backends.append("process")
-
     def sweep():
         rows = []
         histories = {}
-        for backend in backends:
+        for backend in ("serial", "thread"):
             start = time.perf_counter()
             result = run_experiment(config.with_overrides(backend=backend))
             elapsed = time.perf_counter() - start
@@ -128,10 +124,3 @@ def test_backend_wall_clock_20_clients(benchmark):
     print(format_table(rows))
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["rows"] = rows
-
-    if (os.cpu_count() or 1) > 1 and not os.environ.get("CI"):
-        thread_row = next(r for r in rows if r["backend"] == "thread")
-        assert thread_row["speedup_vs_serial"] > 1.05, (
-            "thread backend should show wall-clock speedup on a multi-core host: "
-            f"{rows}"
-        )

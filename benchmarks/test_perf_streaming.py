@@ -1,32 +1,23 @@
-"""Performance benches for the streaming update pipeline.
+"""Performance bench for the update fold.
 
-* ``test_streaming_mean_peak_memory`` — peak traced allocations of the
-  streaming accumulate/finalize protocol vs. the buffered matrix path for
-  the mean aggregator at a large ``param_dim``.  The buffered path has to
-  materialise the full ``(clients, param_dim)`` stack; the streaming path
-  holds one running vector plus the update in flight, so its peak should be
-  a small multiple of ``param_dim`` regardless of the client count.  Memory
-  accounting is deterministic, so this assertion also runs on CI.
-* ``test_streaming_round_latency`` — end-to-end round wall clock,
-  ``streaming=on`` vs ``streaming=off``, on the serial and thread backends,
-  with the bit-identical-history guarantee asserted on the side.  Wall-clock
-  assertions stay off-CI (shared runners are too noisy to gate on).
+``test_streaming_mean_peak_memory`` — peak traced allocations of the
+accumulate/finalize fold protocol vs. a matrix ``aggregate`` call for the
+mean aggregator at a large ``param_dim``.  The matrix call needs the full
+``(clients, param_dim)`` stack; the fold holds one running vector plus the
+update in flight, so its peak should be a small multiple of ``param_dim``
+regardless of the client count.  Memory accounting is deterministic, so
+this assertion also runs on CI.
 """
 
 from __future__ import annotations
 
-import os
-import time
 import tracemalloc
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.defenses.base import AggregationContext, MeanAggregator
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import format_table
-from repro.experiments.runner import run_experiment
-from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.plan import ClientUpdate
 
 NUM_CLIENTS = 32
@@ -94,57 +85,3 @@ def test_streaming_mean_peak_memory(benchmark):
         f"streaming peak {streaming_peak / 2**20:.1f} MiB should be well under "
         f"the buffered {buffered_peak / 2**20:.1f} MiB"
     )
-
-
-def test_streaming_round_latency(benchmark):
-    """streaming=on vs off wall clock; histories must stay bit-identical."""
-    config = ExperimentConfig(
-        dataset="femnist",
-        num_clients=16,
-        samples_per_client=32,
-        num_classes=6,
-        image_size=16,
-        alpha=0.3,
-        rounds=4,
-        sample_rate=1.0,
-        attack="none",
-        local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
-        seed=3,
-    )
-
-    def sweep():
-        rows = []
-        histories = {}
-        for backend in ("serial", "thread"):
-            for mode in ("off", "on"):
-                scenario = config.with_overrides(backend=backend, streaming=mode)
-                start = time.perf_counter()
-                result = run_experiment(scenario)
-                elapsed = time.perf_counter() - start
-                histories[(backend, mode)] = result.history
-                rows.append(
-                    {
-                        "backend": backend,
-                        "streaming": mode,
-                        "seconds": round(elapsed, 3),
-                    }
-                )
-        return rows, histories
-
-    rows, histories = run_once(benchmark, sweep)
-    reference = histories[("serial", "off")].series("update_norm")
-    for key, history in histories.items():
-        assert history.series("update_norm") == reference, (
-            f"{key} diverged from the buffered serial reference"
-        )
-
-    print("\nRound latency — streaming vs buffered, 16 clients/round, 4 rounds")
-    print(format_table(rows))
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-
-    if not os.environ.get("CI"):
-        by_key = {(r["backend"], r["streaming"]): r["seconds"] for r in rows}
-        # Streaming folds aggregation into the round instead of adding work;
-        # allow generous slack because each cell is a short run.
-        assert by_key[("serial", "on")] < by_key[("serial", "off")] * 1.5, rows

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Execution-engine tour: parallel client backends + round hooks.
 
-Runs the same seeded federated experiment on the serial, thread-pool and
-process-pool backends, verifies the three training histories are
+Runs the same seeded federated experiment on the serial, thread-pool,
+batched and distributed backends, verifies the training histories are
 bit-identical (the engine's determinism guarantee), reports wall-clock
 timings, and shows a custom round hook streaming per-round telemetry.
 
@@ -11,7 +11,6 @@ Run with:  python examples/parallel_backends.py
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 
 from repro.experiments import Scenario, run_experiment
@@ -46,12 +45,9 @@ def main() -> None:
         seed=3,
     )
 
-    backends = ["serial", "thread"]
-    if "fork" in multiprocessing.get_all_start_methods():
-        backends.append("process")
-    # Socket worker processes on separate interpreters (pays ~1s/worker
-    # spawn, the price of the multi-host story — see README).
-    backends.append("distributed")
+    # "distributed" runs socket worker processes on separate interpreters
+    # (pays ~1s/worker spawn, the price of the multi-host story — see README).
+    backends = ["serial", "thread", "batched", "distributed"]
     print(f"Registered backends: {', '.join(available_backends())}")
 
     histories = {}

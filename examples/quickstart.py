@@ -11,8 +11,8 @@ of the backdoor.  The exact same run is available without Python:
 Run with:  python examples/quickstart.py [backend]
 
 ``backend`` selects the client execution backend (``serial`` by default;
-``thread`` or ``process`` parallelise local training across clients with
-bit-identical results — see examples/parallel_backends.py).
+``thread``, ``batched`` or ``distributed`` parallelise local training across
+clients with bit-identical results — see examples/parallel_backends.py).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ Seven subcommands::
 
 ``run`` accepts ``--set key=value`` overrides (values parsed as literals,
 component fields accept spec strings like ``--set defense=krum:multi=3``),
-``--streaming auto|on|off`` to pick the update-aggregation path,
 ``--shards N`` to fold shard-capable defenses across a worker pool,
 ``--telemetry on|off`` to record out-of-band span/metric telemetry, and
 ``--out results.json`` to write the full
@@ -51,14 +50,9 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, help="worker cap for parallel backends"
     )
     parser.add_argument(
-        "--streaming",
-        choices=("auto", "on", "off"),
-        help="fold client updates into the aggregator online (default auto)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
-        help="split the streaming fold across this many parameter shards "
+        help="split the update fold across this many parameter shards "
         "(shard-capable defenses only; others keep the single fold)",
     )
     parser.add_argument(
@@ -104,32 +98,28 @@ def _cmd_list(args: argparse.Namespace) -> int:
         params = ", ".join(str(p) for p in registry.describe(name))
         row = {registry.family: name, "params": params or "(none)"}
         if registry is DEFENSES:
-            # Aggregation capabilities: which update path(s) the defense can
-            # take (streaming O(param_dim) fold, sharded worker-pool fold),
-            # and whether it runs under secure aggregation (server-blind =
-            # its math never inspects an individual client update).
+            # Aggregation capabilities: whether the defense folds in
+            # O(param_dim) state across a sharded worker pool or buffers the
+            # round, and whether it runs under secure aggregation
+            # (server-blind = its math never inspects an individual update).
             component = registry.get(name)
-            caps = [
-                flag
-                for flag in ("streaming", "shardable")
-                if getattr(component, flag, False)
-            ] or ["buffered"]
+            caps = ["shardable" if getattr(component, "shardable", False) else "buffered"]
             if not getattr(component, "requires_plaintext_updates", False):
                 caps.append("server-blind")
             row["caps"] = ", ".join(caps)
         elif registry is BACKENDS:
-            # Execution capabilities: does iter_updates stream (vs per-round
-            # barrier), does client work run in separate processes, can the
-            # workers live on other hosts.
+            # Execution capabilities: does client work run in separate
+            # processes, can the workers live on other hosts, do clients
+            # train as one stacked model.
             component = registry.get(name)
-            caps = ["streaming" if getattr(component, "streaming_updates", False) else "barrier"]
+            caps = []
             if getattr(component, "process_isolation", False):
                 caps.append("processes")
             if getattr(component, "distributed", False):
                 caps.append("multi-host")
             if getattr(component, "batched_execution", False):
                 caps.append("batched")
-            row["caps"] = ", ".join(caps)
+            row["caps"] = ", ".join(caps) or "(none)"
         rows.append(row)
     print(format_table(rows))
     return 0
@@ -142,8 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["backend"] = args.backend
     if args.workers is not None:
         overrides["backend_workers"] = args.workers
-    if args.streaming is not None:
-        overrides["streaming"] = args.streaming
     if args.shards is not None:
         overrides["num_shards"] = args.shards
     if args.secagg:

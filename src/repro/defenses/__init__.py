@@ -2,11 +2,11 @@
 
 Each defense implements the :class:`~repro.defenses.base.Aggregator`
 interface: given the stack of client updates collected in a round it returns
-the aggregated update the server applies.  Every defense also supports the
-incremental ``begin_round``/``accumulate``/``finalize`` streaming protocol
-(buffered automatically by the base class); ``mean``, ``weighted_mean``,
-``norm_bound``, ``dp`` and ``signsgd`` additionally stream with O(param_dim)
-round state and shard across a worker pool
+the aggregated update the server applies.  The server feeds every defense
+through the incremental ``begin_round``/``accumulate``/``finalize`` fold
+protocol (buffered automatically by the base class); ``mean``,
+``weighted_mean``, ``norm_bound``, ``dp`` and ``signsgd`` fold with
+O(param_dim) round state and shard across a worker pool
 (:mod:`repro.federated.engine.sharding`).  The catalogue mirrors Table I of
 the paper plus the example-weighted FedAvg variant:
 

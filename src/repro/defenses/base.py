@@ -2,22 +2,21 @@
 
 Two equivalent protocols are exposed:
 
-* the historical **matrix protocol** — ``aggregate(updates, global_params,
-  ctx)`` over a fully materialised ``(num_sampled_clients, param_dim)``
-  array; every defense implements this;
-* the **streaming protocol** — ``begin_round(ctx) → state``,
-  ``accumulate(state, update)`` per arriving
+* the **matrix protocol** — ``aggregate(updates, global_params, ctx)`` over
+  a fully materialised ``(num_sampled_clients, param_dim)`` array; it holds
+  the defense math and serves direct callers;
+* the **fold protocol** the server runs every round — ``begin_round(ctx) →
+  state``, ``accumulate(state, update)`` per arriving
   :class:`~repro.federated.engine.plan.ClientUpdate`, and
   ``finalize(state, global_params, ctx) → aggregated`` once the round is
   complete.  The base class provides an automatic buffering fallback (updates
   are collected and handed to :meth:`Aggregator.aggregate` at finalize), so
-  every registered defense supports the streaming call shape unchanged;
-  defenses whose math is a per-update fold (mean, weighted mean, norm
-  bounding, DP, SignSGD) opt into true O(param_dim) state by implementing
-  the *slice fold* extension points (:meth:`Aggregator.prepare_update` /
-  :meth:`Aggregator.fold_aux` / :meth:`Aggregator.fold_slice` /
-  :meth:`Aggregator.finalize_vector`) and setting ``streaming = True`` and
-  ``shardable = True``.
+  every registered defense supports the fold unchanged; defenses whose math
+  is a per-update fold (mean, weighted mean, norm bounding, DP, SignSGD) opt
+  into true O(param_dim) state by implementing the *slice fold* extension
+  points (:meth:`Aggregator.prepare_update` / :meth:`Aggregator.fold_aux` /
+  :meth:`Aggregator.fold_slice` / :meth:`Aggregator.finalize_vector`) and
+  setting ``shardable = True``.
 
 Shardable defenses decompose their fold *elementwise* over contiguous
 parameter slices: any whole-vector work (e.g. the clipping norm) happens in
@@ -34,7 +33,7 @@ Determinism: floating-point accumulation is order-sensitive, so
 It parks arrivals in ``state.pending`` and folds them *in sampled-slot
 order* (slot 0, then 1, …), releasing each as its predecessor is folded.
 Sequential slot-order folding is bit-identical to NumPy's ``axis=0``
-reduction over the stacked matrix, so the streaming and matrix protocols
+reduction over the stacked matrix, so the fold and matrix protocols
 produce the same result to the last ulp regardless of completion order.
 """
 
@@ -83,10 +82,10 @@ class AggregationContext:
 
 @dataclass
 class AggregationState:
-    """Mutable per-round state of one streaming aggregation.
+    """Mutable per-round state of one fold-protocol aggregation.
 
     ``data`` is the defense-specific accumulator (a list of updates for the
-    buffering fallback, an O(param_dim) running vector for streaming
+    buffering fallback, an O(param_dim) running vector for shardable
     defenses).  ``aux`` is the slot-order fold of per-update auxiliary
     values (:meth:`Aggregator.fold_aux` — e.g. the weighted mean's total
     example weight); it lives on the state rather than in ``data`` so the
@@ -114,15 +113,15 @@ class Aggregator:
     :class:`AggregationContext` are available for defenses that need them
     (e.g. CRFL smoothing noise, DP noise, FLARE latent-space probes).
 
-    The streaming protocol (:meth:`begin_round` / :meth:`accumulate` /
+    The fold protocol (:meth:`begin_round` / :meth:`accumulate` /
     :meth:`finalize`) works for every defense: the default implementation
     buffers updates and delegates to :meth:`aggregate` at finalize time.
-    Streaming defenses implement the slice-fold extension points
+    O(param_dim) defenses implement the slice-fold extension points
     (:meth:`prepare_update` / :meth:`fold_aux` / :meth:`fold_slice` /
-    :meth:`finalize_vector`) and set ``streaming = shardable = True`` —
-    never the protocol methods themselves — so the deterministic slot-order
-    fold rule lives in exactly one place and the sharded worker-pool fold
-    comes for free.  (``_begin`` / ``_fold`` / ``_finalize`` remain
+    :meth:`finalize_vector`) and set ``shardable = True`` — never the
+    protocol methods themselves — so the deterministic slot-order fold rule
+    lives in exactly one place and the sharded worker-pool fold comes for
+    free.  (``_begin`` / ``_fold`` / ``_finalize`` remain
     overridable for folds that genuinely cannot decompose over slices, at
     the cost of staying single-fold.)
 
@@ -133,25 +132,12 @@ class Aggregator:
 
     name = "aggregator"
 
-    #: True when this defense folds updates in O(param_dim) state instead of
-    #: buffering the full round.  ``streaming="auto"`` on the server streams
-    #: exactly when this is set.
-    streaming = False
-
-    #: True when the streaming fold decomposes elementwise over contiguous
-    #: parameter slices (see the module docstring).  Shardable defenses can
-    #: be wrapped in :class:`~repro.federated.engine.sharding.
-    #: ShardedAggregator`; non-shardable ones fall back to the single-fold
-    #: (or buffering) path unchanged.
+    #: True when the fold runs in O(param_dim) state and decomposes
+    #: elementwise over contiguous parameter slices (see the module
+    #: docstring).  Shardable defenses can be wrapped in
+    #: :class:`~repro.federated.engine.sharding.ShardedAggregator`; the
+    #: others buffer the round and keep the single-fold path.
     shardable = False
-
-    #: True when the defense has no matrix path at all (its inputs only
-    #: travel on :class:`~repro.federated.engine.plan.ClientUpdate`, e.g.
-    #: per-client example counts).  The server and scenario validation fail
-    #: fast when such a defense is configured with ``streaming="off"``
-    #: instead of wasting a round of client training before the first
-    #: aggregate call raises.
-    streaming_only = False
 
     #: True when the defense's math inspects individual updates *across*
     #: clients — pairwise distances (Krum), coordinate statistics (median,
@@ -167,19 +153,18 @@ class Aggregator:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # A subclass that replaces the matrix math without touching the
-        # streaming machinery (e.g. a test double overriding ``aggregate`` on
-        # top of MeanAggregator) would otherwise inherit a streaming fold
-        # that no longer matches its own aggregate() — drop it back to the
-        # buffering fallback, which delegates to the subclass's aggregate().
+        # A subclass that replaces the matrix math without touching the fold
+        # machinery (e.g. a test double overriding ``aggregate`` on top of
+        # MeanAggregator) would otherwise inherit a slice fold that no longer
+        # matches its own aggregate() — drop it back to the buffering
+        # fallback, which delegates to the subclass's aggregate().
         overrides_matrix = "aggregate" in cls.__dict__
-        touches_streaming = {
-            "streaming", "shardable", "_begin", "_fold", "_finalize",
+        touches_fold = {
+            "shardable", "_begin", "_fold", "_finalize",
             "begin_round", "accumulate", "finalize",
             "prepare_update", "fold_aux", "fold_slice", "finalize_vector",
         } & cls.__dict__.keys()
-        if overrides_matrix and not touches_streaming:
-            cls.streaming = False
+        if overrides_matrix and not touches_fold:
             cls.shardable = False
             cls._begin = Aggregator._begin
             cls._fold = Aggregator._fold
@@ -214,7 +199,7 @@ class Aggregator:
             )
         return self.aggregate(updates, global_params, ctx)
 
-    # -- streaming protocol ------------------------------------------------
+    # -- fold protocol -----------------------------------------------------
 
     def begin_round(self, ctx: AggregationContext) -> AggregationState:
         """Open a round; the returned state is threaded through accumulate."""
@@ -276,7 +261,7 @@ class Aggregator:
         failing in ``on_update``, a fold error — so aggregators holding
         live resources (the sharded fold's worker threads) release them
         instead of leaking a half-folded round.  The base implementation is
-        a no-op: plain buffering/streaming state is garbage-collected with
+        a no-op: plain buffered or folded state is garbage-collected with
         the abandoned :class:`AggregationState`.
         """
 
@@ -309,7 +294,7 @@ class Aggregator:
             metadata={**update.metadata, "staleness": int(staleness)},
         )
 
-    # -- streaming extension points (override these, not the protocol) -----
+    # -- fold extension points (override these, not the protocol) ----------
 
     def _begin(self, ctx: AggregationContext):
         """Fresh defense-specific accumulator (fallback: a buffer list)."""
@@ -336,7 +321,7 @@ class Aggregator:
         stacked = np.stack([u.update for u in state.data])
         return self.aggregate(stacked, global_params, ctx)
 
-    # -- slice-fold extension points (shardable streaming defenses) --------
+    # -- slice-fold extension points (shardable defenses) ------------------
 
     def prepare_update(self, update: "ClientUpdate"):
         """Whole-vector per-update precompute, run once in the coordinator.
@@ -387,7 +372,6 @@ class MeanAggregator(Aggregator):
     """Plain FedAvg mean of client updates (no defense)."""
 
     name = "mean"
-    streaming = True
     shardable = True
 
     def aggregate(
@@ -411,11 +395,11 @@ class MeanAggregator(Aggregator):
 def clip_scale(update: np.ndarray, max_norm: float) -> np.ndarray:
     """Shape-``(1,)`` factor scaling ``update`` to at most ``max_norm`` (l2).
 
-    Shared by the streaming norm-bounding and DP folds.  The norm is computed
+    Shared by the norm-bounding and DP slice folds.  The norm is computed
     through the same ``axis=1`` reduction the matrix implementations use on
     the stacked array — ``np.linalg.norm(v)`` on a 1-D vector takes a BLAS
     path with different rounding, which would break the bit-identity
-    guarantee between the streaming and buffered protocols.  The factor is
+    guarantee between the fold and matrix protocols.  The factor is
     whole-vector work, so clip-style defenses compute it in
     :meth:`Aggregator.prepare_update` and their slice folds stay elementwise.
     """
@@ -432,7 +416,7 @@ def fold_scaled_sum(acc, segment: np.ndarray, scale) -> np.ndarray:
     """Fold ``segment * scale`` into a running-sum slice accumulator.
 
     The shared :meth:`Aggregator.fold_slice` body of the scale-then-average
-    streaming defenses (norm bounding, DP, weighted mean); their finalize
+    defenses (norm bounding, DP, weighted mean); their finalize
     steps differ only in the noise/normalisation term.
     """
     scaled = segment * scale

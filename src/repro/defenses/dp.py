@@ -25,7 +25,6 @@ class DPAggregator(Aggregator):
     """
 
     name = "dp"
-    streaming = True
     shardable = True
 
     def __init__(self, clip_norm: float = 1.0, noise_multiplier: float = 0.1) -> None:

@@ -27,7 +27,6 @@ class NormBound(Aggregator):
     """
 
     name = "norm_bound"
-    streaming = True
     shardable = True
 
     def __init__(self, max_norm: float = 1.0, noise_std: float = 0.0) -> None:

@@ -24,7 +24,6 @@ class SignSGDAggregator(Aggregator):
     """
 
     name = "signsgd"
-    streaming = True
     shardable = True
 
     def __init__(self, step_size: float = 0.01) -> None:

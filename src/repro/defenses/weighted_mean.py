@@ -4,13 +4,12 @@ The paper's ``mean`` baseline averages uniformly; this variant implements
 the original FedAvg weighting (McMahan et al., 2017), where each client's
 update counts proportionally to its number of local training examples.
 ``ClientUpdate.num_examples`` is populated by the execution engine from the
-federation, so the defense is a pure streaming fold: weights ride on the
-updates themselves and never need a side channel.
+federation, so the defense is a pure fold: weights ride on the updates
+themselves and never need a side channel.
 
 The matrix protocol cannot carry per-client example counts (its input is
-just the stacked update array), so this defense is streaming-only:
-``streaming="auto"`` (the default) always streams it, and forcing
-``streaming="off"`` fails loudly instead of silently averaging uniformly.
+just the stacked update array), so a direct matrix call fails loudly
+instead of silently averaging uniformly.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ class WeightedMeanAggregator(Aggregator):
     """
 
     name = "weighted_mean"
-    streaming = True
     shardable = True
-    streaming_only = True
 
     def aggregate(
         self,
@@ -44,8 +41,8 @@ class WeightedMeanAggregator(Aggregator):
     ) -> np.ndarray:
         raise ValueError(
             "weighted_mean has no matrix path: per-client example counts "
-            "travel on ClientUpdate, which only the streaming protocol "
-            "sees — run with streaming='auto' or 'on'"
+            "travel on ClientUpdate, which only begin_round/accumulate/"
+            "finalize see"
         )
 
     def prepare_update(self, update):

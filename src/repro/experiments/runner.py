@@ -265,7 +265,6 @@ def run_experiment(
         seed=config.seed,
         local=config.local,
         eval_every=config.eval_every,
-        streaming=config.streaming,
         num_shards=config.num_shards,
         secure_aggregation=config.secure_aggregation,
         telemetry=config.telemetry,

@@ -109,8 +109,7 @@ class Scenario:
     backend_kwargs: dict = field(default_factory=dict)  # extra backend ctor kwargs
     #   (e.g. distributed's connect="host:port,..."); max_workers stays on
     #   backend_workers so every backend shares one worker-cap field.
-    streaming: str = "auto"             # fold updates online: auto|on|off
-    num_shards: int = 1                 # split the streaming fold across shards
+    num_shards: int = 1                 # split the update fold across shards
     secure_aggregation: bool = False    # pairwise-masked updates (server-blind)
     telemetry: bool = False             # out-of-band span/metric tracing
 
@@ -221,7 +220,7 @@ class Scenario:
         if self.backend_workers is not None and self.backend in ("serial", "batched"):
             raise ValueError(
                 "backend_workers requires a worker-pool backend "
-                "('thread', 'process' or 'distributed')"
+                "('thread' or 'distributed')"
             )
         if not isinstance(self.backend_kwargs, dict):
             raise ValueError("backend_kwargs must be a dict")
@@ -234,15 +233,6 @@ class Scenario:
                     f"{unknown} (max_workers belongs on backend_workers); "
                     f"accepted: {sorted(accepted - {'max_workers'}) or 'none'}"
                 )
-        if self.streaming not in ("auto", "on", "off"):
-            raise ValueError("streaming must be 'auto', 'on' or 'off'")
-        if self.streaming == "off" and getattr(
-            DEFENSES.get(self.defense), "streaming_only", False
-        ):
-            raise ValueError(
-                f"defense {self.defense!r} only supports the streaming update "
-                "path; use streaming='auto' or 'on'"
-            )
         if not isinstance(self.num_shards, int) or self.num_shards < 1:
             raise ValueError("num_shards must be a positive integer")
         mode, mode_kwargs = parse_spec(self.aggregation_mode)
@@ -264,11 +254,6 @@ class Scenario:
                     "buffered_async is incompatible with secure aggregation "
                     "(pairwise masks only cancel within one round's cohort)"
                 )
-            if self.streaming == "off":
-                raise ValueError(
-                    "buffered_async folds arrivals online; use "
-                    "streaming='auto' or 'on'"
-                )
         if not isinstance(self.telemetry, bool):
             raise ValueError("telemetry must be a bool")
         if self.secure_aggregation:
@@ -277,11 +262,6 @@ class Scenario:
             defense = DEFENSES.get(self.defense)
             if getattr(defense, "requires_plaintext_updates", False):
                 raise PlaintextRequiredError(self.defense)
-            if self.streaming == "off":
-                raise ValueError(
-                    "secure aggregation folds masked updates online and has no "
-                    "matrix path; use streaming='auto' or 'on'"
-                )
 
     # -- functional updates ------------------------------------------------
 

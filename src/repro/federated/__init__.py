@@ -28,7 +28,6 @@ from repro.federated.engine import (
     EvaluationHook,
     ExecutionBackend,
     HookPipeline,
-    ProcessPoolBackend,
     RoundHook,
     RoundPlan,
     SerialBackend,
@@ -50,7 +49,6 @@ from repro.federated.population import (
     uniform_sample,
 )
 from repro.federated.rng import client_rng, client_stream_seed, personalization_seed
-from repro.federated.sampling import sample_clients
 from repro.federated.server import FederatedServer, ServerConfig
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "local_train",
     "RoundRecord",
     "TrainingHistory",
-    "sample_clients",
     "uniform_sample",
     "ClientPopulation",
     "SyntheticPopulation",
@@ -77,7 +74,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "available_backends",
     "make_backend",
     "RoundHook",

@@ -2,8 +2,9 @@
 
 Separates round *orchestration* (what the server decides: sampling,
 aggregation, bookkeeping) from client *execution* (how the per-client work
-runs: serially, on threads, on worker processes) and from *instrumentation*
-(typed round hooks).  See :mod:`repro.federated.engine.plan`,
+runs: serially, on threads, as one stacked model, on worker processes) and
+from *instrumentation* (typed round hooks).  See
+:mod:`repro.federated.engine.plan`,
 :mod:`repro.federated.engine.backends` and
 :mod:`repro.federated.engine.hooks`.
 
@@ -17,7 +18,6 @@ backend registry loads it lazily on first lookup.
 from repro.federated.engine.backends import (
     EngineContext,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     available_backends,
@@ -62,7 +62,6 @@ __all__ = [
     "BatchedClientRunner",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "available_backends",
     "make_backend",
     "run_benign_task",

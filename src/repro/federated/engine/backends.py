@@ -1,18 +1,18 @@
 """Execution backends: how a round plan's client work actually runs.
 
-The server is backend-agnostic: it builds a :class:`RoundPlan` and asks an
-:class:`ExecutionBackend` for the :class:`ClientResult` list in aggregation
-order.  Three backends are provided:
+The server is backend-agnostic: it builds a :class:`RoundPlan` and folds
+the :class:`ClientUpdate` objects an :class:`ExecutionBackend` yields from
+:meth:`~ExecutionBackend.iter_updates`.  Two in-process backends live here:
 
-* :class:`SerialBackend` — one worker model, clients in order; bit-identical
-  to the historical round loop and the default.
+* :class:`SerialBackend` — one worker model, clients in order; the default.
 * :class:`ThreadPoolBackend` — benign clients fan out over a thread pool with
   a per-thread model pool.  NumPy releases the GIL inside its kernels, so
   multi-core machines overlap client training.
-* :class:`ProcessPoolBackend` — benign clients fan out over forked worker
-  processes.  The pool is forked *per round* so workers always see the
-  current algorithm state (e.g. FedDC drift); this sidesteps pickling of
-  closure-based model factories and keeps results identical to serial.
+
+The ``batched`` backend (:mod:`repro.federated.engine.batched`) trains a
+round's benign clients as one stacked model, and the ``distributed`` backend
+(:mod:`repro.federated.engine.distributed`) runs them on socket-connected
+worker processes.
 
 Malicious updates are always computed in the driver process, in task order:
 attacks are stateful by contract (``MRepl.attacked_rounds``, CollaPois'
@@ -21,9 +21,9 @@ see it.  Benign updates only *read* shared state (dataset, algorithm state,
 global parameters), which is what makes them safe to parallelise.
 
 Because every task draws randomness exclusively from its own
-``(seed, round, client)`` stream (see :mod:`repro.federated.rng`), all three
-backends produce bit-identical :class:`~repro.federated.history.TrainingHistory`
-objects for the same run seed.  The one exception: models whose layers carry
+``(seed, round, client)`` stream (see :mod:`repro.federated.rng`), every
+backend produces a bit-identical :class:`~repro.federated.history.TrainingHistory`
+for the same run seed.  The one exception: models whose layers carry
 internal RNG state (``Dropout``) consume that state in backend-dependent
 order and void the guarantee — keep such models on the serial backend (the
 experiment runner's model factories are dropout-free by default).
@@ -31,14 +31,12 @@ experiment runner's model factories are dropout-free by default).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
-import threading
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,8 +126,6 @@ class ExecutionBackend:
     name = "base"
 
     # Capability flags, surfaced by ``repro list backends``:
-    #: ``iter_updates`` yields as clients finish (vs a per-round barrier).
-    streaming_updates = False
     #: Client work runs in other OS processes (own interpreter + memory).
     process_isolation = False
     #: Workers may live on other hosts, reached over sockets.
@@ -159,43 +155,19 @@ class ExecutionBackend:
         # previous server's factory.
         self._driver_model = None
 
-    def execute(self, plan: RoundPlan, global_params: np.ndarray) -> list[ClientResult]:
-        """Run every task in ``plan`` and return results in aggregation order."""
-        ctx = self.ctx
-        # Kick off benign work first: parallel backends submit it to their
-        # pool eagerly and hand back a lazy iterable, so driver-side
-        # malicious computation (which can be real training — DPois/DBA run
-        # local_train per compromised client) overlaps with the pool instead
-        # of stalling it.
-        benign_pending = self._start_benign(plan.benign_tasks, global_params)
-        results: dict[int, ClientResult] = {}
-        # Malicious tasks run in the driver so stateful attacks keep their
-        # cross-round bookkeeping (MRepl.attacked_rounds, psi_history).
-        for task in plan.malicious_tasks:
-            results[task.order] = run_malicious_task(
-                ctx, task, global_params, self._get_driver_model()
-            )
-        for result in benign_pending:
-            results[result.task.order] = result
-        return [results[order] for order in range(len(plan))]
-
     def iter_updates(
         self, plan: RoundPlan, global_params: np.ndarray
     ) -> Iterator[ClientUpdate]:
-        """Yield the plan's :class:`ClientUpdate` objects as they complete.
+        """Run every task in ``plan``, yielding each :class:`ClientUpdate`.
 
-        The streaming counterpart of :meth:`execute`: the server folds each
-        yielded update into the aggregator online instead of waiting for the
-        full round.  Updates may arrive in *any* order — consumers key on
+        Updates may arrive in *any* order — the server keys on
         ``update.slot`` for the canonical aggregation order (the
         :class:`~repro.defenses.base.Aggregator` base class does this
-        automatically).  The base implementation is a barrier (it runs
-        :meth:`execute` and yields the finished results, which is what the
-        per-round-forked process backend wants); serial and thread backends
-        override it to yield as clients finish.
+        automatically).  Every backend runs the malicious tasks in the driver
+        (see the module docstring) and yields each update the moment it
+        exists, so the server folds while slow clients are still training.
         """
-        for result in self.execute(plan, global_params):
-            yield self.make_update(result, plan)
+        raise NotImplementedError
 
     def make_update(self, result: ClientResult, plan: RoundPlan) -> ClientUpdate:
         """Wrap an executed result with its client's dataset weight.
@@ -234,12 +206,6 @@ class ExecutionBackend:
             num_examples=len(self.ctx.dataset.client(result.client_id).train),
         )
 
-    def _start_benign(
-        self, tasks: tuple[ClientTask, ...], global_params: np.ndarray
-    ) -> Iterable[ClientResult]:
-        """Begin executing the benign tasks; the return value may be lazy."""
-        raise NotImplementedError
-
     def _get_driver_model(self):
         if self._driver_model is None:
             self._driver_model = self.ctx.model_factory()
@@ -251,60 +217,17 @@ class ExecutionBackend:
 
 @BACKENDS.register("serial")
 class SerialBackend(ExecutionBackend):
-    """Default backend: every client runs in order on one scratch model.
-
-    ``batch_clients`` (optional) routes benign tasks through the cross-client
-    batched runner (:mod:`repro.federated.engine.batched`) in groups of at
-    most that many clients — a middle ground between fully serial execution
-    and the dedicated ``batched`` backend, with the same bit-identity
-    guarantee.  ``batch_clients=1`` (or ``None``) keeps the plain path.
-    """
+    """Default backend: every client runs in order on one scratch model."""
 
     name = "serial"
-    streaming_updates = True
-
-    def __init__(self, batch_clients: int | None = None) -> None:
-        super().__init__()
-        if batch_clients is not None and batch_clients <= 0:
-            raise ValueError("batch_clients must be positive")
-        self.batch_clients = batch_clients
-        self._batched_runner = None
-
-    def bind(self, ctx: EngineContext) -> None:
-        super().bind(ctx)
-        self._batched_runner = None
-
-    def _get_batched_runner(self):
-        if self._batched_runner is None:
-            # Imported lazily: batched.py imports this module.
-            from repro.federated.engine.batched import BatchedClientRunner
-
-            self._batched_runner = BatchedClientRunner(
-                self.ctx, max_group=self.batch_clients
-            )
-        return self._batched_runner
-
-    def _start_benign(self, tasks, global_params):
-        if self.batch_clients is not None and self.batch_clients > 1:
-            return self._get_batched_runner().run(tasks, global_params)
-        ctx = self.ctx
-        model = self._get_driver_model()
-        # Lazy on purpose: benign work runs while execute() drains the
-        # iterator, after the (shared-scratch-model) malicious tasks finished.
-        return (run_benign_task(ctx, task, global_params, model) for task in tasks)
 
     def iter_updates(self, plan, global_params):
-        # Same computation order as execute() — malicious first on the shared
-        # scratch model, then benign in task order — but each update is
-        # yielded the moment it exists instead of after the round barrier.
+        # Malicious first on the shared scratch model, then benign in task
+        # order; each update is yielded the moment it exists.
         ctx = self.ctx
         model = self._get_driver_model()
         for task in plan.malicious_tasks:
             yield self.make_update(run_malicious_task(ctx, task, global_params, model), plan)
-        if self.batch_clients is not None and self.batch_clients > 1:
-            for result in self._get_batched_runner().run(plan.benign_tasks, global_params):
-                yield self.make_update(result, plan)
-            return
         for task in plan.benign_tasks:
             yield self.make_update(run_benign_task(ctx, task, global_params, model), plan)
 
@@ -314,7 +237,6 @@ class ThreadPoolBackend(ExecutionBackend):
     """Fan benign clients out over threads with a pooled set of models."""
 
     name = "thread"
-    streaming_updates = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         super().__init__()
@@ -350,18 +272,11 @@ class ThreadPoolBackend(ExecutionBackend):
             )
         return self._executor
 
-    def _start_benign(self, tasks, global_params):
-        # map() submits every task immediately; the returned iterator is
-        # drained by execute() after the driver-side malicious work.
-        return self._ensure_executor().map(
-            lambda task: self._run_pooled(task, global_params), tasks
-        )
-
     def iter_updates(self, plan, global_params):
         # Submit the benign fan-out first, overlap driver-side malicious
         # computation with the pool, then yield benign updates in completion
-        # order via as_completed — this is what lets streaming aggregation
-        # start folding while slow clients are still training.
+        # order via as_completed — this is what lets the server start
+        # folding while slow clients are still training.
         executor = self._ensure_executor()
         with telemetry_span(
             self.ctx, "dispatch",
@@ -384,88 +299,6 @@ class ThreadPoolBackend(ExecutionBackend):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-
-# Fork-inherited state for ProcessPoolBackend workers.  Set in the parent
-# immediately before the per-round pool is forked; children read their
-# inherited snapshot, so no pickling of datasets/factories is needed (pool
-# initargs would be pickled, which the closure-based model factories are
-# not).  The module-global handoff is guarded by _FORK_LOCK so concurrent
-# process-backend rounds in one parent process serialize instead of forking
-# each other's state.
-_FORK_STATE: tuple[EngineContext, np.ndarray] | None = None
-_FORK_MODEL = None
-_FORK_LOCK = threading.Lock()
-
-
-def _fork_run_task(task: ClientTask) -> ClientResult:
-    global _FORK_MODEL
-    if _FORK_STATE is None:
-        raise RuntimeError("worker process has no inherited engine state")
-    ctx, global_params = _FORK_STATE
-    if _FORK_MODEL is None:
-        _FORK_MODEL = ctx.model_factory()
-    return run_benign_task(ctx, task, global_params, _FORK_MODEL)
-
-
-@BACKENDS.register("process")
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan benign clients out over forked worker processes.
-
-    The pool is created (forked) at the start of every round and torn down at
-    the end of it, so workers always inherit the *current* algorithm state —
-    FedDC's drift vectors change every round and a long-lived pool would act
-    on stale state.  Forking also sidesteps pickling: the closure-based model
-    factories used by the experiment runner are not picklable, but a forked
-    child inherits them.  Requires a platform with the ``fork`` start method
-    (Linux/macOS); :meth:`bind` raises elsewhere.
-    """
-
-    name = "process"
-    process_isolation = True  # streaming_updates stays False: per-round fork
-    # makes iter_updates a barrier (see ROADMAP's long-lived-worker item).
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-
-    def bind(self, ctx: EngineContext) -> None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "ProcessPoolBackend requires the 'fork' start method; "
-                "use ThreadPoolBackend on this platform"
-            )
-        super().bind(ctx)
-
-    def _start_benign(self, tasks, global_params):
-        # Eager by design: the per-round pool must be torn down before the
-        # results are used, and fork/teardown dominates any overlap gains.
-        global _FORK_STATE
-        if not tasks:
-            return []
-        workers = min(self.max_workers, len(tasks))
-        with _FORK_LOCK:
-            # Children record spans into forked copies of the tracer that die
-            # with the process, so strip telemetry from the inherited context
-            # and record one driver-side span covering the whole pool instead.
-            _FORK_STATE = (replace(self.ctx, telemetry=None), global_params)
-            try:
-                mp_ctx = multiprocessing.get_context("fork")
-                with telemetry_span(
-                    self.ctx, "client_train",
-                    round=tasks[0].round_idx, tasks=len(tasks), processes=workers,
-                ):
-                    with ProcessPoolExecutor(
-                        max_workers=workers, mp_context=mp_ctx
-                    ) as pool:
-                        chunksize = max(1, len(tasks) // workers)
-                        return list(
-                            pool.map(_fork_run_task, tasks, chunksize=chunksize)
-                        )
-            finally:
-                _FORK_STATE = None
 
 
 def available_backends() -> list[str]:

@@ -1,7 +1,7 @@
 """Cross-client batched execution: train many clients as one stacked model.
 
-Every earlier backend parallelised *around* the math — threads, forked
-processes, socket workers — while each benign client still ran its own tiny
+The other backends parallelise *around* the math — threads, socket
+workers — while each benign client still ran its own tiny
 forward/backward, dominated by many small GEMMs NumPy cannot amortise.  This
 module stacks clients into a leading array dimension instead: the
 :class:`BatchedClientRunner` groups a round's benign tasks by effective local
@@ -193,12 +193,10 @@ class BatchedBackend(ExecutionBackend):
     ``max_group`` caps how many clients stack into one model (default:
     unlimited — one stack per work-shape group); smaller caps trade GEMM
     amortisation for working-set size.  ``iter_updates`` yields benign
-    updates in canonical slot order, so streaming and sharded aggregation
-    consume the batched path unchanged.
+    updates in canonical slot order.
     """
 
     name = "batched"
-    streaming_updates = True
     batched_execution = True
 
     def __init__(self, max_group: int | None = None) -> None:
@@ -216,9 +214,6 @@ class BatchedBackend(ExecutionBackend):
         if self._runner is None:
             self._runner = BatchedClientRunner(self.ctx, max_group=self.max_group)
         return self._runner
-
-    def _start_benign(self, tasks, global_params):
-        return self._get_runner().run(tasks, global_params)
 
     def iter_updates(self, plan, global_params):
         # Malicious first on the driver model (stateful attacks), then the

@@ -15,8 +15,7 @@ spawned locally (:meth:`DistributedBackend.spawn_local`) or attached to
 4. runs malicious tasks in the driver (attacks are stateful — exactly like
    the serial/thread backends) while workers chew on the benign fan-out,
 5. yields each :class:`~repro.federated.engine.plan.ClientUpdate` as its
-   frame arrives — ``iter_updates`` streams, so incremental and sharded
-   aggregation work unchanged — and
+   frame arrives, so the server folds while other workers still train — and
 6. on a worker's death (EOF/reset mid-round) re-queues that worker's
    unfinished tasks for the surviving workers.  Tasks are deterministic in
    their ``(seed, round, client)`` stream, so a re-dispatched task computes
@@ -105,7 +104,6 @@ class DistributedBackend(ExecutionBackend):
     """
 
     name = "distributed"
-    streaming_updates = True
     process_isolation = True
     distributed = True
 
@@ -138,7 +136,7 @@ class DistributedBackend(ExecutionBackend):
         self.wire_dtype = wire_dtype
         #: Declared at construction so an incompatible wire_dtype fails here
         #: rather than rounds later; the round-time trigger is the server's
-        #: ``ctx.secagg_seed`` (guarded again in ``_run_round``).
+        #: ``ctx.secagg_seed`` (guarded again in ``iter_updates``).
         self.secure_aggregation = secure_aggregation
         self._links: list[_WorkerLink] = []
         self._started = False
@@ -357,16 +355,8 @@ class DistributedBackend(ExecutionBackend):
 
     # -- round execution ----------------------------------------------------
 
-    def execute(self, plan: RoundPlan, global_params: np.ndarray) -> list[ClientResult]:
-        results = {r.task.order: r for r in self._run_round(plan, global_params)}
-        return [results[order] for order in range(len(plan))]
-
-    def iter_updates(self, plan, global_params):
-        for result in self._run_round(plan, global_params):
-            yield self.make_update(result, plan)
-
-    def _run_round(self, plan: RoundPlan, global_params: np.ndarray):
-        """Yield the round's :class:`ClientResult` objects as they complete."""
+    def iter_updates(self, plan: RoundPlan, global_params: np.ndarray):
+        """Yield the round's client updates as they complete."""
         ctx = self.ctx
         benign = plan.benign_tasks
         pending: deque[ClientTask] = deque(benign)
@@ -428,7 +418,10 @@ class DistributedBackend(ExecutionBackend):
         # Driver-side malicious work overlaps with the worker fan-out, same
         # as the thread backend: attacks keep their cross-round state here.
         for task in plan.malicious_tasks:
-            yield run_malicious_task(ctx, task, global_params, self._get_driver_model())
+            yield self.make_update(
+                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
+                plan,
+            )
         if not benign:
             return
 
@@ -463,7 +456,7 @@ class DistributedBackend(ExecutionBackend):
                     if task is None:
                         # Already completed before a re-dispatch raced it.
                         continue
-                    yield ClientResult(
+                    result = ClientResult(
                         task=task,
                         update=arrays["update"],
                         loss=fields.get("loss"),
@@ -471,6 +464,7 @@ class DistributedBackend(ExecutionBackend):
                         # this vector a second time.
                         extras={"secagg_masked": True} if fields.get("masked") else {},
                     )
+                    yield self.make_update(result, plan)
         finally:
             sel.close()
 

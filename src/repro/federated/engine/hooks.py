@@ -6,20 +6,16 @@ server's round loop, the server dispatches five typed events per round:
 ``on_round_start``
     after sampling, before any client work — receives the :class:`RoundPlan`.
 ``on_update``
-    once per client as its :class:`~repro.federated.engine.plan.ClientUpdate`
-    becomes available, between ``on_round_start`` and
-    ``on_updates_collected``.  On the server's streaming path updates arrive
-    in *completion* order (out-of-order under parallel backends); on the
-    buffered path they are replayed in sampled-slot order after the round
-    barrier.  The event only fires when some registered hook implements it.
+    once per folded :class:`~repro.federated.engine.plan.ClientUpdate`, as it
+    arrives, between ``on_round_start`` and ``on_updates_collected``.
+    Updates arrive in *completion* order (out-of-order under parallel
+    backends).
 ``on_updates_collected``
-    after every client update for the round is available, before aggregation
-    is finalized.  On the buffered path ``results`` is the
-    :class:`ClientResult` list in aggregation order (as before); on the
-    streaming path it is the retained :class:`ClientUpdate` list in
-    sampled-slot order — and it is only materialised if some hook (or the
-    training algorithm) actually consumes it, so pure streaming rounds keep
-    O(param_dim) memory.
+    after every client update for the round is folded, before aggregation
+    is finalized.  ``updates`` is the round's :class:`ClientUpdate` list in
+    fold-slot order — and it is only materialised if some hook (or the
+    training algorithm) actually consumes it, so rounds of a shardable
+    defense otherwise keep O(param_dim) memory.
 ``on_aggregated``
     after the aggregated update was applied to the global model.
 ``on_round_end``
@@ -29,8 +25,8 @@ server's round loop, the server dispatches five typed events per round:
 
 Hooks run in registration order; exceptions propagate (a broken hook should
 fail the run loudly, not corrupt a result silently).  When a hook raises
-mid-round — notably in ``on_update``, while a streaming aggregation fold is
-in flight — the server calls :meth:`~repro.defenses.base.Aggregator.abort`
+mid-round — notably in ``on_update``, while an aggregation fold is in
+flight — the server calls :meth:`~repro.defenses.base.Aggregator.abort`
 on the half-folded round state before re-raising, so sharded fold workers
 are released and the aggregator can begin a fresh round afterwards
 (pinned in ``tests/federated/test_hooks.py``).
@@ -42,7 +38,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.federated.engine.plan import ClientResult, ClientUpdate, RoundPlan
+from repro.federated.engine.plan import ClientUpdate, RoundPlan
 from repro.federated.history import RoundRecord
 
 
@@ -56,16 +52,9 @@ class RoundHook:
         """Called once per client update as it becomes available."""
 
     def on_updates_collected(
-        self, server, plan: RoundPlan, results: list[ClientResult] | list[ClientUpdate]
+        self, server, plan: RoundPlan, updates: list[ClientUpdate]
     ) -> None:
-        """Called once every client result for the round is available.
-
-        The element type follows the server's active path: ``ClientResult``
-        on the buffered path, ``ClientUpdate`` on the streaming path (the
-        default with a streaming-capable defense).  Both expose
-        ``client_id``/``malicious``/``update``/``loss``; hooks needing more
-        should key off those shared fields or pin ``streaming="off"``.
-        """
+        """Called with the round's folded updates, in fold-slot order."""
 
     def on_aggregated(self, server, plan: RoundPlan, aggregated: np.ndarray) -> None:
         """Called after the aggregated update was applied to the global model."""
@@ -73,13 +62,10 @@ class RoundHook:
     def on_round_end(self, server, plan: RoundPlan, record: RoundRecord) -> None:
         """Called with the round's record; hooks may enrich it in place."""
 
-    # The server asks before materialising per-update events / the full
-    # results list so that pure streaming rounds don't pay for observers
-    # nobody registered.  Subclasses are detected automatically; only
-    # adapter-style hooks (CallbackHook) need to override these.
-
-    def wants_update_events(self) -> bool:
-        return type(self).on_update is not RoundHook.on_update
+    # The server asks before retaining the full update list so that rounds
+    # don't pay for observers nobody registered.  Subclasses are detected
+    # automatically; only adapter-style hooks (CallbackHook) need to
+    # override this.
 
     def wants_collected_results(self) -> bool:
         return type(self).on_updates_collected is not RoundHook.on_updates_collected
@@ -108,9 +94,6 @@ class HookPipeline:
     def __len__(self) -> int:
         return len(self._hooks)
 
-    def wants_update_events(self) -> bool:
-        return any(hook.wants_update_events() for hook in self._hooks)
-
     def wants_collected_results(self) -> bool:
         return any(hook.wants_collected_results() for hook in self._hooks)
 
@@ -123,10 +106,10 @@ class HookPipeline:
             hook.on_update(server, plan, update)
 
     def updates_collected(
-        self, server, plan: RoundPlan, results: list[ClientResult] | list[ClientUpdate]
+        self, server, plan: RoundPlan, updates: list[ClientUpdate]
     ) -> None:
         for hook in self._hooks:
-            hook.on_updates_collected(server, plan, results)
+            hook.on_updates_collected(server, plan, updates)
 
     def aggregated(self, server, plan: RoundPlan, aggregated: np.ndarray) -> None:
         for hook in self._hooks:
@@ -194,9 +177,6 @@ class CallbackHook(RoundHook):
         self._aggregated = on_aggregated
         self._round_end = on_round_end
 
-    def wants_update_events(self) -> bool:
-        return self._update is not None
-
     def wants_collected_results(self) -> bool:
         return self._updates_collected is not None
 
@@ -208,9 +188,9 @@ class CallbackHook(RoundHook):
         if self._update is not None:
             self._update(server, plan, update)
 
-    def on_updates_collected(self, server, plan, results):
+    def on_updates_collected(self, server, plan, updates):
         if self._updates_collected is not None:
-            self._updates_collected(server, plan, results)
+            self._updates_collected(server, plan, updates)
 
     def on_aggregated(self, server, plan, aggregated):
         if self._aggregated is not None:

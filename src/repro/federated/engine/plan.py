@@ -24,8 +24,8 @@ class ClientTask:
     """One client's work item within a round.
 
     ``order`` is the client's position in the round's aggregation order; the
-    backend returns results sorted by it so the stacked update matrix is
-    identical across backends.
+    aggregator folds updates in it, so the result is identical across
+    backends whatever order clients finish in.
     """
 
     client_id: int
@@ -98,11 +98,11 @@ class ClientResult:
 class ClientUpdate:
     """One client's contribution to a round, as the aggregation layer sees it.
 
-    This is the unit flowing between the engine and the server's streaming
-    aggregation path (:meth:`ExecutionBackend.iter_updates` yields these as
-    clients finish).  ``slot`` is the client's sampled-slot index — its
-    position in the round's canonical aggregation order — which is what lets
-    an :class:`~repro.defenses.base.Aggregator` fold out-of-order arrivals
+    This is the unit flowing between the engine and the server's fold loop
+    (:meth:`ExecutionBackend.iter_updates` yields these as clients finish).
+    ``slot`` is the client's sampled-slot index — its position in the
+    round's canonical aggregation order — which is what lets an
+    :class:`~repro.defenses.base.Aggregator` fold out-of-order arrivals
     deterministically.  ``num_examples`` is the size of the client's local
     training set (``0`` when unknown); ``metadata`` carries per-client extras
     for hooks and weighted/defensive aggregators.

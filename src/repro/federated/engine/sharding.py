@@ -1,8 +1,9 @@
-"""Sharded streaming aggregation: fan the hot fold loop out over workers.
+"""Sharded aggregation: fan the hot fold loop out over workers.
 
-PR 3 made aggregation O(param_dim) streaming state; this module splits that
-state across *shards* — contiguous slices of the flat parameter vector —
-so the per-update fold scales with workers instead of running on one core.
+Shardable defenses fold each round in O(param_dim) state; this module
+splits that state across *shards* — contiguous slices of the flat
+parameter vector — so the per-update fold scales with workers instead of
+running on one core.
 
 :func:`plan_shards` is the shard planner: it cuts ``param_dim`` into at
 most ``num_shards`` contiguous, nearly-equal slices.  :class:`
@@ -26,10 +27,10 @@ are concatenated back into one vector and handed to the defense's
 normalisation also match the unsharded path exactly.
 
 Non-shardable defenses (krum, median, …) are simply not wrapped
-(:func:`maybe_shard` returns them unchanged) and keep their existing
-single-fold or buffering path.  The sharded fold is also the stated
-prerequisite for the multi-host backend: the coordinator/worker split here
-is the same protocol a distributed parameter-shard server would speak.
+(:func:`maybe_shard` returns them unchanged) and keep buffering the round.
+The sharded fold is also the stated prerequisite for the multi-host
+backend: the coordinator/worker split here is the same protocol a
+distributed parameter-shard server would speak.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _DONE = object()
 #: training, but a burst of completions (many thread-backend workers
 #: finishing at once) must not re-materialise the whole round in the shard
 #: queues — that would restore the O(clients × param_dim) peak memory the
-#: streaming path exists to avoid.  A blocking put on a bounded queue gives
+#: slice fold exists to avoid.  A blocking put on a bounded queue gives
 #: the coordinator natural backpressure at a few updates in flight.
 _QUEUE_DEPTH = 4
 
@@ -99,9 +100,9 @@ class _ShardRound:
 
 
 class ShardedAggregator(Aggregator):
-    """Wrap a shardable defense so its streaming fold runs on shard workers.
+    """Wrap a shardable defense so its fold runs on shard workers.
 
-    Implements the streaming protocol by delegating the defense math to the
+    Implements the fold protocol by delegating the defense math to the
     wrapped aggregator's slice-fold extension points: the inherited
     slot-order machinery still runs in the coordinator (so out-of-order
     arrivals are handled exactly as before), while the elementwise slice
@@ -113,19 +114,14 @@ class ShardedAggregator(Aggregator):
     aggregator's concurrent states.  :meth:`close` (the server calls it via
     ``FederatedServer.close``) releases the workers of any round that was
     abandoned mid-flight instead of finalized.
-
-    The matrix protocol simply delegates to the wrapped defense — sharding
-    only concerns the streaming fold, so ``streaming="off"`` behaves as if
-    the wrapper were absent.
     """
 
-    streaming = True
     shardable = False  # a wrapper is not itself wrappable
 
     def __init__(self, inner: Aggregator, num_shards: int) -> None:
         if isinstance(inner, ShardedAggregator):
             raise ValueError("cannot shard an already-sharded aggregator")
-        if not (getattr(inner, "streaming", False) and getattr(inner, "shardable", False)):
+        if not getattr(inner, "shardable", False):
             raise ValueError(
                 f"defense {getattr(inner, 'name', type(inner).__name__)!r} is "
                 "not shardable; it keeps the single-fold path"
@@ -135,15 +131,9 @@ class ShardedAggregator(Aggregator):
         self.inner = inner
         self.num_shards = num_shards
         self.name = f"sharded[{inner.name}x{num_shards}]"
-        self.streaming_only = getattr(inner, "streaming_only", False)
         self._live_rounds: list[_ShardRound] = []
 
-    # -- matrix protocol: sharding does not apply ---------------------------
-
-    def aggregate(self, updates, global_params, ctx):
-        return self.inner.aggregate(updates, global_params, ctx)
-
-    # -- streaming protocol -------------------------------------------------
+    # -- fold protocol ------------------------------------------------------
 
     def _begin(self, ctx: AggregationContext):
         # The shard plan needs param_dim, which only the first update
@@ -270,8 +260,6 @@ def maybe_shard(aggregator: Aggregator, num_shards: int) -> Aggregator:
     unchanged — the documented fallback to the single-fold (or buffering)
     path, bit-identical to the sharded one.
     """
-    if num_shards <= 1 or isinstance(aggregator, ShardedAggregator):
-        return aggregator
-    if not (getattr(aggregator, "streaming", False) and getattr(aggregator, "shardable", False)):
+    if num_shards <= 1 or not getattr(aggregator, "shardable", False):
         return aggregator
     return ShardedAggregator(aggregator, num_shards)

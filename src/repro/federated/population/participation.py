@@ -1,9 +1,8 @@
 """Participation models: who shows up each round, and how late.
 
-The server used to call :func:`repro.federated.sampling.sample_clients`
-directly, which left no seam for availability traces, device-speed tiers or
-asynchronous arrival.  A :class:`ParticipationModel` owns that decision now:
-each round the server hands it a :class:`ParticipationContext` and receives
+A :class:`ParticipationModel` owns round sampling, which gives availability
+traces, device-speed tiers and asynchronous arrival one seam: each round the
+server hands it a :class:`ParticipationContext` and receives
 a :class:`ParticipationRound` — the sorted sampled cohort plus (optionally)
 a deterministic latency draw per sampled client, which the buffered-async
 aggregation mode uses to order arrivals.
@@ -35,7 +34,7 @@ Three models ship (a registry family — ``repro list participation``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,8 +135,8 @@ class UniformParticipation(ParticipationModel):
 
     Consumes the server's round RNG through :func:`uniform_sample` exactly
     as ``FederatedServer`` always did, so a run configured with
-    ``participation="uniform"`` (or with the deprecated ``sample_rate``
-    scalars, which build this model) reproduces existing histories
+    ``participation="uniform"`` (or with the ``Scenario.sample_rate``
+    shorthand, which builds this model) reproduces existing histories
     bit-identically per seed.
     """
 

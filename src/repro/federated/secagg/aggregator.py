@@ -74,13 +74,11 @@ class SecureAggregator(Aggregator):
     inside the sealed layer).  ``check`` is the *unwrapped* defense whose
     capability flag gates construction; it defaults to ``inner``.
 
-    Streaming-only by design: the buffered matrix path would hand the
-    defense a stacked plaintext matrix, which is exactly the server-side
-    view secure aggregation removes.
+    Fold protocol only, by design: a matrix call would hand the defense a
+    stacked plaintext matrix, which is exactly the server-side view secure
+    aggregation removes.
     """
 
-    streaming = True
-    streaming_only = True
     shardable = False  # the sealed layer wraps the sharded fold, not vice versa
 
     def __init__(self, inner: Aggregator, seed: int, check: Aggregator | None = None):
@@ -90,18 +88,6 @@ class SecureAggregator(Aggregator):
         self.inner = inner
         self.seed = int(seed)
         self.name = f"secagg({getattr(inner, 'name', type(inner).__name__)})"
-
-    def aggregate(
-        self,
-        updates: np.ndarray,
-        global_params: np.ndarray,
-        ctx: AggregationContext,
-    ) -> np.ndarray:
-        raise ValueError(
-            "secure aggregation has no matrix path: a stacked plaintext "
-            "update matrix is exactly the server-side view it removes — "
-            "run with streaming='auto' or 'on'"
-        )
 
     def begin_round(self, ctx: AggregationContext) -> AggregationState:
         return self.inner.begin_round(ctx)

@@ -2,18 +2,16 @@
 
 Each round the server samples clients, builds a :class:`RoundPlan`, hands it
 to the configured :class:`~repro.federated.engine.backends.ExecutionBackend`
-(serial by default; thread/process pools for parallel client execution),
-aggregates the collected updates through the configured aggregator (plain
-mean or a robust defense), and applies the aggregated update with the server
-learning rate.  Instrumentation — evaluation, logging, custom probes — is
-attached through the typed hook pipeline
+(serial by default), folds each client update into the configured aggregator
+(plain mean or a robust defense) as it arrives, and applies the aggregated
+update with the server learning rate.  Instrumentation — evaluation,
+logging, custom probes — is attached through the typed hook pipeline
 (:mod:`repro.federated.engine.hooks`) rather than baked into the loop.
 Per-round statistics are recorded in a :class:`TrainingHistory`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -48,12 +46,8 @@ class ServerConfig:
 
     ``participation`` selects the round-sampling model as a registry spec
     (``"uniform:sample_rate=0.1"``, ``("tiered", {...})`` — see
-    ``repro list participation``).  The historical ``sample_rate`` /
-    ``min_sampled_clients`` scalars are deprecated shims: setting either
-    warns and builds the equivalent ``uniform`` spec (they cannot be
-    combined with ``participation``).  Leaving everything unset means
-    ``uniform`` with the historical defaults (q = 0.2, floor 4), which is —
-    and must remain — bit-identical to every pre-participation-API history.
+    ``repro list participation``).  Leaving it unset means ``uniform`` with
+    the model's defaults (q = 0.2, floor 4).
 
     ``aggregation_mode`` is ``"sync"`` (the paper's Algorithm 1: every
     sampled update folds into its own round) or a ``"buffered_async"`` spec
@@ -61,20 +55,12 @@ class ServerConfig:
     round plus the first ``buffer_size`` arrivals — arrival order given by
     the participation model's latency draws — and carries the stragglers
     into the next round, down-weighted by ``staleness_discount ** staleness``
-    (:meth:`~repro.defenses.base.Aggregator.discount_stale`).  Buffered
-    rounds always use the streaming fold and are bit-identical per seed on
-    every backend; secure aggregation is rejected (pairwise masks only
+    (:meth:`~repro.defenses.base.Aggregator.discount_stale`).  Both modes
+    run the server's one fold loop and are bit-identical per seed on every
+    backend; buffered rounds reject secure aggregation (pairwise masks only
     cancel within one round's full cohort).
 
-    ``streaming`` picks how client updates reach the aggregator:
-    ``"off"`` buffers the whole round and aggregates the stacked matrix
-    (the historical path), ``"on"`` folds each update into the aggregator as
-    it arrives (:meth:`~repro.defenses.base.Aggregator.accumulate`), and
-    ``"auto"`` (default) streams exactly when the configured aggregator has
-    a true streaming implementation (``aggregator.streaming``) and buffers
-    otherwise.  Both paths are bit-identical for the same seed.
-
-    ``num_shards`` splits the streaming fold across that many contiguous
+    ``num_shards`` splits the fold across that many contiguous
     parameter-vector shards folded by a concurrent worker pool
     (:mod:`repro.federated.engine.sharding`) when the aggregator supports it
     (``aggregator.shardable``); other defenses keep the single-fold path.
@@ -101,13 +87,10 @@ class ServerConfig:
     """
 
     rounds: int = 20
-    sample_rate: float | None = None
     server_lr: float = 1.0
     seed: int = 0
-    min_sampled_clients: int | None = None
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     eval_every: int | None = None
-    streaming: str = "auto"
     num_shards: int = 1
     secure_aggregation: bool = False
     participation: object | None = None
@@ -117,30 +100,9 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
-        legacy_scalars = self.sample_rate is not None or self.min_sampled_clients is not None
-        if legacy_scalars and self.participation is not None:
-            raise ValueError(
-                "pass either a participation spec or the deprecated "
-                "sample_rate/min_sampled_clients scalars, not both"
-            )
-        if legacy_scalars:
-            # stacklevel 3: warn → __post_init__ → generated __init__ → caller.
-            warnings.warn(
-                "ServerConfig.sample_rate/min_sampled_clients are deprecated; "
-                "use participation='uniform:sample_rate=...,min_clients=...'",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if self.sample_rate is not None and not 0.0 < self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in (0, 1]")
-        if self.min_sampled_clients is not None and self.min_sampled_clients < 1:
-            raise ValueError("min_sampled_clients must be at least 1")
-        if self.participation is not None:
-            parse_spec(self.participation)  # fail fast on malformed specs
+        self.participation_spec()  # fail fast on malformed specs
         if self.server_lr <= 0:
             raise ValueError("server_lr must be positive")
-        if self.streaming not in ("auto", "on", "off"):
-            raise ValueError("streaming must be 'auto', 'on' or 'off'")
         if self.num_shards < 1:
             raise ValueError("num_shards must be positive")
         mode, mode_kwargs = self.aggregation_spec()
@@ -164,34 +126,21 @@ class ServerConfig:
         discount = mode_kwargs.get("staleness_discount", 0.5)
         if not 0.0 < float(discount) <= 1.0:
             raise ValueError("staleness_discount must be in (0, 1]")
-        if mode == "buffered_async":
-            if self.secure_aggregation:
-                raise ValueError(
-                    "buffered_async is incompatible with secure aggregation: "
-                    "pairwise masks only cancel within one round's full "
-                    "cohort, and carried updates fold in a later round"
-                )
-            if self.streaming == "off":
-                raise ValueError(
-                    "buffered_async folds arrivals online and has no matrix "
-                    "path; use streaming='auto' or 'on'"
-                )
+        if mode == "buffered_async" and self.secure_aggregation:
+            raise ValueError(
+                "buffered_async is incompatible with secure aggregation: "
+                "pairwise masks only cancel within one round's full "
+                "cohort, and carried updates fold in a later round"
+            )
 
     def participation_spec(self) -> tuple[str, dict]:
         """Normalised ``(name, kwargs)`` participation spec of this config.
 
-        Resolves the deprecated scalars into the equivalent ``uniform`` spec;
-        the model's own defaults (q = 0.2, floor 4) fill anything unset, so
-        a default config samples exactly as it always has.
+        Unset means ``uniform`` with the model's own defaults.
         """
-        if self.participation is not None:
-            return parse_spec(self.participation)
-        kwargs: dict = {}
-        if self.sample_rate is not None:
-            kwargs["sample_rate"] = self.sample_rate
-        if self.min_sampled_clients is not None:
-            kwargs["min_clients"] = self.min_sampled_clients
-        return ("uniform", kwargs)
+        if self.participation is None:
+            return ("uniform", {})
+        return parse_spec(self.participation)
 
     def aggregation_spec(self) -> tuple[str, dict]:
         """Normalised ``(mode, kwargs)`` aggregation-mode spec."""
@@ -231,7 +180,7 @@ class FederatedServer:
         self.telemetry = telemetry
         # The participation model owns round sampling; an instance can be
         # injected directly (tests, custom traces), otherwise it is built
-        # from the config's spec (which resolves the deprecated scalars).
+        # from the config's spec.
         self.participation = (
             participation
             if participation is not None
@@ -264,13 +213,6 @@ class FederatedServer:
             # the shard wrapper around it (raises PlaintextRequiredError).
             self.aggregator = SecureAggregator(
                 self.aggregator, seed=config.seed, check=defense
-            )
-        if config.streaming == "off" and getattr(self.aggregator, "streaming_only", False):
-            # Fail fast: a streaming-only defense would otherwise waste a
-            # full round of client training before its aggregate() raised.
-            raise ValueError(
-                f"defense {self.aggregator.name!r} only supports the "
-                "streaming update path; run with streaming='auto' or 'on'"
             )
         self.attack = attack
         self.compromised_ids = set(compromised_ids or [])
@@ -317,8 +259,8 @@ class FederatedServer:
             from repro.telemetry import TelemetryHook
 
             # Registered last so it snapshots metrics after user hooks (which
-            # may enrich the record) have run.  Implements no per-update
-            # event, so it never forces update-event materialisation.
+            # may enrich the record) have run.  It does not consume the
+            # collected updates, so the server never retains them for it.
             self.hooks.add(TelemetryHook(self.telemetry))
 
     def _install_eval_fn(self, fn: Callable[[np.ndarray, int], dict] | None) -> None:
@@ -349,15 +291,6 @@ class FederatedServer:
             return nullcontext()
         return self.telemetry.tracer.span(name, **attrs)
 
-    def _streaming_round(self) -> bool:
-        """Whether this round folds updates into the aggregator online."""
-        mode = self.config.streaming
-        if mode == "off":
-            return False
-        if mode == "on":
-            return True
-        return bool(getattr(self.aggregator, "streaming", False))
-
     def _algorithm_consumes_updates(self) -> bool:
         """Whether the algorithm's post_aggregate reads the benign updates."""
         return (
@@ -365,100 +298,58 @@ class FederatedServer:
             is not FederatedAlgorithm.post_aggregate
         )
 
-    def _collect_buffered(self, plan, ctx):
-        """Historical matrix path: round barrier, stack, one aggregate call."""
-        results = self.backend.execute(plan, self.global_params)
-        if self.hooks.wants_update_events():
-            # Replay per-update events in aggregation order after the barrier
-            # so on_update observers behave identically across paths.
-            for result in results:
-                self.hooks.update(self, plan, self.backend.make_update(result, plan))
-        self.hooks.updates_collected(self, plan, results)
+    def _collect(self, plan):
+        """Fold the round's updates into the aggregator as they arrive.
 
-        benign_losses = [r.loss for r in results if not r.malicious]
-        benign_updates_by_client = {
-            r.client_id: r.update for r in results if not r.malicious
-        }
-        stacked = np.stack([r.update for r in results])
-        with self._span("aggregate", round=ctx.round_idx):
-            aggregated = self.aggregator(stacked, self.global_params, ctx)
-        return aggregated, benign_losses, benign_updates_by_client
-
-    def _collect_streaming(self, plan, ctx):
-        """Streaming path: fold updates into the aggregator as they arrive.
-
-        The aggregator reorders arrivals onto the canonical sampled-slot
-        order internally (see :meth:`~repro.defenses.base.Aggregator.
-        accumulate`), so the result is bit-identical to the buffered path no
-        matter which clients finish first.  The full update list is only
-        retained when a hook or the training algorithm consumes it;
-        otherwise a streaming defense keeps the round at O(param_dim).
-        """
-        state = self.aggregator.begin_round(ctx)
-        retain = self.hooks.wants_collected_results() or self._algorithm_consumes_updates()
-        retained: list = []
-        benign_losses_by_slot: dict[int, float] = {}
-        try:
-            for update in self.backend.iter_updates(plan, self.global_params):
-                self.hooks.update(self, plan, update)
-                self.aggregator.accumulate(state, update)
-                if not update.malicious:
-                    benign_losses_by_slot[update.slot] = update.loss
-                if retain:
-                    retained.append(update)
-            retained.sort(key=lambda u: u.slot)
-            self.hooks.updates_collected(self, plan, retained)
-        except BaseException:
-            # A hook (or the backend) failed mid-round: release the
-            # half-folded aggregation state — sharded folds hold worker
-            # threads — so the aggregator can begin a fresh round later.
-            self.aggregator.abort(state)
-            raise
-        with self._span("aggregate", round=ctx.round_idx):
-            aggregated = self.aggregator.finalize(state, self.global_params, ctx)
-
-        # Slot order, matching the buffered path's reductions bit-for-bit.
-        benign_losses = [benign_losses_by_slot[s] for s in sorted(benign_losses_by_slot)]
-        benign_updates_by_client = {
-            u.client_id: u.update for u in retained if not u.malicious
-        }
-        return aggregated, benign_losses, benign_updates_by_client
-
-    def _collect_buffered_async(self, plan, round_idx):
-        """FedBuff-style round: fold carried + first-K arrivals, carry the rest.
-
-        Arrival order is ``(latency, slot)`` over the plan's deterministic
-        latency draws (all-zero when the participation model has no latency
-        model, degenerating to slot order).  The fold set is the previous
-        round's carried updates — each passed through
+        A sync round folds every sampled update, in plan slot order.  A
+        buffered-async round ranks the plan by ``(latency, slot)`` over the
+        plan's deterministic latency draws (all-zero when the participation
+        model has no latency model) and folds the previous round's carried
+        updates — each passed through
         :meth:`~repro.defenses.base.Aggregator.discount_stale` — followed by
-        this round's first ``buffer_size`` arrivals; fold slots are assigned
-        in that order, so the existing slot-ordered ``accumulate`` machinery
-        makes the result bit-identical across execution backends regardless
-        of completion order.  Late arrivals are stashed (with their origin
-        round) and neither folded nor shown to hooks until the round they
-        actually arrive in — which is what gives the communication ledger
-        correct per-round attribution.
+        its first ``buffer_size`` arrivals; the rest are carried.  A sync
+        round is the case with no carry and every update on time, except
+        that it never ranks by latency, so sync histories do not change when
+        a participation model draws latencies.
+
+        Fold slots are assigned in that order, and the aggregator folds in
+        fold-slot order whatever order updates arrive in (see
+        :meth:`~repro.defenses.base.Aggregator.accumulate`), so the result
+        is bit-identical across execution backends.  Late arrivals are
+        stashed (with their origin round) and neither folded nor shown to
+        hooks until the round they actually arrive in — which is what gives
+        the communication ledger correct per-round attribution.  The full
+        update list is only retained when a hook or the training algorithm
+        consumes it; otherwise a shardable defense keeps the round at
+        O(param_dim).
         """
-        latencies = plan.latencies or (0.0,) * len(plan)
-        arrival = sorted(range(len(plan)), key=lambda s: (latencies[s], s))
+        round_idx = plan.round_idx
+        arrival = list(range(len(plan)))
+        if self._buffered_async:
+            latencies = plan.latencies or (0.0,) * len(plan)
+            arrival.sort(key=lambda s: (latencies[s], s))
         k = self._buffer_size if self._buffer_size is not None else len(plan)
-        on_time = arrival[:k]
+        on_time, late = arrival[:k], arrival[k:]
         carried, self._carry = self._carry, []
 
         fold_clients = tuple(u.client_id for u in carried) + tuple(
             plan.sampled_clients[s] for s in on_time
         )
+        extras = (
+            {"aggregation_mode": "buffered_async", "carried": len(carried)}
+            if self._buffered_async
+            else {}
+        )
         ctx = AggregationContext(
             rng=self._rng,
             round_idx=round_idx,
             sampled_clients=fold_clients,
-            extras={"aggregation_mode": "buffered_async", "carried": len(carried)},
+            extras=extras,
             telemetry=self.telemetry,
         )
         state = self.aggregator.begin_round(ctx)
         retain = self.hooks.wants_collected_results() or self._algorithm_consumes_updates()
-        retained: list = []
+        retained: list[ClientUpdate] = []
         benign_losses_by_slot: dict[int, float] = {}
 
         def fold(update: ClientUpdate) -> None:
@@ -495,19 +386,18 @@ class FederatedServer:
                 fold(replace(update, slot=fold_slot))
             # Carried updates queue in arrival-rank (latency) order, not in the
             # backend's completion order, so next round's fold is deterministic.
-            late_rank = {
-                plan.sampled_clients[s]: rank for rank, s in enumerate(arrival[k:])
-            }
+            late_rank = {plan.sampled_clients[s]: rank for rank, s in enumerate(late)}
             self._carry.sort(key=lambda u: late_rank[u.client_id])
 
             retained.sort(key=lambda u: u.slot)
             self.hooks.updates_collected(self, plan, retained)
         except BaseException:
-            # Same hygiene as _collect_streaming: never leak a half-folded
-            # round's worker state when a hook or the backend raises.
+            # A hook (or the backend) failed mid-round: release the
+            # half-folded aggregation state — sharded folds hold worker
+            # threads — so the aggregator can begin a fresh round later.
             self.aggregator.abort(state)
             raise
-        with self._span("aggregate", round=ctx.round_idx):
+        with self._span("aggregate", round=round_idx):
             aggregated = self.aggregator.finalize(state, self.global_params, ctx)
         benign_losses = [benign_losses_by_slot[s] for s in sorted(benign_losses_by_slot)]
         benign_updates_by_client = {
@@ -543,22 +433,7 @@ class FederatedServer:
             latencies=part.latencies,
         )
         self.hooks.round_start(self, plan)
-
-        if self._buffered_async:
-            ctx, aggregated, benign_losses, benign_updates_by_client = (
-                self._collect_buffered_async(plan, round_idx)
-            )
-        else:
-            ctx = AggregationContext(
-                rng=self._rng,
-                round_idx=round_idx,
-                sampled_clients=plan.sampled_clients,
-                telemetry=self.telemetry,
-            )
-            collect = (
-                self._collect_streaming if self._streaming_round() else self._collect_buffered
-            )
-            aggregated, benign_losses, benign_updates_by_client = collect(plan, ctx)
+        ctx, aggregated, benign_losses, benign_updates_by_client = self._collect(plan)
 
         self.global_params = self.global_params + self.config.server_lr * aggregated
         self.algorithm.post_aggregate(self.global_params, benign_updates_by_client)

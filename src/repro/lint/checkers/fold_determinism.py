@@ -1,6 +1,6 @@
 """fold-determinism: aggregator folds must stay elementwise.
 
-The streaming-aggregation contract (PR 4) fixes the *fold order*: every
+The aggregation fold contract fixes the *fold order*: every
 aggregator folds client slices slot-by-slot in slot order, so serial,
 sharded and distributed execution produce bit-identical sums.  That only
 holds if the per-slice work is elementwise — the moment a ``fold_slice`` or

@@ -1,12 +1,12 @@
 """backend-shared-state: a static race detector for off-driver execution.
 
 The execution engine's contract (PR 1) is that code dispatched off the
-driver — thread-pool tasks, forked process workers, shard worker threads —
+driver — thread-pool tasks, worker processes, shard worker threads —
 only ever *reads* shared state; results travel back through return values,
 queues or per-slot writes into caller-owned structures.  A worker function
 that assigns ``self.something`` or a ``global``/``nonlocal`` name mutates
 driver-visible state from a concurrent context: a data race on the thread
-backend, silently-lost writes on the process backend, and either way a
+backend, silently-lost writes in a worker process, and either way a
 threat to the bit-identity guarantee.
 
 The checker finds *dispatch points* (``executor.submit(f, ...)``,

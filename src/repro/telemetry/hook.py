@@ -5,9 +5,9 @@ wrap code); the *metrics* side mostly reads counters the engine already
 maintains — the coordinator's ``redispatch_count``, the batched runner's
 ``batched_task_count``, a lazy population's ``cache_info()``, the
 buffered-async carry bookkeeping on each round record — so one hook at
-``on_round_end`` is the natural choke point.  The hook implements no
-per-update event, so registering it never triggers the server's
-update-event/retained-list materialisation: telemetry stays out of band.
+``on_round_end`` is the natural choke point.  The hook does not implement
+``on_updates_collected``, so registering it never makes the server retain
+the round's updates: telemetry stays out of band.
 """
 
 from __future__ import annotations

@@ -26,8 +26,6 @@ def _where(attrs: dict) -> str:
         return f"worker:{worker}"
     if attrs.get("batched"):
         return f"driver (stack of {attrs.get('clients', '?')})"
-    if attrs.get("processes"):
-        return f"driver ({attrs['processes']} forked procs)"
     return "driver"
 
 

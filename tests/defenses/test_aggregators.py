@@ -199,13 +199,13 @@ class TestWeightedMean:
         np.testing.assert_array_equal(unknown, known)
 
     def test_matrix_path_raises(self, benign_updates):
-        with pytest.raises(ValueError, match="streaming"):
+        with pytest.raises(ValueError, match="no matrix path"):
             WeightedMeanAggregator()(benign_updates, GLOBAL, _ctx())
 
-    def test_registered_as_streaming_and_shardable(self):
+    def test_registered_as_shardable(self):
         agg = make_defense("weighted_mean")
         assert isinstance(agg, WeightedMeanAggregator)
-        assert agg.streaming and agg.shardable
+        assert agg.shardable
 
 
 class TestFLARE:
@@ -271,21 +271,15 @@ class TestStreamingProtocol:
     bit-identically to its matrix ``aggregate`` — with no per-defense code
     beyond the opt-in streaming implementations."""
 
-    STREAMING = {"mean", "weighted_mean", "norm_bound", "dp", "signsgd"}
+    SHARDABLE = {"mean", "weighted_mean", "norm_bound", "dp", "signsgd"}
 
-    def test_streaming_flags(self):
-        flagged = {
-            name for name in DEFENSES.names() if make_defense(name).streaming
-        }
-        assert flagged == self.STREAMING
-
-    def test_every_streaming_defense_is_shardable(self):
-        # The streaming folds are all elementwise given their prepare_update
-        # precompute, so each one also supports the sharded worker-pool fold.
+    def test_shardable_flags(self):
+        # These folds are all elementwise given their prepare_update
+        # precompute, so each one supports the sharded worker-pool fold.
         shardable = {
             name for name in DEFENSES.names() if make_defense(name).shardable
         }
-        assert shardable == self.STREAMING
+        assert shardable == self.SHARDABLE
 
     # weighted_mean has no matrix path (example counts only travel on
     # ClientUpdate); its streaming equivalences are pinned separately below.
@@ -373,26 +367,26 @@ class TestStreamingProtocol:
             streamed = _stream(factory(), benign_updates, GLOBAL, _ctx())
             np.testing.assert_array_equal(streamed, matrix)
 
-    def test_subclass_overriding_aggregate_loses_streaming_flag(self):
+    def test_subclass_overriding_aggregate_loses_shardable_flag(self):
         class Doubled(MeanAggregator):
             def aggregate(self, updates, global_params, ctx):
                 return 2.0 * updates.mean(axis=0)
 
-        assert Doubled.streaming is False
+        assert Doubled.shardable is False
         # ... but the buffering fallback routes streaming calls through the
         # subclass's own matrix math.
         updates = np.arange(8, dtype=np.float64).reshape(2, 4)
         streamed = _stream(Doubled(), updates, np.zeros(4), _ctx())
         np.testing.assert_array_equal(streamed, 2.0 * updates.mean(axis=0))
 
-    def test_subclass_redeclaring_streaming_keeps_it(self):
-        class StillStreaming(MeanAggregator):
-            streaming = True
+    def test_subclass_redeclaring_shardable_keeps_it(self):
+        class StillShardable(MeanAggregator):
+            shardable = True
 
             def aggregate(self, updates, global_params, ctx):
                 return updates.mean(axis=0)
 
-        assert StillStreaming.streaming is True
+        assert StillShardable.shardable is True
 
 
 class TestClipToNorm:

@@ -88,14 +88,6 @@ class TestRun:
         # Lossless: serialising the reloaded result reproduces the file.
         assert result.to_dict() == json.loads(out_path.read_text())
 
-    def test_streaming_flag_is_applied(self, tiny_scenario_path, tmp_path, capsys):
-        out_path = tmp_path / "results.json"
-        rc = main(
-            ["run", str(tiny_scenario_path), "--streaming", "off", "--out", str(out_path)]
-        )
-        assert rc == 0
-        assert json.loads(out_path.read_text())["scenario"]["streaming"] == "off"
-
     def test_shards_flag_is_applied(self, tiny_scenario_path, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         rc = main(
@@ -205,16 +197,12 @@ class TestListBackendCaps:
         out = capsys.readouterr().out
         lines = {line.split()[0]: line for line in out.splitlines() if line.strip()}
         assert "caps" in lines["backend"]
-        assert "streaming" in lines["serial"] and "processes" not in lines["serial"]
-        assert "streaming" in lines["thread"]
-        # The per-round-forked pool is the documented barrier path.
-        assert "barrier" in lines["process"] and "processes" in lines["process"]
-        assert "streaming" in lines["distributed"]
+        assert "process" not in lines
+        assert "(none)" in lines["serial"] and "(none)" in lines["thread"]
         assert "processes" in lines["distributed"]
         assert "multi-host" in lines["distributed"]
         # Cross-client stacked execution advertises itself as a capability.
         assert "batched" in lines["batched"]
-        assert "streaming" in lines["batched"]
         assert "batched" not in lines["serial"]
 
 

@@ -139,12 +139,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="did you mean 'collapois'"):
             Scenario(attack="collapois2", compromised_fraction=0.1)
 
-    def test_streaming_only_defense_rejects_streaming_off(self):
-        # Fail at configuration time, not after a round of client training.
-        with pytest.raises(ValueError, match="only supports the streaming"):
-            Scenario(defense="weighted_mean", streaming="off")
-        assert Scenario(defense="weighted_mean", streaming="auto").defense == "weighted_mean"
-
     def test_num_shards_must_be_positive_int(self):
         with pytest.raises(ValueError, match="num_shards"):
             Scenario(num_shards=0)
@@ -177,8 +171,6 @@ class TestValidation:
             Scenario(aggregation_mode="buffered_async:bogus=1")
         with pytest.raises(ValueError, match="secure aggregation"):
             Scenario(aggregation_mode="buffered_async", secure_aggregation=True)
-        with pytest.raises(ValueError, match="streaming"):
-            Scenario(aggregation_mode="buffered_async", streaming="off")
 
     def test_population_changes_data_signature(self):
         eager = Scenario()

@@ -20,7 +20,7 @@ from repro.defenses.krum import Krum
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine import SerialBackend, make_backend
+from repro.federated.engine import make_backend
 from repro.federated.engine.batched import BatchedBackend
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.layers import Flatten
@@ -145,33 +145,6 @@ class TestBatchedBitIdentity:
         )
         _assert_identical_runs(reference, other)
 
-    def test_serial_batch_clients_knob_matches_plain_serial(
-        self, small_federation, image_model_factory
-    ):
-        reference = _make_server(small_federation, image_model_factory, "serial", rounds=3)
-        other = _make_server(
-            small_federation, image_model_factory, SerialBackend(batch_clients=4), rounds=3
-        )
-        _assert_identical_runs(reference, other)
-
-    def test_streaming_iter_updates_matches_barrier_execute(
-        self, small_federation, image_model_factory
-    ):
-        # The server picks iter_updates for streaming-capable aggregators;
-        # force both paths and compare.
-        reference = _make_server(
-            small_federation, image_model_factory, "batched", rounds=3
-        )
-        config = ServerConfig(
-            rounds=3, participation="uniform:sample_rate=0.5", seed=2,
-            local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
-            streaming="off",
-        )
-        other = FederatedServer(
-            small_federation, image_model_factory, FedAvg(), config, backend="batched"
-        )
-        _assert_identical_runs(reference, other)
-
 
 class TestBatchedFallbacks:
     def test_dropout_model_falls_back_to_serial_path(
@@ -260,10 +233,7 @@ class TestBatchedConstruction:
     def test_rejects_nonpositive_max_group(self, bad):
         with pytest.raises(ValueError, match="max_group"):
             BatchedBackend(max_group=bad)
-        with pytest.raises(ValueError, match="batch_clients"):
-            SerialBackend(batch_clients=bad)
 
     def test_capability_flags(self):
         backend = BatchedBackend()
-        assert backend.streaming_updates
         assert backend.batched_execution

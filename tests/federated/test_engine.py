@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -15,9 +13,9 @@ from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine import (
     CallbackHook,
+    ClientUpdate,
     EvaluationHook,
     HookPipeline,
-    ProcessPoolBackend,
     RoundHook,
     SerialBackend,
     ThreadPoolBackend,
@@ -27,10 +25,6 @@ from repro.federated.engine import (
 )
 from repro.federated.rng import client_stream_seed, personalization_seed
 from repro.federated.server import FederatedServer, ServerConfig
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-ALL_BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
 
 
 def _make_server(
@@ -104,12 +98,11 @@ class TestRoundPlan:
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert {"serial", "thread", "batched", "distributed"} <= set(available_backends())
 
     def test_make_backend(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("thread", max_workers=2), ThreadPoolBackend)
-        assert isinstance(make_backend("process"), ProcessPoolBackend)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -117,13 +110,13 @@ class TestBackendRegistry:
 
     def test_unbound_backend_raises(self):
         with pytest.raises(RuntimeError, match="not bound"):
-            SerialBackend().execute(None, None)
+            next(SerialBackend().iter_updates(None, None))
 
 
 class TestBackendEquivalence:
-    """Thread and process backends must be bit-identical to serial."""
+    """The thread backend must be bit-identical to serial."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS[1:])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_clean_run_matches_serial(self, small_federation, image_model_factory, backend):
         # The acceptance bar: bit-for-bit identical TrainingHistory over a
         # seeded 10-round run.
@@ -135,7 +128,7 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(reference.global_params, other.global_params)
         assert _history_fingerprint(reference.history) == _history_fingerprint(other.history)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS[1:])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_attacked_run_matches_serial(self, small_federation, image_model_factory, backend):
         reference = _make_server(small_federation, image_model_factory, "serial", attack=True)
         other = _make_server(small_federation, image_model_factory, backend, attack=True)
@@ -145,7 +138,7 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(reference.global_params, other.global_params)
         assert _history_fingerprint(reference.history) == _history_fingerprint(other.history)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS[1:])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_stateful_algorithm_matches_serial(
         self, small_federation, image_model_factory, backend
     ):
@@ -203,15 +196,18 @@ class TestHookPipeline:
     def test_updates_collected_sees_all_results(self, small_federation, image_model_factory):
         seen = []
         hook = CallbackHook(
-            on_updates_collected=lambda s, p, results: seen.append(
-                (len(results), len(p.sampled_clients))
-            )
+            on_updates_collected=lambda s, p, updates: seen.append((p, updates))
         )
         server = _make_server(
             small_federation, image_model_factory, "serial", rounds=2, hooks=[hook]
         )
         server.run()
-        assert all(n_results == n_sampled for n_results, n_sampled in seen)
+        assert len(seen) == 2
+        for plan, updates in seen:
+            assert all(isinstance(u, ClientUpdate) for u in updates)
+            # Slot order: the i-th update is the plan's i-th sampled client.
+            assert [u.slot for u in updates] == list(range(len(plan)))
+            assert tuple(u.client_id for u in updates) == plan.sampled_clients
 
     def test_evaluation_hook_respects_every(self):
         calls = []
@@ -337,72 +333,3 @@ class TestAggregationContext:
         assert ctx.rng is rng
         assert ctx.round_idx == -1
         assert ctx.sampled_clients == ()
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="process backend requires fork")
-class TestProcessPoolLifecycle:
-    """Pins the ProcessPoolBackend contract the ROADMAP documents but nothing
-    previously tested: idempotent close, barrier iter_updates, and pool
-    teardown when a forked task raises."""
-
-    def test_close_is_idempotent_and_leaves_backend_usable(
-        self, small_federation, image_model_factory
-    ):
-        server = _make_server(small_federation, image_model_factory, "process", rounds=1)
-        server.run()
-        server.backend.close()
-        server.backend.close()  # second close must be a no-op
-        server.run_round()      # per-round fork: still usable after close
-        assert len(server.history) == 2
-
-    def test_iter_updates_is_a_barrier_in_slot_order(
-        self, small_federation, image_model_factory, monkeypatch
-    ):
-        """The per-round fork makes iter_updates a barrier: every task has
-        executed before the first update is yielded, and updates come out in
-        aggregation (slot) order rather than completion order."""
-        from repro.federated.engine import backends as backends_mod
-
-        executed = []
-        real = backends_mod.run_benign_task
-
-        def recording(ctx, task, global_params, model):
-            executed.append(task.order)
-            return real(ctx, task, global_params, model)
-
-        monkeypatch.setattr(backends_mod, "run_benign_task", recording)
-        server = _make_server(small_federation, image_model_factory, "process", rounds=1)
-        plan = build_round_plan(
-            0, range(small_federation.num_clients), set(), seed=2, attack_active=False
-        )
-        updates = server.backend.iter_updates(plan, server.global_params)
-        first = next(updates)
-        # Forked children append to their own copy of `executed`; the barrier
-        # is observable in the parent because execute() returned before the
-        # first yield — the full result list already exists.
-        assert first.slot == 0
-        slots = [first.slot] + [u.slot for u in updates]
-        assert slots == sorted(slots) == list(range(len(plan)))
-        server.close()
-
-    def test_pool_shuts_down_when_a_task_raises(
-        self, small_federation, image_model_factory, monkeypatch
-    ):
-        from repro.federated.engine import backends as backends_mod
-
-        def exploding(ctx, task, global_params, model):
-            raise RuntimeError("boom in forked worker")
-
-        real = backends_mod.run_benign_task
-        # Children fork after the patch, so they inherit the exploding task.
-        monkeypatch.setattr(backends_mod, "run_benign_task", exploding)
-        server = _make_server(small_federation, image_model_factory, "process", rounds=1)
-        with pytest.raises(RuntimeError, match="boom in forked worker"):
-            server.run_round()
-        # The per-round pool context manager tore the fork state down even
-        # though the round failed; the next round forks fresh and succeeds.
-        assert backends_mod._FORK_STATE is None
-        monkeypatch.setattr(backends_mod, "run_benign_task", real)
-        server.run_round()
-        assert len(server.history) == 1
-        server.close()

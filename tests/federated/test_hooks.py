@@ -2,13 +2,12 @@
 
 Two pinned behaviours:
 
-* ``wants_update_events`` / ``wants_collected_results`` are derived from
-  what a hook actually implements — subclasses automatically, the
-  :class:`CallbackHook` adapter from which callbacks were supplied — so a
-  hook that only observes round ends never makes the server materialise
-  per-update events or the retained update list.
-* A hook that raises mid-round (``on_update``, while a streaming fold is in
-  flight) propagates loudly, but the server first aborts the half-folded
+* ``wants_collected_results`` is derived from what a hook actually
+  implements — subclasses automatically, the :class:`CallbackHook` adapter
+  from which callbacks were supplied — so a hook that only observes round
+  ends never makes the server retain the round's update list.
+* A hook that raises mid-round (``on_update``, while a fold is in flight)
+  propagates loudly, but the server first aborts the half-folded
   aggregation state: sharded fold workers are released, and the aggregator
   can begin a fresh round afterwards.  This file is the pin referenced by
   the module docstring of :mod:`repro.federated.engine.hooks`.
@@ -29,9 +28,7 @@ from repro.federated.server import FederatedServer, ServerConfig
 
 class TestWantsFlags:
     def test_base_hook_wants_nothing(self):
-        hook = RoundHook()
-        assert not hook.wants_update_events()
-        assert not hook.wants_collected_results()
+        assert not RoundHook().wants_collected_results()
 
     def test_subclass_overrides_are_detected_automatically(self):
         class UpdateWatcher(RoundHook):
@@ -42,34 +39,27 @@ class TestWantsFlags:
             def on_updates_collected(self, server, plan, results):
                 pass
 
-        assert UpdateWatcher().wants_update_events()
         assert not UpdateWatcher().wants_collected_results()
         assert Collector().wants_collected_results()
-        assert not Collector().wants_update_events()
 
     def test_callback_hook_wants_follow_the_supplied_callbacks(self):
         # The adapter overrides every method, so the base class's
         # implementation-detection would claim it wants everything; the
         # flags must instead reflect which callbacks were actually given.
         noop = lambda *args: None  # noqa: E731
-        assert not CallbackHook().wants_update_events()
         assert not CallbackHook().wants_collected_results()
-        assert CallbackHook(on_update=noop).wants_update_events()
         assert not CallbackHook(on_update=noop).wants_collected_results()
         assert CallbackHook(on_updates_collected=noop).wants_collected_results()
-        assert not CallbackHook(on_updates_collected=noop).wants_update_events()
         # Round-end-only observers stay fully out of band.
-        end_only = CallbackHook(on_round_end=noop)
-        assert not end_only.wants_update_events()
-        assert not end_only.wants_collected_results()
+        assert not CallbackHook(on_round_end=noop).wants_collected_results()
 
     def test_pipeline_wants_are_any_over_hooks(self):
         noop = lambda *args: None  # noqa: E731
         pipeline = HookPipeline([CallbackHook(on_round_end=noop)])
-        assert not pipeline.wants_update_events()
         pipeline.add(CallbackHook(on_update=noop))
-        assert pipeline.wants_update_events()
         assert not pipeline.wants_collected_results()
+        pipeline.add(CallbackHook(on_updates_collected=noop))
+        assert pipeline.wants_collected_results()
 
 
 class TestAbortPlumbing:

@@ -191,7 +191,7 @@ class TestRegistryFamily:
 
 
 class TestServerIntegration:
-    """``participation="uniform"`` must reproduce legacy histories exactly."""
+    """Participation models plugged into the server round loop."""
 
     def _run(self, federation, factory, backend="serial", **config_kwargs):
         config = ServerConfig(
@@ -206,27 +206,6 @@ class TestServerIntegration:
         with server:
             history = server.run()
         return history, server.global_params
-
-    def test_uniform_matches_deprecated_scalars_bit_identically(
-        self, small_federation, image_model_factory
-    ):
-        with pytest.warns(DeprecationWarning):
-            legacy_config = ServerConfig(
-                rounds=3, sample_rate=0.5, seed=2,
-                local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
-            )
-        legacy = FederatedServer(
-            small_federation, image_model_factory, FedAvg(), legacy_config
-        )
-        legacy_history = legacy.run()
-        new_history, new_params = self._run(
-            small_federation, image_model_factory,
-            participation="uniform:sample_rate=0.5",
-        )
-        assert [r.sampled_clients for r in new_history.records] == [
-            r.sampled_clients for r in legacy_history.records
-        ]
-        np.testing.assert_array_equal(new_params, legacy.global_params)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_churn_is_bit_identical_across_backends(

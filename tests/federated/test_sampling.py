@@ -40,12 +40,3 @@ class TestUniformSample:
     def test_min_clients_larger_than_population(self, rng):
         sampled = uniform_sample(3, 0.1, rng, min_clients=10)
         assert sampled.size == 3
-
-    def test_deprecated_import_location_matches(self):
-        # The legacy entry point is the same code path behind a warning.
-        from repro.federated.sampling import sample_clients
-
-        a = uniform_sample(40, 0.4, np.random.default_rng(7))
-        with pytest.warns(DeprecationWarning, match="uniform_sample"):
-            b = sample_clients(40, 0.4, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)

@@ -160,14 +160,6 @@ class TestSecureAggregator:
         assert excinfo.value.capability == "requires_plaintext_updates"
         assert "server-blind" in str(excinfo.value)
 
-    def test_has_no_matrix_path(self):
-        from repro.defenses.base import MeanAggregator
-
-        secagg = SecureAggregator(MeanAggregator(), seed=0)
-        ctx = AggregationContext(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="no matrix path"):
-            secagg.aggregate(np.zeros((2, 4)), np.zeros(4), ctx)
-
     def test_rejects_unmasked_update(self):
         from repro.defenses.base import MeanAggregator
 
@@ -230,10 +222,6 @@ class TestCapabilityFlags:
     def test_scenario_rejects_inspection_defense_under_secagg(self):
         with pytest.raises(PlaintextRequiredError, match="krum"):
             base_scenario(defense="krum", secure_aggregation=True)
-
-    def test_scenario_rejects_streaming_off_under_secagg(self):
-        with pytest.raises(ValueError, match="matrix path"):
-            base_scenario(streaming="off", secure_aggregation=True)
 
     def test_update_consuming_algorithm_rejected(self):
         scenario = base_scenario(algorithm="feddc", secure_aggregation=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -31,31 +29,15 @@ def _make_server(small_federation, image_model_factory, rounds=3, **kwargs):
 
 class TestServerConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"rounds": 0}, {"sample_rate": 0.0}, {"server_lr": 0.0}]
+        "kwargs", [{"rounds": 0}, {"num_shards": 0}, {"server_lr": 0.0}]
     )
     def test_invalid_config(self, kwargs):
-        with warnings.catch_warnings():
-            # The sample_rate=0.0 case warns (deprecated scalar) before it
-            # raises; the range error is what's under test here.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                ServerConfig(**kwargs)
-
-    def test_scalar_sample_rate_warns_and_maps_to_uniform(self):
-        with pytest.warns(DeprecationWarning, match="participation"):
-            config = ServerConfig(sample_rate=0.3, min_sampled_clients=2)
-        assert config.participation_spec() == (
-            "uniform", {"sample_rate": 0.3, "min_clients": 2}
-        )
+        with pytest.raises(ValueError):
+            ServerConfig(**kwargs)
 
     def test_default_config_maps_to_bare_uniform(self):
-        # No scalars, no spec: the uniform model's own defaults apply,
-        # which is the pre-participation-API behaviour.
+        # No spec: the uniform model's own defaults apply.
         assert ServerConfig().participation_spec() == ("uniform", {})
-
-    def test_scalars_and_participation_spec_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServerConfig(sample_rate=0.3, participation="uniform")
 
     @pytest.mark.parametrize(
         "mode", ["warp", "sync:buffer_size=2", "buffered_async:bogus=1",

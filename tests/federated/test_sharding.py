@@ -1,4 +1,4 @@
-"""Tests for sharded streaming aggregation.
+"""Tests for sharded aggregation.
 
 The acceptance bar: for the same seed, ``num_shards=N`` produces
 *bit-identical* global parameters and ``TrainingHistory`` to
@@ -147,14 +147,6 @@ class TestShardedAggregator:
         np.testing.assert_array_equal(out_a, _stream(MeanAggregator(), updates_a, np.zeros(24)))
         np.testing.assert_array_equal(out_b, _stream(MeanAggregator(), updates_b, np.zeros(24)))
 
-    def test_matrix_protocol_delegates_to_inner(self, rng):
-        updates = rng.normal(size=(5, 12))
-        sharded = ShardedAggregator(MeanAggregator(), 2)
-        ctx = AggregationContext(rng=np.random.default_rng(0))
-        out = sharded(updates, np.zeros(12), ctx)
-        np.testing.assert_array_equal(out, updates.mean(axis=0))
-        sharded.close()
-
     def test_fold_error_surfaces_at_finalize_without_deadlock(self, rng):
         # Shard queues are bounded (backpressure); a worker whose fold raises
         # must keep draining to its sentinel so the coordinator never blocks,
@@ -249,25 +241,6 @@ class TestServerSharding:
     def test_config_rejects_non_positive_shards(self):
         with pytest.raises(ValueError, match="num_shards"):
             ServerConfig(num_shards=0)
-
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_streaming_only_defense_fails_fast_with_streaming_off(
-        self, small_federation, image_model_factory, num_shards
-    ):
-        # weighted_mean has no matrix path; streaming="off" must fail at
-        # server construction (sharded or not), not mid-round.
-        config = ServerConfig(
-            rounds=1, participation="uniform:sample_rate=0.5", seed=2,
-            streaming="off", num_shards=num_shards,
-        )
-        with pytest.raises(ValueError, match="only supports the streaming"):
-            FederatedServer(
-                small_federation,
-                image_model_factory,
-                FedAvg(),
-                config,
-                aggregator=make_defense("weighted_mean"),
-            )
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize(

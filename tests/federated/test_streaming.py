@@ -1,11 +1,10 @@
-"""Tests for the streaming update pipeline: ClientUpdate, iter_updates,
-the incremental Aggregator protocol and the server's streaming round path.
+"""Tests for the update pipeline: ClientUpdate, iter_updates, the
+incremental Aggregator protocol and the server's fold loop.
 
-The acceptance bar: for the same seed, ``streaming="on"`` and
-``streaming="off"`` produce bit-identical ``TrainingHistory`` objects on the
-serial and thread backends — including under *forced out-of-order
-completion* — for both a true streaming defense (``mean``) and a buffering
-one (``krum``).
+The acceptance bar: for the same seed, the thread backend reproduces the
+serial ``TrainingHistory`` bit for bit under *forced out-of-order
+completion*, for both a shardable defense (``mean``) and a buffering one
+(``krum``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ def _make_server(
     federation,
     factory,
     backend,
-    streaming="auto",
     aggregator=None,
     rounds=3,
     hooks=None,
@@ -37,7 +35,6 @@ def _make_server(
         rounds=rounds,
         participation="uniform:sample_rate=0.5",
         seed=2,
-        streaming=streaming,
         local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
     )
     return FederatedServer(
@@ -89,17 +86,14 @@ class TestClientUpdate:
             assert u.num_examples == len(small_federation.client(u.client_id).train)
 
 
-class TestServerStreamingConfig:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="streaming"):
-            ServerConfig(streaming="sometimes")
-
-    def test_auto_streams_only_streaming_aggregators(
+class TestServerFold:
+    def test_shardable_defense_never_stacks_the_round(
         self, small_federation, image_model_factory, monkeypatch
     ):
-        # Under auto + mean, the matrix aggregate() must never run.
+        # mean folds in O(param_dim) state: its matrix aggregate() must
+        # never run.
         def boom(self, updates, global_params, ctx):
-            raise AssertionError("matrix path used despite streaming=auto")
+            raise AssertionError("mean stacked the round instead of folding it")
 
         monkeypatch.setattr(MeanAggregator, "aggregate", boom)
         server = _make_server(small_federation, image_model_factory, "serial", rounds=1)
@@ -109,7 +103,7 @@ class TestServerStreamingConfig:
         self, small_federation, image_model_factory
     ):
         # A subclass that redefines the matrix math without touching the
-        # streaming machinery must not inherit mean's streaming fold.
+        # fold machinery must not inherit mean's slice fold.
         calls = []
 
         class Recording(MeanAggregator):
@@ -117,51 +111,13 @@ class TestServerStreamingConfig:
                 calls.append(updates.shape)
                 return super().aggregate(updates, global_params, ctx)
 
-        assert Recording.streaming is False
+        assert Recording.shardable is False
         server = _make_server(
             small_federation, image_model_factory, "serial",
             aggregator=Recording(), rounds=2,
         )
         server.run()
         assert len(calls) == 2
-
-    def test_streaming_on_uses_buffering_fallback_for_krum(
-        self, small_federation, image_model_factory
-    ):
-        on = _make_server(
-            small_federation, image_model_factory, "serial",
-            streaming="on", aggregator=Krum(num_malicious=1),
-        )
-        off = _make_server(
-            small_federation, image_model_factory, "serial",
-            streaming="off", aggregator=Krum(num_malicious=1),
-        )
-        on.run()
-        off.run()
-        np.testing.assert_array_equal(on.global_params, off.global_params)
-        assert _fingerprint(on.history) == _fingerprint(off.history)
-
-
-class TestStreamingBitIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("make_aggregator", [MeanAggregator, Krum], ids=["mean", "krum"])
-    def test_on_equals_off(
-        self, small_federation, image_model_factory, backend, make_aggregator
-    ):
-        on = _make_server(
-            small_federation, image_model_factory, backend,
-            streaming="on", aggregator=make_aggregator(),
-        )
-        off = _make_server(
-            small_federation, image_model_factory, backend,
-            streaming="off", aggregator=make_aggregator(),
-        )
-        on.run()
-        off.run()
-        on.close()
-        off.close()
-        np.testing.assert_array_equal(on.global_params, off.global_params)
-        assert _fingerprint(on.history) == _fingerprint(off.history)
 
 
 class TestOutOfOrderCompletion:
@@ -189,7 +145,7 @@ class TestOutOfOrderCompletion:
     ):
         threaded = _make_server(
             small_federation, image_model_factory, "thread",
-            streaming="on", aggregator=make_aggregator(), rounds=2,
+            aggregator=make_aggregator(), rounds=2,
         )
         # Enough workers that every benign task runs concurrently and the
         # injected delays fully control completion order.
@@ -199,7 +155,7 @@ class TestOutOfOrderCompletion:
 
         serial = _make_server(
             small_federation, image_model_factory, "serial",
-            streaming="on", aggregator=make_aggregator(), rounds=2,
+            aggregator=make_aggregator(), rounds=2,
         )
         serial.run()
 
@@ -229,22 +185,11 @@ class TestOnUpdateHook:
         assert events[1:-1] == [("update", slot) for slot in range(n)]
         assert events[-1] == ("collected", n)
 
-    def test_fires_on_buffered_path_too(self, small_federation, image_model_factory):
-        seen = []
-        hook = CallbackHook(on_update=lambda s, p, u: seen.append(u))
-        server = _make_server(
-            small_federation, image_model_factory, "serial",
-            streaming="off", rounds=1, hooks=[hook],
-        )
-        record = server.run_round()
-        assert [u.slot for u in seen] == list(range(len(record.sampled_clients)))
-        assert all(isinstance(u, ClientUpdate) for u in seen)
-
-    def test_streaming_round_skips_retention_without_consumers(
+    def test_round_skips_retention_without_consumers(
         self, small_federation, image_model_factory
     ):
         # No hook consumes the collected list and FedAvg's post_aggregate is
-        # the base no-op, so the streaming path must not retain updates.
+        # the base no-op, so the round must not retain updates.
         collected = []
         hook = CallbackHook(on_update=lambda s, p, u: collected.append(u.slot))
         server = _make_server(

@@ -57,11 +57,10 @@ class TestBitIdentityAcrossBackends:
         [
             {"backend": "serial"},
             {"backend": "thread"},
-            {"backend": "process", "backend_workers": 2},
             {"backend": "batched"},
             {"backend": "distributed", "backend_workers": 2},
         ],
-        ids=["serial", "thread", "process", "batched", "distributed"],
+        ids=["serial", "thread", "batched", "distributed"],
     )
     def test_instrumented_history_matches_plain_serial(self, overrides):
         result = base_scenario(telemetry=True, **overrides).run()
@@ -187,12 +186,11 @@ class TestOutOfBandGuarantees:
         server = result.extras["server"]
         assert server.telemetry is not None
         # The hook harvests at round end only; registering it must not make
-        # the server fire per-update events or retain the update list (other
-        # hooks — the ledger — may still ask for them on their own).
+        # the server retain the update list (other hooks — the ledger — may
+        # still ask for it on their own).
         hooks = list(server.hooks)
         telemetry_hooks = [h for h in hooks if isinstance(h, TelemetryHook)]
         assert len(telemetry_hooks) == 1
-        assert not telemetry_hooks[0].wants_update_events()
         assert not telemetry_hooks[0].wants_collected_results()
         # Registered last, so it snapshots rounds other hooks already enriched.
         assert hooks[-1] is telemetry_hooks[0]

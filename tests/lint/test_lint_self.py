@@ -29,9 +29,8 @@ def test_package_lints_clean():
     report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     details = "\n".join(finding.format() for finding in report.findings)
     assert report.exit_code == 0, f"repro lint found:\n{details}"
-    # The one reviewed exception (the fork-inherited process-pool global)
-    # rides in the committed baseline rather than passing silently.
-    assert [f.rule for f in report.suppressed] == ["SHARE002"]
+    # The committed baseline is empty: nothing passes by suppression.
+    assert report.suppressed == []
 
 
 def test_rng_discipline_catches_the_pre_fix_layer_defaults():

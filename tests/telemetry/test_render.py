@@ -31,7 +31,6 @@ def _sample_telemetry() -> dict:
                 worker=1234, wire=True,
             ),
             _span("client_train", 0.1, 0.2, round=1, clients=8, batched=True),
-            _span("client_train", 0.1, 0.45, round=1, tasks=8, processes=2),
             _span("aggregate", 0.9, 1.0, round=0),
             # Still-open spans must be ignored everywhere, never crash.
             _span("round", 1.0, None, round=1),
@@ -74,7 +73,7 @@ class TestPhaseTotals:
         totals = phase_totals(_sample_telemetry())
         assert totals["round"] == 1.0
         assert totals["aggregate"] == round(0.1, 4)
-        assert totals["client_train"] == round(0.4 + 0.2 + 0.7 + 0.1 + 0.35, 4)
+        assert totals["client_train"] == round(0.4 + 0.2 + 0.7 + 0.1, 4)
         assert list(totals) == sorted(totals)
 
 
@@ -88,7 +87,6 @@ class TestSlowestTaskRows:
         assert "worker:1234" in where
         assert "driver" in where
         assert "driver (stack of 8)" in where
-        assert "driver (2 forked procs)" in where
         stacked = next(r for r in rows if r["where"] == "driver (stack of 8)")
         assert stacked["client"] == "8 stacked"
 

@@ -4,8 +4,8 @@
 modules* to an error, so a stray shim-path call anywhere in the suite fails
 loudly instead of scrolling by.  These tests pin the two sides of that
 contract: importing and exercising the supported API emits no deprecation
-warnings at all, while the documented legacy entry points still warn (inside
-``pytest.warns``, which the filter permits).
+warnings at all, while removed legacy entry points fail with an error that
+names their replacement.
 """
 
 from __future__ import annotations
@@ -46,19 +46,3 @@ def test_legacy_rng_aggregation_is_a_hard_error(rng):
     updates = rng.normal(size=(3, 8))
     with pytest.raises(TypeError, match="AggregationContext.from_rng"):
         MeanAggregator()(updates, np.zeros(8), rng)
-
-
-def test_legacy_sample_clients_still_warns(rng):
-    from repro.federated.sampling import sample_clients
-
-    with pytest.warns(DeprecationWarning, match="uniform_sample"):
-        sampled = sample_clients(30, sample_rate=0.5, rng=rng)
-    assert sampled.size >= 2
-
-
-def test_legacy_server_config_scalars_still_warn():
-    from repro.federated.server import ServerConfig
-
-    with pytest.warns(DeprecationWarning, match="participation"):
-        config = ServerConfig(sample_rate=0.25)
-    assert config.participation_spec() == ("uniform", {"sample_rate": 0.25})
