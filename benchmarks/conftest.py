@@ -18,14 +18,14 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
 
 
 @pytest.fixture(scope="session")
 def femnist_bench_config():
     """Reduced-scale stand-in for the paper's FEMNIST setting."""
-    return ExperimentConfig(
+    return Scenario(
         dataset="femnist",
         num_clients=24,
         samples_per_client=36,
@@ -46,7 +46,7 @@ def femnist_bench_config():
 @pytest.fixture(scope="session")
 def sentiment_bench_config():
     """Reduced-scale stand-in for the paper's Sentiment setting."""
-    return ExperimentConfig(
+    return Scenario(
         dataset="sentiment",
         num_clients=24,
         samples_per_client=36,

@@ -132,17 +132,8 @@ def main_compare(argv: list[str]) -> int:
         default=25.0,
         help="slowdown percentage that triggers a warning (default 25)",
     )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="deprecated ratio form of --warn-pct (0.25 = +25%%); wins when "
-        "both are given",
-    )
     args = parser.parse_args(argv)
-    threshold = (
-        args.threshold if args.threshold is not None else args.warn_pct / 100.0
-    )
+    threshold = args.warn_pct / 100.0
 
     fresh = distill(json.loads(args.report.read_text()))
     if args.against is not None:

@@ -2,9 +2,9 @@
 
 ``test_distributed_round_latency`` runs the same seeded federated workload
 — full participation, a ≥1e5-parameter MLP so the update vectors crossing
-the wire are benchmark-sized — through the serial, thread and distributed
-(2 local socket workers) backends, asserting history bit-identity across
-all three and recording per-backend round latency into the BENCH
+the wire are benchmark-sized — through the serial and distributed (2 local
+socket workers) backends, asserting history bit-identity across both and
+recording per-backend round latency into the BENCH
 trajectory.  Wall-clock *assertions* are deliberately absent: the
 distributed backend pays two interpreter spawns plus per-round parameter
 broadcasts, which only amortise on real multi-host/multi-core hardware,
@@ -29,7 +29,6 @@ PARAM_DIM = 256 * HIDDEN[0] + HIDDEN[0] + HIDDEN[0] * 10 + 10
 
 BACKENDS = (
     ("serial", {}),
-    ("thread", {"backend_workers": NUM_WORKERS}),
     ("distributed", {"backend_workers": NUM_WORKERS}),
 )
 
@@ -52,7 +51,7 @@ def _scenario() -> Scenario:
 
 
 def test_distributed_round_latency(benchmark):
-    """serial vs thread vs 2-worker distributed; histories bit-identical."""
+    """serial vs 2-worker distributed; histories bit-identical."""
     base = _scenario()
     assert PARAM_DIM >= 100_000
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.defenses.base import AggregationContext, MeanAggregator
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import format_table
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.plan import ClientUpdate
 from repro.federated.engine.sharding import ShardedAggregator
@@ -103,7 +103,7 @@ def test_sharded_fold_latency_scaling(benchmark):
 
 def test_sharded_round_end_to_end(benchmark):
     """num_shards=4 vs 1 through the real server; histories bit-identical."""
-    config = ExperimentConfig(
+    config = Scenario(
         dataset="femnist",
         num_clients=16,
         samples_per_client=32,

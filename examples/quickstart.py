@@ -11,8 +11,9 @@ of the backdoor.  The exact same run is available without Python:
 Run with:  python examples/quickstart.py [backend]
 
 ``backend`` selects the client execution backend (``serial`` by default;
-``thread``, ``batched`` or ``distributed`` parallelise local training across
-clients with bit-identical results — see examples/parallel_backends.py).
+``batched`` trains a round's clients as one stacked model and
+``distributed`` on worker processes, with bit-identical results — see
+examples/parallel_backends.py).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ Poisoning in Non-IID Federated Learning" (ICDCS 2025):
 
 Quickstart
 ----------
->>> from repro.experiments import ExperimentConfig, run_experiment
->>> config = ExperimentConfig(dataset="femnist", num_clients=20, rounds=5,
-...                           attack="collapois", alpha=0.1)
+>>> from repro.experiments import Scenario, run_experiment
+>>> config = Scenario(dataset="femnist", num_clients=20, rounds=5,
+...                   attack="collapois", alpha=0.1)
 >>> result = run_experiment(config)
 >>> round(result.evaluation.mean_attack_success_rate, 2)  # doctest: +SKIP
 0.93

@@ -47,7 +47,7 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
         "--backend", help="override the client-execution backend for every run"
     )
     parser.add_argument(
-        "--workers", type=int, help="worker cap for parallel backends"
+        "--workers", type=int, help="worker cap for the distributed backend"
     )
     parser.add_argument(
         "--shards",
@@ -158,11 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     label = suite.name or Path(args.suite).stem
     print(f"Running suite {label!r}: {len(suite)} cells ...")
     cell_fields = sorted({key for cell in suite.cells for key in cell})
-    cells = suite.run(
-        backend=args.backend,
-        backend_workers=args.workers,
-        cell_workers=args.cell_workers,
-    )
+    cells = suite.run(backend=args.backend, backend_workers=args.workers)
     rows = Suite.cell_rows(cells, *cell_fields)
     print(format_table(rows))
     if args.out is not None:
@@ -325,13 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", help="override the client-execution backend for every cell"
     )
     sweep_parser.add_argument(
-        "--workers", type=int, help="worker cap for parallel backends"
-    )
-    sweep_parser.add_argument(
-        "--cell-workers",
-        type=int,
-        default=1,
-        help="run this many sweep cells concurrently (default 1)",
+        "--workers", type=int, help="worker cap for the distributed backend"
     )
     sweep_parser.add_argument("--out", type=Path, help="write results as JSON")
     sweep_parser.set_defaults(func=_cmd_sweep)

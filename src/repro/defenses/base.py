@@ -58,8 +58,8 @@ class AggregationContext:
     randomness draw it from ``ctx.rng`` (the server's own stream, so noise
     consumption stays deterministic per run seed), and defenses that want to
     reason about the round (who was sampled, which round it is) now can.
-    ``round_idx`` is ``-1`` when the context was synthesised by the
-    legacy-call shim and no round information is available.
+    ``round_idx`` is ``-1`` when the caller has no round information (a
+    direct ``AggregationContext(rng=rng)``).
 
     ``telemetry`` is the run's :class:`~repro.telemetry.core.RunTelemetry`
     bundle when tracing is enabled (``None`` otherwise) — the path on which
@@ -73,11 +73,6 @@ class AggregationContext:
     sampled_clients: tuple[int, ...] = ()
     extras: dict = field(default_factory=dict)
     telemetry: object | None = None
-
-    @classmethod
-    def from_rng(cls, rng: np.random.Generator) -> "AggregationContext":
-        """Wrap a bare generator (legacy call sites) into a context."""
-        return cls(rng=rng)
 
 
 @dataclass
@@ -195,7 +190,7 @@ class Aggregator:
             # gone; fail loudly with the migration in the message.
             raise TypeError(
                 "calling an Aggregator with a bare np.random.Generator is no "
-                "longer supported; wrap it with AggregationContext.from_rng(rng)"
+                "longer supported; wrap it with AggregationContext(rng=rng)"
             )
         return self.aggregate(updates, global_params, ctx)
 

@@ -9,7 +9,6 @@ the regenerated rows; ``EXPERIMENTS.md`` records paper-vs-measured values.
 
 from repro.experiments.attack_comparison import attack_comparison_sweep, baseline_sensitivity_sweep
 from repro.experiments.client_level import client_cluster_analysis, label_similarity_analysis
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.defense_evaluation import compromised_fraction_sweep, defense_sweep
 from repro.experiments.gradient_geometry import gradient_angle_analysis, stealth_angle_analysis
 from repro.experiments.longevity import longevity_analysis
@@ -33,7 +32,6 @@ __all__ = [
     "Scenario",
     "Suite",
     "CellResult",
-    "ExperimentConfig",
     "ExperimentResult",
     "format_table",
     "run_experiment",

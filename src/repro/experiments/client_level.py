@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenario import Scenario
 from repro.metrics.client_level import cluster_clients_by_score, cluster_metrics
 from repro.metrics.similarity import cluster_similarity
 
 
-def client_cluster_analysis(config: ExperimentConfig) -> dict:
+def client_cluster_analysis(config: Scenario) -> dict:
     """Fig. 11: per-client Benign AC / Attack SR plus cluster averages."""
     result = run_experiment(config)
     clusters = cluster_clients_by_score(result.evaluation)
@@ -30,7 +30,7 @@ def client_cluster_analysis(config: ExperimentConfig) -> dict:
     }
 
 
-def label_similarity_analysis(config: ExperimentConfig) -> list[dict]:
+def label_similarity_analysis(config: Scenario) -> list[dict]:
     """Fig. 12: cluster-level cosine similarity to Da vs cluster Attack SR.
 
     The expected shape (which the benchmark asserts) is monotone: clusters

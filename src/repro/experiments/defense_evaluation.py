@@ -33,13 +33,8 @@ def defense_sweep(
     base_config: Scenario,
     alphas: list[float],
     defenses: dict[str, dict] | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
-    """Benign AC and Attack SR of CollaPois under each defense at each α.
-
-    ``backend`` optionally overrides the execution backend for every run of
-    the sweep (e.g. ``"thread"`` to parallelise client training per round).
-    """
+    """Benign AC and Attack SR of CollaPois under each defense at each α."""
     defenses = defenses if defenses is not None else DEFAULT_DEFENSES
     suite = Suite.grid(
         base_config,
@@ -49,7 +44,7 @@ def defense_sweep(
     ).filter(
         lambda s: not (s.algorithm == "metafed" and s.defense in _METAFED_EXCLUDED)
     )
-    return suite.rows("defense", "alpha", "algorithm", backend=backend)
+    return suite.rows("defense", "alpha", "algorithm")
 
 
 def compromised_fraction_sweep(
@@ -58,7 +53,6 @@ def compromised_fraction_sweep(
     top_k_percents: list[float] = (1.0, 25.0, 50.0, 100.0),
     defense: str = "dp",
     defense_kwargs: dict | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
     """Attack SR at several compromised fractions, overall and for top-k% clients."""
     base = base_config.with_overrides(
@@ -69,7 +63,7 @@ def compromised_fraction_sweep(
         base, name="compromised_fraction", compromised_fraction=list(fractions)
     )
     rows: list[dict] = []
-    for cell in suite.run(backend=backend):
+    for cell in suite.run():
         for k in top_k_percents:
             metrics = top_k_metrics(cell.result.evaluation, k)
             rows.append(

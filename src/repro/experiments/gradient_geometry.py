@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stealth import blend_statistics
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_attack,
     build_dataset,
@@ -19,12 +18,13 @@ from repro.experiments.runner import (
     build_trigger,
     select_compromised_clients,
 )
+from repro.experiments.scenario import Scenario
 from repro.federated.client import local_train
 from repro.metrics.gradients import aggregate_angle_to_group, angle_summary
 from repro.nn.serialization import flatten_params
 
 
-def _collect_round_updates(config: ExperimentConfig, attack_name: str) -> dict:
+def _collect_round_updates(config: Scenario, attack_name: str) -> dict:
     """Run one synchronous round and return benign + malicious updates."""
     config = config.with_overrides(attack=attack_name)
     dataset, generator = build_dataset(config)
@@ -63,7 +63,7 @@ def _collect_round_updates(config: ExperimentConfig, attack_name: str) -> dict:
 
 
 def gradient_angle_analysis(
-    base_config: ExperimentConfig,
+    base_config: Scenario,
     alphas: list[float],
     attack: str = "collapois",
     baseline_attack: str = "dpois",
@@ -95,7 +95,7 @@ def gradient_angle_analysis(
 
 
 def stealth_angle_analysis(
-    base_config: ExperimentConfig,
+    base_config: Scenario,
     psi_ranges: list[tuple[float, float]] = ((0.95, 0.99), (0.5, 1.0)),
 ) -> list[dict]:
     """Fig. 6: how the ψ range blends malicious angles into the benign background."""

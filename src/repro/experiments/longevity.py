@@ -44,7 +44,6 @@ def longevity_analysis(
     base_config: Scenario,
     attacks: list[str] = ("collapois", "mrepl"),
     eval_every: int = 1,
-    backend: str | None = None,
 ) -> dict[str, list[dict]]:
     """Per-round Benign AC / Attack SR series for each attack."""
     suite = Suite.grid(
@@ -52,5 +51,5 @@ def longevity_analysis(
         name="longevity",
         attack=list(attacks),
     )
-    results = suite.run(backend=backend, hooks_factory=lambda _s: [RoundSeriesHook()])
+    results = suite.run(hooks_factory=lambda _s: [RoundSeriesHook()])
     return {cell.scenario.attack: cell.hooks[0].rows for cell in results}

@@ -21,7 +21,7 @@ from repro.experiments.scenario import Scenario
 from repro.federated.engine.backends import make_backend
 from repro.federated.engine.hooks import RoundHook
 from repro.federated.engine.ledger import CommunicationLedger, LedgerHook
-from repro.federated.server import FederatedServer, ServerConfig
+from repro.federated.server import FederatedServer
 from repro.metrics.accuracy import evaluate_clients
 from repro.nn.layers import Flatten
 from repro.nn.model import Sequential
@@ -249,27 +249,6 @@ def run_experiment(
     # evaluation O(evaluated clients) at 1e5+ scale.
     benign_ids = [c for c in dataset.eval_client_ids() if c not in compromised_set]
 
-    # The scenario's participation spec wins; the sample_rate field is sugar
-    # for the uniform model (the model's min_clients default of 4 matches the
-    # historical ServerConfig floor, keeping seeded histories bit-identical).
-    participation = (
-        (config.participation, config.participation_kwargs)
-        if config.participation is not None
-        else ("uniform", {"sample_rate": config.sample_rate})
-    )
-    server_config = ServerConfig(
-        rounds=config.rounds,
-        participation=participation,
-        aggregation_mode=config.aggregation_mode,
-        server_lr=config.server_lr,
-        seed=config.seed,
-        local=config.local,
-        eval_every=config.eval_every,
-        num_shards=config.num_shards,
-        secure_aggregation=config.secure_aggregation,
-        telemetry=config.telemetry,
-    )
-
     eval_fn = None
     if config.eval_every:
 
@@ -299,7 +278,7 @@ def run_experiment(
         dataset,
         model_factory,
         algorithm,
-        server_config,
+        config.server_config(),
         aggregator=make_defense(config.defense, **config.defense_kwargs),
         attack=attack,
         compromised_ids=compromised,

@@ -2,12 +2,13 @@
 
 A :class:`Scenario` is the single value object describing one federated
 experiment — data, model, training algorithm, attack, defense and execution
-backend.  It subsumes the historical ``ExperimentConfig`` (which remains as
-a compatibility alias) and adds:
+backend.  It adds:
 
 * **registry validation** — component names are checked against the unified
   registries (:mod:`repro.registry`), so error messages list what is
-  actually available instead of hard-coding string sets;
+  actually available instead of hard-coding string sets, and the round
+  settings are checked by building the scenario's
+  :class:`~repro.federated.server.ServerConfig` (:meth:`server_config`);
 * **component specs** — every component field accepts a spec carrying
   constructor kwargs (``defense="krum:num_malicious=2"``,
   ``defense=("krum", {"num_malicious": 2})``), normalised into the bare
@@ -30,6 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.server import ServerConfig
 from repro.registry import (
     ALGORITHMS,
     ATTACKS,
@@ -105,7 +107,7 @@ class Scenario:
     seed: int = 0
     eval_every: int | None = None
     backend: str = "serial"
-    backend_workers: int | None = None  # worker cap for parallel backends
+    backend_workers: int | None = None  # worker cap (backends taking max_workers)
     backend_kwargs: dict = field(default_factory=dict)  # extra backend ctor kwargs
     #   (e.g. distributed's connect="host:port,..."); max_workers stays on
     #   backend_workers so every backend shares one worker-cap field.
@@ -215,53 +217,56 @@ class Scenario:
             raise ValueError("an attack requires a positive compromised_fraction")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        accepted = {p.name for p in BACKENDS.describe(self.backend)}
         if self.backend_workers is not None and self.backend_workers <= 0:
             raise ValueError("backend_workers must be positive")
-        if self.backend_workers is not None and self.backend in ("serial", "batched"):
+        if self.backend_workers is not None and "max_workers" not in accepted:
             raise ValueError(
-                "backend_workers requires a worker-pool backend "
-                "('thread' or 'distributed')"
+                f"backend {self.backend!r} takes no worker cap, so "
+                "backend_workers must be unset"
             )
         if not isinstance(self.backend_kwargs, dict):
             raise ValueError("backend_kwargs must be a dict")
-        if self.backend_kwargs:
-            accepted = {p.name for p in BACKENDS.describe(self.backend)}
-            unknown = sorted(set(self.backend_kwargs) - (accepted - {"max_workers"}))
-            if unknown:
-                raise ValueError(
-                    f"backend {self.backend!r} does not accept backend_kwargs "
-                    f"{unknown} (max_workers belongs on backend_workers); "
-                    f"accepted: {sorted(accepted - {'max_workers'}) or 'none'}"
-                )
-        if not isinstance(self.num_shards, int) or self.num_shards < 1:
-            raise ValueError("num_shards must be a positive integer")
-        mode, mode_kwargs = parse_spec(self.aggregation_mode)
-        if mode not in ("sync", "buffered_async"):
+        unknown = sorted(set(self.backend_kwargs) - (accepted - {"max_workers"}))
+        if unknown:
             raise ValueError(
-                f"aggregation_mode must be 'sync' or 'buffered_async', got {mode!r}"
+                f"backend {self.backend!r} does not accept backend_kwargs "
+                f"{unknown} (max_workers belongs on backend_workers); "
+                f"accepted: {sorted(accepted - {'max_workers'}) or 'none'}"
             )
-        if mode == "sync" and mode_kwargs:
-            raise ValueError("aggregation_mode 'sync' takes no arguments")
-        if mode == "buffered_async":
-            unknown = sorted(set(mode_kwargs) - {"buffer_size", "staleness_discount"})
-            if unknown:
-                raise ValueError(
-                    f"unknown buffered_async argument(s) {unknown}; "
-                    "accepted: ['buffer_size', 'staleness_discount']"
-                )
-            if self.secure_aggregation:
-                raise ValueError(
-                    "buffered_async is incompatible with secure aggregation "
-                    "(pairwise masks only cancel within one round's cohort)"
-                )
-        if not isinstance(self.telemetry, bool):
-            raise ValueError("telemetry must be a bool")
+        self.server_config()  # rounds, aggregation mode, shards, telemetry
         if self.secure_aggregation:
             from repro.federated.secagg import PlaintextRequiredError
 
             defense = DEFENSES.get(self.defense)
             if getattr(defense, "requires_plaintext_updates", False):
                 raise PlaintextRequiredError(self.defense)
+
+    def server_config(self) -> ServerConfig:
+        """The server-side round configuration this scenario runs with.
+
+        :meth:`_validate` builds it too, so every round setting the server
+        rejects fails at construction rather than after the dataset build.
+        The participation spec wins; ``sample_rate`` is sugar for the uniform
+        model, whose ``min_clients`` default of 4 is the historical floor.
+        """
+        participation = (
+            (self.participation, self.participation_kwargs)
+            if self.participation is not None
+            else ("uniform", {"sample_rate": self.sample_rate})
+        )
+        return ServerConfig(
+            rounds=self.rounds,
+            participation=participation,
+            aggregation_mode=self.aggregation_mode,
+            server_lr=self.server_lr,
+            seed=self.seed,
+            local=self.local,
+            eval_every=self.eval_every,
+            num_shards=self.num_shards,
+            secure_aggregation=self.secure_aggregation,
+            telemetry=self.telemetry,
+        )
 
     # -- functional updates ------------------------------------------------
 

@@ -17,11 +17,9 @@ Running a suite adds three things over a hand-rolled loop:
 * **shared-dataset reuse** — cells whose data-defining fields agree (same
   :meth:`Scenario.data_signature`) share one built federation; dataset
   construction is deterministic, so results are identical to rebuilding.
-* **engine-backend fan-out** — ``run(backend=..., backend_workers=...)``
-  points every cell at a parallel client-execution backend, and
-  ``cell_workers`` additionally runs whole cells concurrently on threads
-  (each cell keeps its own RNG streams, so per-cell results are unchanged;
-  the returned list is always in grid order).
+* **engine-backend override** — ``run(backend=..., backend_workers=...)``
+  points every cell at another client-execution backend (each cell keeps
+  its own RNG streams, so per-cell results are unchanged).
 * **JSON round-trip** — a suite serialises to ``{"base": ..., "grid": ...}``
   (or explicit ``"cells"``) and back, so sweeps are runnable from the CLI
   (``python -m repro sweep suite.json``) without writing Python.
@@ -32,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,20 +108,16 @@ class Suite:
         backend: str | None = None,
         backend_workers: int | None = None,
         hooks_factory: Callable[[Scenario], Sequence] | None = None,
-        cell_workers: int = 1,
         reuse_datasets: bool = True,
     ) -> list[CellResult]:
         """Run every cell and return its results in grid order.
 
         ``backend``/``backend_workers`` override the client-execution
         backend of every cell; ``hooks_factory`` builds per-cell round hooks
-        (returned on the :class:`CellResult` for collection);
-        ``cell_workers > 1`` runs cells concurrently on threads.
+        (returned on the :class:`CellResult` for collection).
         """
         from repro.experiments.runner import build_dataset, run_experiment
 
-        if cell_workers <= 0:
-            raise ValueError("cell_workers must be positive")
         scenarios = self.scenarios()
         if backend is not None:
             scenarios = [s.with_overrides(backend=backend) for s in scenarios]
@@ -154,14 +147,7 @@ class Suite:
                 hooks=tuple(hooks or ()),
             )
 
-        jobs = list(zip(scenarios, self.cells, strict=True))
-        if cell_workers == 1 or len(jobs) <= 1:
-            return [run_cell(scenario, overrides) for scenario, overrides in jobs]
-        with ThreadPoolExecutor(
-            max_workers=cell_workers, thread_name_prefix="suite-cell"
-        ) as pool:
-            futures = [pool.submit(run_cell, s, o) for s, o in jobs]
-            return [f.result() for f in futures]
+        return [run_cell(s, o) for s, o in zip(scenarios, self.cells, strict=True)]
 
     @staticmethod
     def cell_rows(

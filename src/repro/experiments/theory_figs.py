@@ -10,14 +10,14 @@ from repro.core.theory import (
     estimation_error_bounds,
     expected_angle_statistics,
 )
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.gradient_geometry import _collect_round_updates
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenario import Scenario
 from repro.metrics.gradients import aggregate_angle_to_group
 
 
 def bound_approximation_error_sweep(
-    base_config: ExperimentConfig,
+    base_config: Scenario,
     alphas: list[float],
 ) -> list[dict]:
     """Fig. 4: relative approximation error of the Theorem-1 bound vs α.
@@ -84,7 +84,7 @@ def alpha_to_bound(alphas: list[float], num_clients: int = 1000,
 
 
 def estimation_error_over_rounds(
-    base_config: ExperimentConfig,
+    base_config: Scenario,
     checkpoints: list[int] = (2, 5, 10, 15),
     precision: float = 1.0,
 ) -> list[dict]:

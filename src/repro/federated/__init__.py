@@ -31,7 +31,6 @@ from repro.federated.engine import (
     RoundHook,
     RoundPlan,
     SerialBackend,
-    ThreadPoolBackend,
     available_backends,
     build_round_plan,
     make_backend,
@@ -73,7 +72,6 @@ __all__ = [
     "ServerConfig",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "available_backends",
     "make_backend",
     "RoundHook",

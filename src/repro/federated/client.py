@@ -8,7 +8,7 @@ lines 6–11 of Algorithm 1 in the paper.
 The ``model`` argument is a *scratch* instance: its parameters are
 overwritten with ``global_params`` before training, so execution backends
 (:mod:`repro.federated.engine.backends`) can freely reuse one model per
-worker thread/process.  Training randomness (batch shuffling) comes from the
+worker process.  Training randomness (batch shuffling) comes from the
 caller-provided ``rng`` stream.  Caveat: a model containing layers with
 internal RNG state (``Dropout``) additionally draws from that layer's own
 generator, whose consumption order depends on the execution backend — such

@@ -2,7 +2,7 @@
 
 Separates round *orchestration* (what the server decides: sampling,
 aggregation, bookkeeping) from client *execution* (how the per-client work
-runs: serially, on threads, as one stacked model, on worker processes) and
+runs: serially, as one stacked model, on worker processes) and
 from *instrumentation* (typed round hooks).  See
 :mod:`repro.federated.engine.plan`,
 :mod:`repro.federated.engine.backends` and
@@ -19,7 +19,6 @@ from repro.federated.engine.backends import (
     EngineContext,
     ExecutionBackend,
     SerialBackend,
-    ThreadPoolBackend,
     available_backends,
     make_backend,
     run_benign_task,
@@ -61,7 +60,6 @@ __all__ = [
     "BatchedBackend",
     "BatchedClientRunner",
     "SerialBackend",
-    "ThreadPoolBackend",
     "available_backends",
     "make_backend",
     "run_benign_task",

@@ -2,13 +2,8 @@
 
 The server is backend-agnostic: it builds a :class:`RoundPlan` and folds
 the :class:`ClientUpdate` objects an :class:`ExecutionBackend` yields from
-:meth:`~ExecutionBackend.iter_updates`.  Two in-process backends live here:
-
-* :class:`SerialBackend` — one worker model, clients in order; the default.
-* :class:`ThreadPoolBackend` — benign clients fan out over a thread pool with
-  a per-thread model pool.  NumPy releases the GIL inside its kernels, so
-  multi-core machines overlap client training.
-
+:meth:`~ExecutionBackend.iter_updates`.  The default backend lives here:
+:class:`SerialBackend` runs every client in order on one scratch model.
 The ``batched`` backend (:mod:`repro.federated.engine.batched`) trains a
 round's benign clients as one stacked model, and the ``distributed`` backend
 (:mod:`repro.federated.engine.distributed`) runs them on socket-connected
@@ -31,10 +26,7 @@ experiment runner's model factories are dropout-free by default).
 
 from __future__ import annotations
 
-import os
-import queue
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -74,20 +66,26 @@ class EngineContext:
     telemetry: object | None = None
 
 
-def telemetry_span(ctx: EngineContext, name: str, **attrs):
-    """Span context manager via the context's telemetry; no-op when off."""
-    tel = ctx.telemetry
-    if tel is None:
+def maybe_span(telemetry, name: str, **attrs):
+    """Span context manager when telemetry is on, no-op context when off.
+
+    The single guard every instrumentation point uses: hot paths pay one
+    ``None`` check (plus a ``nullcontext`` allocation) when telemetry is
+    disabled, which the overhead benchmark pins at ~zero.  It lives in the
+    engine, not in :mod:`repro.telemetry` (which re-exports it), because
+    that package's ``__init__`` pulls in rendering and result types.
+    """
+    if telemetry is None:
         return nullcontext()
-    return tel.tracer.span(name, **attrs)
+    return telemetry.tracer.span(name, **attrs)
 
 
 def run_benign_task(
     ctx: EngineContext, task: ClientTask, global_params: np.ndarray, model
 ) -> ClientResult:
     """Execute one benign client task on the given scratch model."""
-    with telemetry_span(
-        ctx, "client_train", round=task.round_idx, client=task.client_id
+    with maybe_span(
+        ctx.telemetry, "client_train", round=task.round_idx, client=task.client_id
     ):
         update, loss = ctx.algorithm.benign_update(
             task.client_id,
@@ -106,8 +104,8 @@ def run_malicious_task(
     """Execute one compromised client task through the active attack."""
     if ctx.attack is None:
         raise RuntimeError("malicious task scheduled without an active attack")
-    with telemetry_span(
-        ctx, "client_train",
+    with maybe_span(
+        ctx.telemetry, "client_train",
         round=task.round_idx, client=task.client_id, malicious=True,
     ):
         update = ctx.attack.compute_update(
@@ -187,8 +185,8 @@ class ExecutionBackend:
             # modules and is only needed when masking is actually on.
             from repro.federated.secagg.masking import mask_update
 
-            with telemetry_span(
-                self.ctx, "secagg_mask",
+            with maybe_span(
+                self.ctx.telemetry, "secagg_mask",
                 round=plan.round_idx, client=result.client_id,
             ):
                 masked = mask_update(
@@ -232,75 +230,6 @@ class SerialBackend(ExecutionBackend):
             yield self.make_update(run_benign_task(ctx, task, global_params, model), plan)
 
 
-@BACKENDS.register("thread")
-class ThreadPoolBackend(ExecutionBackend):
-    """Fan benign clients out over threads with a pooled set of models."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self._executor: ThreadPoolExecutor | None = None
-        self._models: queue.LifoQueue = queue.LifoQueue()
-
-    def bind(self, ctx: EngineContext) -> None:
-        super().bind(ctx)
-        self._models = queue.LifoQueue()
-
-    def _borrow_model(self):
-        try:
-            return self._models.get_nowait()
-        except queue.Empty:
-            # At most one model per in-flight task ever gets created, so the
-            # pool is bounded by ``max_workers``.
-            return self.ctx.model_factory()
-
-    def _run_pooled(self, task: ClientTask, global_params: np.ndarray) -> ClientResult:
-        model = self._borrow_model()
-        try:
-            return run_benign_task(self.ctx, task, global_params, model)
-        finally:
-            self._models.put(model)
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="fed-client"
-            )
-        return self._executor
-
-    def iter_updates(self, plan, global_params):
-        # Submit the benign fan-out first, overlap driver-side malicious
-        # computation with the pool, then yield benign updates in completion
-        # order via as_completed — this is what lets the server start
-        # folding while slow clients are still training.
-        executor = self._ensure_executor()
-        with telemetry_span(
-            self.ctx, "dispatch",
-            round=plan.round_idx, tasks=len(plan.benign_tasks), backend="thread",
-        ):
-            futures = [
-                executor.submit(self._run_pooled, task, global_params)
-                for task in plan.benign_tasks
-            ]
-        ctx = self.ctx
-        for task in plan.malicious_tasks:
-            yield self.make_update(
-                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
-                plan,
-            )
-        for future in as_completed(futures):
-            yield self.make_update(future.result(), plan)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 def available_backends() -> list[str]:
     """Names of every registered execution backend."""
     return BACKENDS.names()
@@ -313,8 +242,8 @@ def make_backend(
 
     ``max_workers`` is the single place the worker-cap special case lives:
     ``None`` means "backend default" and is simply not passed on, so the
-    serial backend (which takes no worker cap) and the pool backends share
-    one construction path.
+    in-process backends (which take no worker cap) and the distributed
+    backend share one construction path.
     """
     if max_workers is not None:
         kwargs["max_workers"] = max_workers

@@ -1,8 +1,8 @@
 """Cross-client batched execution: train many clients as one stacked model.
 
-The other backends parallelise *around* the math — threads, socket
-workers — while each benign client still ran its own tiny
-forward/backward, dominated by many small GEMMs NumPy cannot amortise.  This
+The distributed backend parallelises *around* the math: each benign client
+still runs its own tiny forward/backward on a socket worker, dominated by
+many small GEMMs NumPy cannot amortise.  This
 module stacks clients into a leading array dimension instead: the
 :class:`BatchedClientRunner` groups a round's benign tasks by effective local
 config, sorts each group by dataset size, and trains it through one
@@ -41,9 +41,9 @@ from repro.federated.client import LocalTrainingConfig, local_train_batched
 from repro.federated.engine.backends import (
     EngineContext,
     ExecutionBackend,
+    maybe_span,
     run_benign_task,
     run_malicious_task,
-    telemetry_span,
 )
 from repro.federated.engine.plan import ClientResult, ClientTask
 from repro.nn.model import BatchedSequential, supports_batching
@@ -170,8 +170,8 @@ class BatchedClientRunner:
             drift_stack = np.stack(drifts)
         model = self._stacked_model(len(members))
         rngs = [task.rng() for task in tasks]
-        with telemetry_span(
-            self.ctx, "client_train",
+        with maybe_span(
+            self.ctx.telemetry, "client_train",
             round=tasks[0].round_idx, clients=len(tasks), batched=True,
         ):
             updates, losses = local_train_batched(

@@ -13,7 +13,7 @@ spawned locally (:meth:`DistributedBackend.spawn_local`) or attached to
    task the moment one of its updates arrives, so fast workers naturally
    steal the slow workers' share,
 4. runs malicious tasks in the driver (attacks are stateful — exactly like
-   the serial/thread backends) while workers chew on the benign fan-out,
+   the in-process backends) while workers chew on the benign fan-out,
 5. yields each :class:`~repro.federated.engine.plan.ClientUpdate` as its
    frame arrives, so the server folds while other workers still train — and
 6. on a worker's death (EOF/reset mid-round) re-queues that worker's
@@ -42,8 +42,8 @@ import numpy as np
 import repro
 from repro.federated.engine.backends import (
     ExecutionBackend,
+    maybe_span,
     run_malicious_task,
-    telemetry_span,
 )
 from repro.federated.engine.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -397,8 +397,8 @@ class DistributedBackend(ExecutionBackend):
                 # Protocol v4: ask workers to profile their phases and attach
                 # a telemetry blob to every UPDATE frame.
                 round_fields["telemetry"] = True
-            with telemetry_span(
-                ctx, "dispatch",
+            with maybe_span(
+                ctx.telemetry, "dispatch",
                 round=plan.round_idx, tasks=len(benign), backend="distributed",
             ):
                 for link in live:
@@ -415,8 +415,8 @@ class DistributedBackend(ExecutionBackend):
                         self._bury(link, pending, None)
                 self._refill_survivors(pending, plan.round_idx, None, remaining)
 
-        # Driver-side malicious work overlaps with the worker fan-out, same
-        # as the thread backend: attacks keep their cross-round state here.
+        # Driver-side malicious work overlaps with the worker fan-out:
+        # attacks keep their cross-round state here.
         for task in plan.malicious_tasks:
             yield self.make_update(
                 run_malicious_task(ctx, task, global_params, self._get_driver_model()),

@@ -38,6 +38,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from repro.federated.engine.backends import maybe_span
 from repro.federated.engine.plan import ClientUpdate, RoundPlan
 from repro.federated.history import RoundRecord
 
@@ -79,10 +80,6 @@ class HookPipeline:
 
     def add(self, hook: RoundHook) -> RoundHook:
         self._hooks.append(hook)
-        return hook
-
-    def insert(self, index: int, hook: RoundHook) -> RoundHook:
-        self._hooks.insert(index, hook)
         return hook
 
     def remove(self, hook: RoundHook) -> None:
@@ -149,11 +146,9 @@ class EvaluationHook(RoundHook):
             every = getattr(server.config, "eval_every", None)
         if not every or (record.round_idx + 1) % every:
             return
-        tel = getattr(server, "telemetry", None)
-        if tel is not None:
-            with tel.tracer.span("evaluate", round=record.round_idx):
-                metrics = self.eval_fn(server.global_params, record.round_idx)
-        else:
+        with maybe_span(
+            getattr(server, "telemetry", None), "evaluate", round=record.round_idx
+        ):
             metrics = self.eval_fn(server.global_params, record.round_idx)
         record.benign_accuracy = metrics.get("benign_accuracy")
         record.attack_success_rate = metrics.get("attack_success_rate")

@@ -11,8 +11,8 @@ protocol overhead (frame header + JSON envelope) versus vector payload, per
     parameters down to each sampled client at round start, one update back
     per client — accounted analytically through
     :func:`~repro.federated.engine.distributed.protocol.message_size` by
-    the :class:`LedgerHook`.  Uniform across serial, thread, process,
-    batched and distributed backends: the *logical* federation traffic of a
+    the :class:`LedgerHook`.  Uniform across the serial, batched and
+    distributed backends: the *logical* federation traffic of a
     round does not depend on how the clients happen to execute, so ledgers
     are comparable across backends.
 

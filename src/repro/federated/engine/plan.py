@@ -3,7 +3,7 @@
 The server turns each sampled round into a :class:`RoundPlan` — an immutable
 description of *what* has to be computed — and hands it to an
 :class:`~repro.federated.engine.backends.ExecutionBackend`, which decides
-*how* (serially, on a thread pool, on worker processes).  Determinism lives
+*how* (serially, as one stacked model, on worker processes).  Determinism lives
 entirely in the plan: every task carries the seed of its private RNG stream,
 derived from ``(run seed, round, client)`` by :mod:`repro.federated.rng`, so
 the computed updates do not depend on execution order or placement.

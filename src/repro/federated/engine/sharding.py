@@ -38,18 +38,18 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.defenses.base import AggregationContext, AggregationState, Aggregator
+from repro.federated.engine.backends import maybe_span
 
 #: Sentinel closing a shard worker's queue for the round.
 _DONE = object()
 
 #: Per-shard bound on updates in flight.  Folds are far faster than client
-#: training, but a burst of completions (many thread-backend workers
+#: training, but a burst of completions (many distributed workers
 #: finishing at once) must not re-materialise the whole round in the shard
 #: queues — that would restore the O(clients × param_dim) peak memory the
 #: slice fold exists to avoid.  A blocking put on a bounded queue gives
@@ -152,15 +152,10 @@ class ShardedAggregator(Aggregator):
             shard_queue.put((vector, aux))
 
     def _finalize(self, state: AggregationState, global_params, ctx):
-        tel = ctx.telemetry
-        span = (
-            tel.tracer.span(
-                "shard_fold", round=ctx.round_idx, shards=len(state.data.slices)
-            )
-            if tel is not None
-            else nullcontext()
-        )
-        with span:
+        with maybe_span(
+            ctx.telemetry, "shard_fold",
+            round=ctx.round_idx, shards=len(state.data.slices),
+        ):
             folded = self._drain(state.data)
         return self.inner.finalize_vector(folded, state, global_params, ctx)
 

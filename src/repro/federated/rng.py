@@ -2,7 +2,7 @@
 
 Every source of randomness in a federated run is derived from the run seed
 through the helpers below, so that results are reproducible regardless of
-*where* a computation executes (serial loop, thread pool, worker process).
+*where* a computation executes (serial loop, stacked model, worker process).
 The per-client stream depends only on ``(seed, round_idx, client_id)``: two
 backends that execute the same :class:`~repro.federated.engine.plan.ClientTask`
 draw exactly the same random numbers, which is what makes the parallel

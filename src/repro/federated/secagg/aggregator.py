@@ -31,12 +31,12 @@ structured :class:`PlaintextRequiredError`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 
 from repro.defenses.base import AggregationContext, AggregationState, Aggregator
+from repro.federated.engine.backends import maybe_span
 from repro.federated.engine.plan import ClientUpdate
 from repro.federated.secagg.masking import unmask_update
 
@@ -100,15 +100,10 @@ class SecureAggregator(Aggregator):
                 "(was the update produced outside the execution engine?)"
             )
         ctx = state.ctx
-        tel = ctx.telemetry
-        span = (
-            tel.tracer.span(
-                "secagg_unmask", round=ctx.round_idx, client=update.client_id
-            )
-            if tel is not None
-            else nullcontext()
-        )
-        with span:
+        with maybe_span(
+            ctx.telemetry, "secagg_unmask",
+            round=ctx.round_idx, client=update.client_id,
+        ):
             plaintext = unmask_update(
                 update.update, self.seed, ctx.round_idx, update.client_id,
                 ctx.sampled_clients,

@@ -13,7 +13,6 @@ Per-round statistics are recorded in a :class:`TrainingHistory`.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,12 @@ from repro.data.federated_data import FederatedDataset
 from repro.defenses.base import AggregationContext, Aggregator, MeanAggregator
 from repro.federated.algorithms.base import FederatedAlgorithm
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine.backends import EngineContext, ExecutionBackend, make_backend
+from repro.federated.engine.backends import (
+    EngineContext,
+    ExecutionBackend,
+    make_backend,
+    maybe_span,
+)
 from repro.federated.engine.hooks import EvaluationHook, HookPipeline, RoundHook
 from repro.federated.engine.plan import ClientUpdate, build_round_plan
 from repro.federated.engine.sharding import maybe_shard
@@ -103,8 +107,10 @@ class ServerConfig:
         self.participation_spec()  # fail fast on malformed specs
         if self.server_lr <= 0:
             raise ValueError("server_lr must be positive")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be positive")
+        if not isinstance(self.num_shards, int) or self.num_shards < 1:
+            raise ValueError("num_shards must be a positive integer")
+        if not isinstance(self.telemetry, bool):
+            raise ValueError("telemetry must be a bool")
         mode, mode_kwargs = self.aggregation_spec()
         if mode not in ("sync", "buffered_async"):
             raise ValueError(
@@ -250,9 +256,8 @@ class FederatedServer:
         # The evaluation hook is registered first so user hooks observe round
         # records with metrics already filled in.
         self.hooks = HookPipeline()
-        self._eval_hook: EvaluationHook | None = None
         if eval_fn is not None:
-            self._install_eval_fn(eval_fn)
+            self.hooks.add(EvaluationHook(eval_fn, every=None))
         for hook in hooks or ():
             self.hooks.add(hook)
         if self.telemetry is not None:
@@ -262,17 +267,6 @@ class FederatedServer:
             # may enrich the record) have run.  It does not consume the
             # collected updates, so the server never retains them for it.
             self.hooks.add(TelemetryHook(self.telemetry))
-
-    def _install_eval_fn(self, fn: Callable[[np.ndarray, int], dict] | None) -> None:
-        """(Re-)register the evaluation hook, always first in the pipeline."""
-        if self._eval_hook is not None:
-            self.hooks.remove(self._eval_hook)
-            self._eval_hook = None
-        if fn is not None:
-            self._eval_hook = EvaluationHook(fn, every=None)
-            # Always first, so user hooks observe records with metrics filled
-            # in — even when eval_fn is (re)assigned after construction.
-            self.hooks.insert(0, self._eval_hook)
 
     def add_hook(self, hook: RoundHook) -> RoundHook:
         """Register a round hook; returns it for chaining."""
@@ -284,12 +278,6 @@ class FederatedServer:
         for _ in range(total):
             self.run_round()
         return self.history
-
-    def _span(self, name: str, **attrs):
-        """Telemetry span context manager; a no-op when telemetry is off."""
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.tracer.span(name, **attrs)
 
     def _algorithm_consumes_updates(self) -> bool:
         """Whether the algorithm's post_aggregate reads the benign updates."""
@@ -397,7 +385,7 @@ class FederatedServer:
             # threads — so the aggregator can begin a fresh round later.
             self.aggregator.abort(state)
             raise
-        with self._span("aggregate", round=round_idx):
+        with maybe_span(self.telemetry, "aggregate", round=round_idx):
             aggregated = self.aggregator.finalize(state, self.global_params, ctx)
         benign_losses = [benign_losses_by_slot[s] for s in sorted(benign_losses_by_slot)]
         benign_updates_by_client = {
@@ -407,13 +395,13 @@ class FederatedServer:
 
     def run_round(self) -> RoundRecord:
         """Execute a single federated round and return its record."""
-        with self._span("round", round=len(self.history)):
+        with maybe_span(self.telemetry, "round", round=len(self.history)):
             return self._run_round()
 
     def _run_round(self) -> RoundRecord:
         round_idx = len(self.history)
         # Running another round after close() re-acquires backend resources
-        # (the pool backends recreate their executors lazily), so the next
+        # (the distributed backend respawns its workers lazily), so the next
         # close() must actually release them again.
         self._closed = False
         part = self.participation.sample_round(

@@ -1,6 +1,6 @@
 """rng-discipline: every random draw must trace back to the run seed.
 
-The whole execution stack — serial, thread, process, batched, distributed —
+The whole execution stack — serial, batched, distributed —
 promises bit-identical :class:`~repro.federated.history.TrainingHistory` per
 seed.  That promise dies the moment any code inside ``src/repro`` pulls
 entropy from outside the seed-derived streams of

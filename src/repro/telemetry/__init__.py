@@ -12,7 +12,8 @@ Three layers:
 * :class:`~repro.telemetry.trace.SpanTracer` — nested monotonic-clock spans
   (``round``, ``dispatch``, ``client_train``, ``secagg_mask``/``unmask``,
   ``shard_fold``, ``aggregate``, ``evaluate``) recorded at explicit
-  instrumentation points in the server and every backend;
+  instrumentation points in the server and every backend, each guarded by
+  :func:`maybe_span` (defined in the engine, re-exported here);
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges and
   histograms wired to existing engine observables (redispatch counts,
   batched-task counts, population cache occupancy, coordinator queue
@@ -27,6 +28,7 @@ serialised into ``ExperimentResult.to_dict()["telemetry"]``, and rendered by
 ``python -m repro trace results.json``.
 """
 
+from repro.federated.engine.backends import maybe_span
 from repro.telemetry.core import RunTelemetry
 from repro.telemetry.hook import TelemetryHook
 from repro.telemetry.metrics import MetricsRegistry
@@ -38,7 +40,7 @@ from repro.telemetry.render import (
     render_trace,
     slowest_task_rows,
 )
-from repro.telemetry.trace import Span, SpanTracer, maybe_span
+from repro.telemetry.trace import Span, SpanTracer
 
 __all__ = [
     "MetricsRegistry",

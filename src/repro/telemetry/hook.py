@@ -30,12 +30,8 @@ class TelemetryHook(RoundHook):
         redispatch = getattr(backend, "redispatch_count", None)
         if redispatch is not None:
             metrics.gauge("distributed.redispatch_total").set(int(redispatch))
-        # The batched runner lives on the dedicated batched backend
-        # (``_runner``) or the serial backend's opt-in path (``_batched_runner``).
-        runner = getattr(backend, "_runner", None) or getattr(
-            backend, "_batched_runner", None
-        )
-        batched = getattr(runner, "batched_task_count", None)
+        # Only the batched backend has a stacked runner (``_runner``).
+        batched = getattr(getattr(backend, "_runner", None), "batched_task_count", None)
         if batched is not None:
             metrics.gauge("batched.stacked_task_total").set(int(batched))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -132,15 +132,3 @@ class SpanTracer:
 
     def to_dict(self) -> list[dict]:
         return [span.to_dict() for span in self.spans()]
-
-
-def maybe_span(telemetry, name: str, **attrs):
-    """Span context manager when telemetry is on, no-op context when off.
-
-    The single guard idiom every instrumentation point uses: hot paths pay
-    one ``None`` check (plus a ``nullcontext`` allocation) when telemetry
-    is disabled, which the overhead benchmark pins at ~zero.
-    """
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.tracer.span(name, **attrs)

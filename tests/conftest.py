@@ -17,7 +17,7 @@ if _SRC not in sys.path:
 from repro.data.femnist import SyntheticFEMNIST
 from repro.data.federated_data import build_federated_dataset
 from repro.data.sentiment import SyntheticSentiment
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
 from repro.nn.layers import Flatten
 from repro.nn.model import Sequential, make_mlp
@@ -64,8 +64,8 @@ def image_model_factory(femnist_generator):
 
 @pytest.fixture()
 def tiny_config():
-    """A fast ExperimentConfig used by the integration tests."""
-    return ExperimentConfig(
+    """A fast Scenario used by the integration tests."""
+    return Scenario(
         dataset="femnist",
         num_clients=10,
         samples_per_client=24,

@@ -251,7 +251,7 @@ class TestCRFL:
 
 class TestLegacyGeneratorShim:
     def test_bare_generator_call_is_rejected(self, benign_updates):
-        with pytest.raises(TypeError, match="AggregationContext.from_rng"):
+        with pytest.raises(TypeError, match=r"AggregationContext\(rng=rng\)"):
             MeanAggregator()(benign_updates, GLOBAL, np.random.default_rng(0))
 
 

@@ -197,8 +197,11 @@ class TestListBackendCaps:
         out = capsys.readouterr().out
         lines = {line.split()[0]: line for line in out.splitlines() if line.strip()}
         assert "caps" in lines["backend"]
-        assert "process" not in lines
-        assert "(none)" in lines["serial"] and "(none)" in lines["thread"]
+        rows = out.splitlines()[2:]  # below the header and its rule
+        assert {row.split()[0] for row in rows if row.strip()} == {
+            "batched", "distributed", "serial",
+        }
+        assert "(none)" in lines["serial"]
         assert "processes" in lines["distributed"]
         assert "multi-host" in lines["distributed"]
         # Cross-client stacked execution advertises itself as a capability.

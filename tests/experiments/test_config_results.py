@@ -7,15 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult, format_table
+from repro.experiments.scenario import Scenario
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.metrics.accuracy import ClientEvaluation
 
 
-class TestExperimentConfig:
+class TestScenarioConfig:
     def test_defaults_valid(self):
-        config = ExperimentConfig()
+        config = Scenario()
         assert config.dataset == "femnist"
 
     @pytest.mark.parametrize(
@@ -31,17 +31,17 @@ class TestExperimentConfig:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
-            ExperimentConfig(**kwargs)
+            Scenario(**kwargs)
 
     def test_sentiment_forces_binary_classes(self):
-        config = ExperimentConfig(dataset="sentiment", num_classes=10)
+        config = Scenario(dataset="sentiment", num_classes=10)
         assert config.num_classes == 2
         assert config.model in {"text", "mlp"}
-        lenet_config = ExperimentConfig(dataset="sentiment", model="lenet")
+        lenet_config = Scenario(dataset="sentiment", model="lenet")
         assert lenet_config.model == "text"
 
     def test_with_overrides_creates_copy(self):
-        base = ExperimentConfig(alpha=0.5)
+        base = Scenario(alpha=0.5)
         derived = base.with_overrides(alpha=5.0, attack="collapois")
         assert base.alpha == 0.5 and base.attack == "none"
         assert derived.alpha == 5.0 and derived.attack == "collapois"
@@ -64,7 +64,7 @@ class TestExperimentResult:
             )
         )
         return ExperimentResult(
-            config=ExperimentConfig(), evaluation=evaluation,
+            config=Scenario(), evaluation=evaluation,
             history=history, compromised_ids=[5],
             extras={"server": object()},
         )

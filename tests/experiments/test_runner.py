@@ -10,7 +10,6 @@ from repro.attacks.dpois import DPoisAttack
 from repro.attacks.mrepl import MReplAttack
 from repro.attacks.triggers import TokenTrigger, WarpingTrigger
 from repro.core.collapois import CollaPoisAttack
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_attack,
     build_dataset,
@@ -19,6 +18,7 @@ from repro.experiments.runner import (
     run_experiment,
     select_compromised_clients,
 )
+from repro.experiments.scenario import Scenario
 
 
 class TestBuilders:
@@ -28,7 +28,7 @@ class TestBuilders:
         assert dataset.num_classes == tiny_config.num_classes
 
     def test_build_dataset_sentiment(self):
-        config = ExperimentConfig(dataset="sentiment", num_clients=6, samples_per_client=20)
+        config = Scenario(dataset="sentiment", num_clients=6, samples_per_client=20)
         dataset, generator = build_dataset(config)
         assert dataset.num_classes == 2
         assert dataset.input_shape == (generator.embedding_dim,)
@@ -49,7 +49,7 @@ class TestBuilders:
     def test_trigger_matches_modality(self, tiny_config):
         _, generator = build_dataset(tiny_config)
         assert isinstance(build_trigger(tiny_config, generator), WarpingTrigger)
-        sentiment = ExperimentConfig(dataset="sentiment", num_clients=6, samples_per_client=20)
+        sentiment = Scenario(dataset="sentiment", num_clients=6, samples_per_client=20)
         _, text_gen = build_dataset(sentiment)
         assert isinstance(build_trigger(sentiment, text_gen), TokenTrigger)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
@@ -28,12 +27,6 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
-
-
-class TestCompatibilityAlias:
-    def test_experiment_config_is_scenario(self):
-        assert ExperimentConfig is Scenario
-        assert isinstance(ExperimentConfig(), Scenario)
 
 
 class TestComponentSpecs:
@@ -65,15 +58,22 @@ class TestComponentSpecs:
         assert scenario.algorithm_kwargs == {"drift_lr": 0.4}
 
     def test_backend_spec_maps_max_workers(self):
-        scenario = Scenario(backend="thread:max_workers=4")
-        assert scenario.backend == "thread"
+        scenario = Scenario(backend="distributed:max_workers=4")
+        assert scenario.backend == "distributed"
         assert scenario.backend_workers == 4
 
     def test_backend_spec_rejects_unknown_kwargs(self):
         # Backend specs may carry constructor kwargs (backend_kwargs) now;
         # unknown ones are still rejected at scenario construction.
         with pytest.raises(ValueError, match="does not accept"):
-            Scenario(backend="thread:frobnicate=1")
+            Scenario(backend="batched:frobnicate=1")
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_backend_workers_needs_a_worker_cap_parameter(self, backend):
+        # Derived from the constructor: only backends taking max_workers
+        # accept a worker cap.
+        with pytest.raises(ValueError, match="backend_workers"):
+            Scenario(backend=backend, backend_workers=2)
 
     def test_backend_spec_routes_extra_kwargs_to_backend_kwargs(self):
         scenario = Scenario(backend="distributed:connect='127.0.0.1:7001'")
@@ -171,6 +171,25 @@ class TestValidation:
             Scenario(aggregation_mode="buffered_async:bogus=1")
         with pytest.raises(ValueError, match="secure aggregation"):
             Scenario(aggregation_mode="buffered_async", secure_aggregation=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rounds": 0},
+            {"server_lr": 0.0},
+            {"aggregation_mode": "buffered_async:buffer_size=0"},
+            {"aggregation_mode": "buffered_async:buffer_size=1.5"},
+            {"aggregation_mode": "buffered_async:staleness_discount=2.0"},
+        ],
+        ids=["rounds", "server_lr", "buffer_size_0", "buffer_size_float", "discount"],
+    )
+    def test_round_config_the_server_rejects_fails_at_construction(self, kwargs):
+        # The scenario builds its ServerConfig while validating, so these
+        # fail here, not after the dataset build and trojan training.
+        with pytest.raises(ValueError):
+            Scenario(**kwargs)
+        with pytest.raises(ValueError):
+            Scenario.from_dict({**Scenario().to_dict(), **kwargs})
 
     def test_population_changes_data_signature(self):
         eager = Scenario()

@@ -96,19 +96,13 @@ class TestRun:
             assert a.result.history.records == b.result.history.records
         assert rebuilt[0].result.extras["dataset"] is not rebuilt[1].result.extras["dataset"]
 
-    def test_cell_workers_preserve_order_and_results(self):
-        suite = Suite.grid(tiny_scenario(), attack=["none", "dpois", "mrepl"])
-        serial = suite.run()
-        threaded = suite.run(cell_workers=3)
-        assert [cr.scenario.attack for cr in threaded] == ["none", "dpois", "mrepl"]
-        for a, b in zip(serial, threaded, strict=True):
-            assert a.result.history.records == b.result.history.records
-
     def test_backend_fanout_override(self):
         suite = Suite.grid(tiny_scenario(), alpha=[0.3])
-        (cell,) = suite.run(backend="thread", backend_workers=2)
-        assert cell.scenario.backend == "thread"
-        assert cell.scenario.backend_workers == 2
+        (cell,) = suite.run(backend="batched")
+        assert cell.scenario.backend == "batched"
+        # The worker cap reaches every cell, where batched rejects it.
+        with pytest.raises(ValueError, match="backend_workers"):
+            suite.run(backend="batched", backend_workers=2)
 
     def test_hooks_factory_builds_per_cell_hooks(self):
         suite = Suite.grid(tiny_scenario(eval_every=1), attack=["collapois", "mrepl"])
@@ -121,10 +115,6 @@ class TestRun:
         suite = Suite.grid(tiny_scenario(), attack=["dpois"])
         (row,) = suite.rows("attack", "alpha")
         assert list(row) == ["attack", "alpha", "benign_accuracy", "attack_success_rate"]
-
-    def test_rejects_nonpositive_cell_workers(self):
-        with pytest.raises(ValueError, match="cell_workers"):
-            Suite.grid(tiny_scenario(), alpha=[0.3]).run(cell_workers=0)
 
 
 class TestSweepEquivalence:

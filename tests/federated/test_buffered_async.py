@@ -173,16 +173,16 @@ class TestSyncFoldContract:
 
 
 class TestBackendBitIdentity:
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_matches_serial_reference(
-        self, small_federation, image_model_factory, backend
+    def test_reordered_matches_serial_reference(
+        self, small_federation, image_model_factory, reordered_backend
     ):
         reference = _server(small_federation, image_model_factory, "serial")
-        other = _server(small_federation, image_model_factory, backend)
+        other = _server(small_federation, image_model_factory, reordered_backend)
         with reference, other:
             ref_history = reference.run()
             other_history = other.run()
-        for a, b in zip(ref_history.records, other_history.records):
+        assert reordered_backend.out_of_order
+        for a, b in zip(ref_history.records, other_history.records, strict=True):
             assert a.sampled_clients == b.sampled_clients
             assert a.extras == b.extras
         np.testing.assert_array_equal(reference.global_params, other.global_params)

@@ -279,7 +279,7 @@ class TestCoordinatorConfig:
 
     def test_scenario_rejects_unknown_backend_kwargs(self):
         with pytest.raises(ValueError, match="does not accept"):
-            base_scenario(backend="thread:frobnicate=1")
+            base_scenario(backend="distributed:frobnicate=1")
 
     def test_unconfigured_backend_raises_helpfully(self, small_federation, image_model_factory):
         from repro.federated.algorithms.fedavg import FedAvg

@@ -9,7 +9,6 @@ from repro.attacks.triggers import PixelPatchTrigger
 from repro.core.collapois import CollaPoisAttack
 from repro.defenses.base import AggregationContext, MeanAggregator
 from repro.federated.algorithms.fedavg import FedAvg
-from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine import (
     CallbackHook,
@@ -18,7 +17,6 @@ from repro.federated.engine import (
     HookPipeline,
     RoundHook,
     SerialBackend,
-    ThreadPoolBackend,
     available_backends,
     build_round_plan,
     make_backend,
@@ -28,7 +26,7 @@ from repro.federated.server import FederatedServer, ServerConfig
 
 
 def _make_server(
-    federation, factory, backend, algorithm=None, attack=False, rounds=3, hooks=None
+    federation, factory, backend, attack=False, rounds=3, hooks=None
 ):
     config = ServerConfig(
         rounds=rounds,
@@ -47,26 +45,13 @@ def _make_server(
     return FederatedServer(
         federation,
         factory,
-        (algorithm or FedAvg)(),
+        FedAvg(),
         config,
         attack=attack_obj,
         compromised_ids=compromised,
         backend=backend,
         hooks=hooks,
     )
-
-
-def _history_fingerprint(history):
-    return [
-        (
-            r.round_idx,
-            tuple(r.sampled_clients),
-            tuple(r.compromised_sampled),
-            r.mean_benign_loss,
-            r.update_norm,
-        )
-        for r in history.records
-    ]
 
 
 class TestRngHelpers:
@@ -98,11 +83,10 @@ class TestRoundPlan:
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert {"serial", "thread", "batched", "distributed"} <= set(available_backends())
+        assert set(available_backends()) == {"serial", "batched", "distributed"}
 
     def test_make_backend(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", max_workers=2), ThreadPoolBackend)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -114,51 +98,14 @@ class TestBackendRegistry:
 
 
 class TestBackendEquivalence:
-    """The thread backend must be bit-identical to serial."""
-
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_clean_run_matches_serial(self, small_federation, image_model_factory, backend):
-        # The acceptance bar: bit-for-bit identical TrainingHistory over a
-        # seeded 10-round run.
-        reference = _make_server(small_federation, image_model_factory, "serial", rounds=10)
-        other = _make_server(small_federation, image_model_factory, backend, rounds=10)
-        reference.run()
-        other.run()
-        other.close()
-        np.testing.assert_array_equal(reference.global_params, other.global_params)
-        assert _history_fingerprint(reference.history) == _history_fingerprint(other.history)
-
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_attacked_run_matches_serial(self, small_federation, image_model_factory, backend):
-        reference = _make_server(small_federation, image_model_factory, "serial", attack=True)
-        other = _make_server(small_federation, image_model_factory, backend, attack=True)
-        reference.run()
-        other.run()
-        other.close()
-        np.testing.assert_array_equal(reference.global_params, other.global_params)
-        assert _history_fingerprint(reference.history) == _history_fingerprint(other.history)
-
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_stateful_algorithm_matches_serial(
-        self, small_federation, image_model_factory, backend
-    ):
-        # FedDC mutates per-client drift every round: parallel workers must
-        # observe the current state, not a stale snapshot.
-        reference = _make_server(
-            small_federation, image_model_factory, "serial", algorithm=FedDC
-        )
-        other = _make_server(small_federation, image_model_factory, backend, algorithm=FedDC)
-        reference.run()
-        other.run()
-        other.close()
-        np.testing.assert_array_equal(reference.global_params, other.global_params)
+    """Driver-side state survives backends that run benign work elsewhere."""
 
     def test_stateful_attack_bookkeeping_survives_parallel_backends(
         self, small_federation, image_model_factory
     ):
         # psi_history is attack-side state; it must accumulate in the driver
-        # even when benign work runs on a pool.
-        server = _make_server(small_federation, image_model_factory, "thread", attack=True)
+        # even when benign work runs as one stacked model.
+        server = _make_server(small_federation, image_model_factory, "batched", attack=True)
         server.run()
         server.close()
         recorded = sum(len(r.compromised_sampled) for r in server.history.records)
@@ -325,11 +272,5 @@ class TestAggregationContext:
 
     def test_legacy_rng_call_is_rejected(self, rng):
         updates = np.arange(12, dtype=np.float64).reshape(3, 4)
-        with pytest.raises(TypeError, match="AggregationContext.from_rng"):
+        with pytest.raises(TypeError, match=r"AggregationContext\(rng=rng\)"):
             MeanAggregator()(updates, np.zeros(4), rng)
-
-    def test_from_rng_wraps_generator(self, rng):
-        ctx = AggregationContext.from_rng(rng)
-        assert ctx.rng is rng
-        assert ctx.round_idx == -1
-        assert ctx.sampled_clients == ()

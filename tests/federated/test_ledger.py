@@ -134,8 +134,8 @@ class TestRunLedger:
 
     def test_model_channel_is_backend_independent(self):
         serial = run_result().ledger
-        threaded = run_result(backend="thread", backend_workers=3).ledger
-        assert threaded.to_dict() == serial.to_dict()
+        batched = run_result(backend="batched").ledger
+        assert batched.to_dict() == serial.to_dict()
 
     def test_distributed_run_meters_wire_frames(self):
         ledger = run_result(backend="distributed", backend_workers=2).ledger

@@ -207,18 +207,18 @@ class TestServerIntegration:
             history = server.run()
         return history, server.global_params
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_churn_is_bit_identical_across_backends(
-        self, small_federation, image_model_factory, backend
+        self, small_federation, image_model_factory, reordered_backend
     ):
         reference, ref_params = self._run(
             small_federation, image_model_factory, "serial",
             participation="churn:sample_rate=0.6,availability=0.9,min_clients=2",
         )
         other, params = self._run(
-            small_federation, image_model_factory, backend,
+            small_federation, image_model_factory, reordered_backend,
             participation="churn:sample_rate=0.6,availability=0.9,min_clients=2",
         )
+        assert reordered_backend.out_of_order
         assert [r.sampled_clients for r in other.records] == [
             r.sampled_clients for r in reference.records
         ]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.defenses.base import AggregationContext
+from repro.experiments import runner
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook
 from repro.federated.engine.plan import ClientUpdate
@@ -269,11 +270,17 @@ class TestBitIdentity:
         assert records == plaintext_history(defense)
 
     @pytest.mark.parametrize("defense", ["mean", "weighted_mean"])
-    def test_thread_secagg_equals_plaintext(self, defense):
-        records, _server = secagg_history(
-            defense=defense, backend="thread", backend_workers=3
+    def test_reordered_secagg_equals_plaintext(
+        self, defense, reordered_backend, monkeypatch
+    ):
+        plain = base_scenario(defense=defense).run()  # on the serial backend
+        monkeypatch.setattr(runner, "build_backend", lambda _config: reordered_backend)
+        records, server = secagg_history(defense=defense)
+        assert reordered_backend.out_of_order
+        assert records == plain.history.to_dict()["records"]
+        np.testing.assert_array_equal(
+            server.global_params, plain.extras["server"].global_params
         )
-        assert records == plaintext_history(defense)
 
     def test_hooks_only_see_masked_updates(self):
         # The observability boundary: every update event outside the sealed

@@ -9,6 +9,7 @@ from repro.defenses.base import MeanAggregator
 from repro.defenses.median import CoordinateMedian
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.engine import SerialBackend
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.serialization import flatten_params
 
@@ -136,19 +137,23 @@ class TestServerLifecycle:
     """FederatedServer is a context manager; close() is idempotent."""
 
     def test_context_manager_closes_backend(self, small_federation, image_model_factory):
-        from repro.federated.engine import ThreadPoolBackend
+        closes = []
 
-        backend = ThreadPoolBackend(max_workers=2)
+        class ClosingBackend(SerialBackend):
+            def close(self):
+                closes.append(True)
+
         config = ServerConfig(
             rounds=1, participation="uniform:sample_rate=0.5", seed=2,
             local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
         )
         with FederatedServer(
-            small_federation, image_model_factory, FedAvg(), config, backend=backend
+            small_federation, image_model_factory, FedAvg(), config,
+            backend=ClosingBackend(),
         ) as server:
             server.run()
-            assert backend._executor is not None
-        assert backend._executor is None  # __exit__ released the pool
+            assert closes == []
+        assert closes == [True]  # __exit__ released the backend
 
     def test_close_is_idempotent_but_rearms_after_new_rounds(
         self, small_federation, image_model_factory

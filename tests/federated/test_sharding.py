@@ -2,14 +2,12 @@
 
 The acceptance bar: for the same seed, ``num_shards=N`` produces
 *bit-identical* global parameters and ``TrainingHistory`` to
-``num_shards=1`` on the serial and thread backends — including under forced
-out-of-order completion — for shard-capable defenses, while non-shardable
-defenses (krum) fall back cleanly to the single-fold path.
+``num_shards=1`` — including when updates arrive out of slot order — for
+shard-capable defenses, while non-shardable defenses (krum) fall back
+cleanly to the single-fold path.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.defenses.krum import Krum
 from repro.defenses.registry import make_defense
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine import backends as backends_mod
 from repro.federated.engine.plan import ClientUpdate
 from repro.federated.engine.sharding import ShardedAggregator, maybe_shard, plan_shards
 from repro.federated.server import FederatedServer, ServerConfig
@@ -242,21 +239,23 @@ class TestServerSharding:
         with pytest.raises(ValueError, match="num_shards"):
             ServerConfig(num_shards=0)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("reordered", [False, True], ids=["serial", "reordered"])
     @pytest.mark.parametrize(
         "make_aggregator",
         [MeanAggregator, lambda: make_defense("weighted_mean")],
         ids=["mean", "weighted_mean"],
     )
     def test_shards_match_unsharded(
-        self, small_federation, image_model_factory, backend, make_aggregator
+        self, small_federation, image_model_factory, reordered_backend, reordered,
+        make_aggregator,
     ):
         sharded = _make_server(
-            small_federation, image_model_factory, backend,
+            small_federation, image_model_factory,
+            reordered_backend if reordered else "serial",
             num_shards=4, aggregator=make_aggregator(),
         )
         plain = _make_server(
-            small_federation, image_model_factory, backend,
+            small_federation, image_model_factory, "serial",
             num_shards=1, aggregator=make_aggregator(),
         )
         assert isinstance(sharded.aggregator, ShardedAggregator)
@@ -264,6 +263,7 @@ class TestServerSharding:
         plain.run()
         sharded.close()
         plain.close()
+        assert reordered_backend.out_of_order == reordered
         np.testing.assert_array_equal(sharded.global_params, plain.global_params)
         assert _fingerprint(sharded.history) == _fingerprint(plain.history)
 
@@ -288,36 +288,17 @@ class TestServerSharding:
 
 
 class TestShardedOutOfOrderCompletion:
-    """Reversed thread-backend completion order must not change sharded results."""
+    """Reversed arrival order must not change sharded results."""
 
-    @pytest.fixture()
-    def reversed_completion(self, monkeypatch):
-        """Delay benign tasks so higher sampled slots finish first."""
-        real = backends_mod.run_benign_task
-        completion_order: list[int] = []
-
-        def delayed(ctx, task, global_params, model):
-            result = real(ctx, task, global_params, model)
-            # Later slots get shorter sleeps: slot 0 finishes last.
-            time.sleep(0.06 * (4 - min(task.order, 3)))
-            completion_order.append(task.order)
-            return result
-
-        monkeypatch.setattr(backends_mod, "run_benign_task", delayed)
-        return completion_order
-
-    def test_thread_sharded_matches_serial_unsharded(
-        self, small_federation, image_model_factory, reversed_completion
+    def test_reordered_sharded_matches_serial_unsharded(
+        self, small_federation, image_model_factory, reordered_backend
     ):
-        threaded = _make_server(
-            small_federation, image_model_factory, "thread",
+        reordered = _make_server(
+            small_federation, image_model_factory, reordered_backend,
             num_shards=4, rounds=2,
         )
-        # Enough workers that every benign task runs concurrently and the
-        # injected delays fully control completion order.
-        threaded.backend.max_workers = 8
-        threaded.run()
-        threaded.close()
+        reordered.run()
+        reordered.close()
 
         serial = _make_server(
             small_federation, image_model_factory, "serial",
@@ -325,8 +306,8 @@ class TestShardedOutOfOrderCompletion:
         )
         serial.run()
 
-        # The injected delays really did reverse at least one round's
-        # completion order — otherwise this test is vacuous.
-        assert reversed_completion != sorted(reversed_completion)
-        np.testing.assert_array_equal(threaded.global_params, serial.global_params)
-        assert _fingerprint(threaded.history) == _fingerprint(serial.history)
+        # Updates really did arrive out of slot order — otherwise this test
+        # is vacuous.
+        assert reordered_backend.out_of_order
+        np.testing.assert_array_equal(reordered.global_params, serial.global_params)
+        assert _fingerprint(reordered.history) == _fingerprint(serial.history)

@@ -56,11 +56,10 @@ class TestBitIdentityAcrossBackends:
         "overrides",
         [
             {"backend": "serial"},
-            {"backend": "thread"},
             {"backend": "batched"},
             {"backend": "distributed", "backend_workers": 2},
         ],
-        ids=["serial", "thread", "batched", "distributed"],
+        ids=["serial", "batched", "distributed"],
     )
     def test_instrumented_history_matches_plain_serial(self, overrides):
         result = base_scenario(telemetry=True, **overrides).run()
@@ -98,14 +97,6 @@ class TestFeatureSpans:
         assert busy["type"] == "histogram"
         assert busy["count"] == 4  # 2 shards x 2 rounds
 
-    def test_thread_backend_records_dispatch_spans(self):
-        result = base_scenario(telemetry=True, backend="thread").run()
-        dispatches = [
-            s for s in result.telemetry["spans"] if s["name"] == "dispatch"
-        ]
-        assert len(dispatches) == 2
-        assert all(s["attrs"]["tasks"] == 8 for s in dispatches)
-
     def test_evaluation_runs_inside_an_evaluate_span(self):
         result = base_scenario(telemetry=True, eval_every=1).run()
         evaluates = [
@@ -135,6 +126,13 @@ class TestDistributedWireTelemetry:
         for span in wire:
             assert {"round", "client", "worker"} <= set(span["attrs"])
             assert span["end"] >= span["start"]
+
+    def test_coordinator_records_dispatch_spans(self, distributed_result):
+        dispatches = [
+            s for s in distributed_result.telemetry["spans"] if s["name"] == "dispatch"
+        ]
+        assert len(dispatches) == 2
+        assert all(s["attrs"]["tasks"] == 8 for s in dispatches)
 
     def test_per_link_clock_offsets_are_recorded(self, distributed_result):
         offsets = distributed_result.telemetry["clock_offsets"]

@@ -14,9 +14,9 @@ import pytest
 
 from repro.analysis.statistics import gradient_indistinguishability
 from repro.core.stealth import blend_statistics
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.gradient_geometry import _collect_round_updates
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
 from repro.metrics.client_level import top_k_metrics
 from repro.metrics.gradients import angle_summary
@@ -24,7 +24,7 @@ from repro.metrics.gradients import angle_summary
 
 @pytest.fixture(scope="module")
 def attack_config():
-    return ExperimentConfig(
+    return Scenario(
         dataset="femnist",
         num_clients=16,
         samples_per_client=30,

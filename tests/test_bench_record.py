@@ -150,20 +150,6 @@ class TestCompare:
         assert rc == 0
         assert "WARNING: perf regression test_alpha" in capsys.readouterr().out
 
-    def test_deprecated_threshold_wins_over_warn_pct(self, tmp_path, capsys):
-        from benchmarks.record import main
-
-        report = tmp_path / "raw.json"
-        report.write_text(json.dumps(self._fresh_report(1.2)))
-        baseline = tmp_path / "BENCH_4.json"
-        baseline.write_text(json.dumps(self._baseline()))
-        rc = main(
-            ["compare", str(report), "--against", str(baseline),
-             "--warn-pct", "50", "--threshold", "0.1"]
-        )
-        assert rc == 0
-        assert "WARNING: perf regression test_alpha" in capsys.readouterr().out
-
     def test_compare_against_latest_committed(self, tmp_path, capsys, monkeypatch):
         from benchmarks import record
         from benchmarks.record import main

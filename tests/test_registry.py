@@ -169,7 +169,7 @@ class TestFamilies:
             (ALGORITHMS, {"fedavg", "feddc", "metafed"}),
             (ATTACKS, {"collapois", "dpois", "mrepl", "dba"}),
             (TRIGGERS, {"warping", "patch", "token"}),
-            (BACKENDS, {"serial", "thread", "batched", "distributed"}),
+            (BACKENDS, {"serial", "batched", "distributed"}),
         ],
     )
     def test_family_members(self, registry, expected):

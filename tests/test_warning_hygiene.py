@@ -35,7 +35,7 @@ def test_supported_aggregation_path_is_warning_free(rng):
     updates = rng.normal(size=(3, 8))
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        MeanAggregator()(updates, np.zeros(8), AggregationContext.from_rng(rng))
+        MeanAggregator()(updates, np.zeros(8), AggregationContext(rng=rng))
 
 
 def test_legacy_rng_aggregation_is_a_hard_error(rng):
@@ -44,5 +44,5 @@ def test_legacy_rng_aggregation_is_a_hard_error(rng):
     from repro.defenses.base import MeanAggregator
 
     updates = rng.normal(size=(3, 8))
-    with pytest.raises(TypeError, match="AggregationContext.from_rng"):
+    with pytest.raises(TypeError, match=r"AggregationContext\(rng=rng\)"):
         MeanAggregator()(updates, np.zeros(8), rng)
