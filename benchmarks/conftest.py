@@ -4,7 +4,7 @@ Every benchmark regenerates one table or figure of the paper at a reduced,
 laptop-friendly scale (tens of clients, tens of rounds instead of thousands
 of clients and hundreds of rounds).  The *shape* of each result — who wins,
 roughly by how much, and in which direction trends move — is asserted; the
-absolute numbers are recorded in EXPERIMENTS.md next to the paper's values.
+measured rows are printed as a table (run with ``-s`` to see them).
 """
 
 from __future__ import annotations
@@ -63,8 +63,3 @@ def sentiment_bench_config():
 
 
 ALPHA_SWEEP = [0.05, 0.5, 5.0]
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

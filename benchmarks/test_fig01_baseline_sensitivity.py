@@ -7,18 +7,13 @@ attacks' success — the observation that motivates CollaPois.
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.experiments.attack_comparison import baseline_sensitivity_sweep
 from repro.experiments.results import format_table
 
 
-def test_fig01_baseline_attacks_insensitive(benchmark, sentiment_bench_config):
+def test_fig01_baseline_attacks_insensitive(sentiment_bench_config):
     config = sentiment_bench_config.with_overrides(rounds=12)
-    rows = run_once(
-        benchmark,
-        baseline_sensitivity_sweep,
+    rows = baseline_sensitivity_sweep(
         config,
         alphas=[0.05, 5.0],
         fractions=[0.05, 0.15],

@@ -7,15 +7,13 @@ Paper: (a) benign clients' gradients scatter more (larger pairwise angles) as
 
 from __future__ import annotations
 
-from benchmarks.conftest import ALPHA_SWEEP, run_once
+from benchmarks.conftest import ALPHA_SWEEP
 from repro.experiments.gradient_geometry import gradient_angle_analysis
 from repro.experiments.results import format_table
 
 
-def test_fig03_gradient_angle_geometry(benchmark, femnist_bench_config):
-    rows = run_once(
-        benchmark, gradient_angle_analysis, femnist_bench_config, alphas=ALPHA_SWEEP
-    )
+def test_fig03_gradient_angle_geometry(femnist_bench_config):
+    rows = gradient_angle_analysis(femnist_bench_config, alphas=ALPHA_SWEEP)
     print("\nFig. 3 — gradient angles vs alpha (FEMNIST-like)")
     print(format_table(rows))
     # CollaPois malicious gradients are (near-)parallel at every alpha and

@@ -6,15 +6,13 @@ across all α (2.23% at α = 0.01 down to 0.57% at α = 100).
 
 from __future__ import annotations
 
-from benchmarks.conftest import ALPHA_SWEEP, run_once
+from benchmarks.conftest import ALPHA_SWEEP
 from repro.experiments.results import format_table
 from repro.experiments.theory_figs import bound_approximation_error_sweep
 
 
-def test_fig04_bound_approximation_error(benchmark, femnist_bench_config):
-    rows = run_once(
-        benchmark, bound_approximation_error_sweep, femnist_bench_config, alphas=ALPHA_SWEEP
-    )
+def test_fig04_bound_approximation_error(femnist_bench_config):
+    rows = bound_approximation_error_sweep(femnist_bench_config, alphas=ALPHA_SWEEP)
     print("\nFig. 4 — Theorem 1 bound approximation error vs alpha")
     print(format_table(rows))
     for row in rows:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.experiments.results import format_table
 from repro.experiments.theory_figs import alpha_to_bound, bound_surface
 
 
-def test_fig05_bound_surface(benchmark):
-    surface = run_once(benchmark, bound_surface, resolution=12)
+def test_fig05_bound_surface():
+    surface = bound_surface(resolution=12)
     grid = surface["surface"]
     print("\nFig. 5 — |C|/|N| lower-bound surface (rows: sigma, cols: mu)")
     print(np.array_str(grid, precision=3, suppress_small=True))
@@ -25,8 +24,8 @@ def test_fig05_bound_surface(benchmark):
     assert np.all(np.diff(grid, axis=1) <= 1e-12)
 
 
-def test_fig05_companion_alpha_mapping(benchmark):
-    rows = run_once(benchmark, alpha_to_bound, [0.01, 0.1, 1.0, 10.0, 100.0])
+def test_fig05_companion_alpha_mapping():
+    rows = alpha_to_bound([0.01, 0.1, 1.0, 10.0, 100.0])
     print("\nFig. 5 companion — analytic bound as a function of alpha")
     print(format_table(rows))
     fractions = [row["fraction"] for row in rows]

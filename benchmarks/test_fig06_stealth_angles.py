@@ -7,15 +7,12 @@ benign gradients, so angle-based screening cannot separate them.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.gradient_geometry import stealth_angle_analysis
 from repro.experiments.results import format_table
 
 
-def test_fig06_stealth_blending(benchmark, femnist_bench_config):
-    rows = run_once(
-        benchmark,
-        stealth_angle_analysis,
+def test_fig06_stealth_blending(femnist_bench_config):
+    rows = stealth_angle_analysis(
         femnist_bench_config,
         psi_ranges=[(0.95, 0.99), (0.5, 1.0)],
     )

@@ -6,16 +6,13 @@ lower bound as training progresses, preventing accurate reconstruction of X.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.results import format_table
 from repro.experiments.theory_figs import estimation_error_over_rounds
 
 
-def test_fig07_estimation_error_over_rounds(benchmark, femnist_bench_config):
+def test_fig07_estimation_error_over_rounds(femnist_bench_config):
     config = femnist_bench_config.with_overrides(rounds=16)
-    rows = run_once(
-        benchmark, estimation_error_over_rounds, config, checkpoints=[4, 8, 16], precision=1.0
-    )
+    rows = estimation_error_over_rounds(config, checkpoints=[4, 8, 16], precision=1.0)
     print("\nFig. 7 — server estimation error of X over training rounds (p=1)")
     print(format_table(rows))
     for row in rows:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.experiments.attack_comparison import attack_comparison_sweep
 from repro.experiments.results import format_table
 
@@ -31,27 +30,25 @@ def _check_collapois_dominates(rows):
     assert colla_acc > baseline_acc - 0.25
 
 
-def test_fig08_fedavg_sentiment(benchmark, sentiment_bench_config):
+def test_fig08_fedavg_sentiment(sentiment_bench_config):
     config = sentiment_bench_config.with_overrides(algorithm="fedavg", rounds=14)
-    rows = run_once(benchmark, attack_comparison_sweep, config, alphas=ALPHAS, attacks=ATTACKS)
+    rows = attack_comparison_sweep(config, alphas=ALPHAS, attacks=ATTACKS)
     print("\nFig. 8 — FedAvg, Sentiment-like: attack comparison")
     print(format_table(rows))
     _check_collapois_dominates(rows)
 
 
-def test_fig15_fedavg_femnist(benchmark, femnist_bench_config):
+def test_fig15_fedavg_femnist(femnist_bench_config):
     config = femnist_bench_config.with_overrides(algorithm="fedavg", rounds=14)
-    rows = run_once(benchmark, attack_comparison_sweep, config, alphas=ALPHAS, attacks=ATTACKS)
+    rows = attack_comparison_sweep(config, alphas=ALPHAS, attacks=ATTACKS)
     print("\nFig. 15 — FedAvg, FEMNIST-like: attack comparison")
     print(format_table(rows))
     _check_collapois_dominates(rows)
 
 
-def test_fig08_feddc_femnist(benchmark, femnist_bench_config):
+def test_fig08_feddc_femnist(femnist_bench_config):
     config = femnist_bench_config.with_overrides(algorithm="feddc", rounds=14)
-    rows = run_once(
-        benchmark, attack_comparison_sweep, config, alphas=[0.1, 1.0], attacks=["collapois", "dpois"]
-    )
+    rows = attack_comparison_sweep(config, alphas=[0.1, 1.0], attacks=["collapois", "dpois"])
     print("\nFig. 15 — FedDC, FEMNIST-like: personalisation blunts DPois, not CollaPois")
     print(format_table(rows))
     colla = np.mean([r["attack_success_rate"] for r in rows if r["attack"] == "collapois"])
@@ -59,11 +56,9 @@ def test_fig08_feddc_femnist(benchmark, femnist_bench_config):
     assert colla > dpois
 
 
-def test_fig08_metafed_femnist(benchmark, femnist_bench_config):
+def test_fig08_metafed_femnist(femnist_bench_config):
     config = femnist_bench_config.with_overrides(algorithm="metafed", rounds=10)
-    rows = run_once(
-        benchmark, attack_comparison_sweep, config, alphas=[0.1, 10.0], attacks=["collapois", "dba"]
-    )
+    rows = attack_comparison_sweep(config, alphas=[0.1, 10.0], attacks=["collapois", "dba"])
     print("\nFig. 15 — MetaFed, FEMNIST-like: attack comparison")
     print(format_table(rows))
     colla = np.mean([r["attack_success_rate"] for r in rows if r["attack"] == "collapois"])

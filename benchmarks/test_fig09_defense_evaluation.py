@@ -7,9 +7,6 @@ impractical.  Krum and RLR are not applicable to MetaFed.
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.experiments.defense_evaluation import defense_sweep
 from repro.experiments.results import format_table
 
@@ -22,9 +19,9 @@ DEFENSES = {
 }
 
 
-def test_fig09_defenses_sentiment(benchmark, sentiment_bench_config):
+def test_fig09_defenses_sentiment(sentiment_bench_config):
     config = sentiment_bench_config.with_overrides(rounds=20)
-    rows = run_once(benchmark, defense_sweep, config, alphas=[0.2], defenses=DEFENSES)
+    rows = defense_sweep(config, alphas=[0.2], defenses=DEFENSES)
     print("\nFig. 9 — CollaPois under defenses (Sentiment-like, FedAvg)")
     print(format_table(rows))
     by_defense = {row["defense"]: row for row in rows}
@@ -35,9 +32,9 @@ def test_fig09_defenses_sentiment(benchmark, sentiment_bench_config):
     assert by_defense["krum"]["attack_success_rate"] < undefended_sr
 
 
-def test_fig16_defenses_femnist(benchmark, femnist_bench_config):
+def test_fig16_defenses_femnist(femnist_bench_config):
     config = femnist_bench_config.with_overrides(rounds=24)
-    rows = run_once(benchmark, defense_sweep, config, alphas=[0.2], defenses=DEFENSES)
+    rows = defense_sweep(config, alphas=[0.2], defenses=DEFENSES)
     print("\nFig. 16 — CollaPois under defenses (FEMNIST-like, FedAvg)")
     print(format_table(rows))
     by_defense = {row["defense"]: row for row in rows}
@@ -52,9 +49,9 @@ def test_fig16_defenses_femnist(benchmark, femnist_bench_config):
     ) < undefended["attack_success_rate"]
 
 
-def test_fig16_metafed_skips_inapplicable_defenses(benchmark, femnist_bench_config):
+def test_fig16_metafed_skips_inapplicable_defenses(femnist_bench_config):
     config = femnist_bench_config.with_overrides(algorithm="metafed", rounds=10)
-    rows = run_once(benchmark, defense_sweep, config, alphas=[0.2], defenses=DEFENSES)
+    rows = defense_sweep(config, alphas=[0.2], defenses=DEFENSES)
     print("\nFig. 9/16 — MetaFed rows (Krum and RLR not applicable)")
     print(format_table(rows))
     assert {row["defense"] for row in rows} == {"mean", "dp", "norm_bound"}

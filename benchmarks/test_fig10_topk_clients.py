@@ -9,16 +9,13 @@ clients out of 24).
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.defense_evaluation import compromised_fraction_sweep
 from repro.experiments.results import format_table
 
 
-def test_fig10_topk_affected_clients(benchmark, femnist_bench_config):
+def test_fig10_topk_affected_clients(femnist_bench_config):
     config = femnist_bench_config.with_overrides(rounds=30)
-    rows = run_once(
-        benchmark,
-        compromised_fraction_sweep,
+    rows = compromised_fraction_sweep(
         config,
         fractions=[0.05, 0.125],
         top_k_percents=[1.0, 25.0, 50.0, 100.0],

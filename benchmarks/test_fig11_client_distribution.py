@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.experiments.client_level import client_cluster_analysis
 from repro.experiments.results import format_table
 
 
-def test_fig11_per_client_distribution(benchmark, femnist_bench_config):
+def test_fig11_per_client_distribution(femnist_bench_config):
     config = femnist_bench_config.with_overrides(
         rounds=20, defense="dp", defense_kwargs={"clip_norm": 2.0, "noise_multiplier": 0.002}
     )
-    analysis = run_once(benchmark, client_cluster_analysis, config)
+    analysis = client_cluster_analysis(config)
     benign = analysis["per_client_benign_accuracy"]
     attack = analysis["per_client_attack_success_rate"]
     rows = [

@@ -8,7 +8,6 @@ the lowest Attack SR.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.client_level import label_similarity_analysis
 from repro.experiments.results import format_table
 
@@ -24,17 +23,17 @@ def _check_similarity_tracks_attack(rows):
     assert top["attack_success_rate"] >= bottom["attack_success_rate"] - 1e-9
 
 
-def test_fig12_femnist(benchmark, femnist_bench_config):
+def test_fig12_femnist(femnist_bench_config):
     config = femnist_bench_config.with_overrides(rounds=20, alpha=0.1)
-    rows = run_once(benchmark, label_similarity_analysis, config)
+    rows = label_similarity_analysis(config)
     print("\nFig. 12 — cluster similarity to Da vs Attack SR (FEMNIST-like)")
     print(format_table(rows))
     _check_similarity_tracks_attack(rows)
 
 
-def test_fig12_sentiment(benchmark, sentiment_bench_config):
+def test_fig12_sentiment(sentiment_bench_config):
     config = sentiment_bench_config.with_overrides(rounds=16, alpha=0.1)
-    rows = run_once(benchmark, label_similarity_analysis, config)
+    rows = label_similarity_analysis(config)
     print("\nFig. 12 — cluster similarity to Da vs Attack SR (Sentiment-like)")
     print(format_table(rows))
     _check_similarity_tracks_attack(rows)

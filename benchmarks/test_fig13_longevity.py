@@ -7,18 +7,13 @@ steadily and persists with only a negligible drop.
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.experiments.longevity import longevity_analysis
 from repro.experiments.results import format_table
 
 
-def test_fig13_longevity(benchmark, femnist_bench_config):
+def test_fig13_longevity(femnist_bench_config):
     config = femnist_bench_config.with_overrides(rounds=24, alpha=0.1)
-    series = run_once(
-        benchmark, longevity_analysis, config, attacks=["collapois", "mrepl"], eval_every=2
-    )
+    series = longevity_analysis(config, attacks=["collapois", "mrepl"], eval_every=2)
     for attack, rows in series.items():
         print(f"\nFig. 13 — {attack}: Attack SR / Benign AC per round")
         print(format_table(rows))

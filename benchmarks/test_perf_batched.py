@@ -1,33 +1,19 @@
-"""Round-throughput benches for the cross-client batched backend.
+"""Bit-identity of the cross-client batched backend at Fig-8 model sizes.
 
-Serial vs. ``backend="batched"`` wall clock on full-participation
-federations at the reduced Fig-8 model sizes — the Sentiment text head
-(the figure's headline setting, where stacking pays most: the model is all
-small GEMMs) and the FEMNIST MLP.  The bit-identical-history guarantee is
-asserted on the side in both benches, so a regression in the batched math
-can never hide behind a fast wall clock.
-
-The paper-facing target is 3x serial round throughput.  How close a host
-gets depends on its cores: every per-client GEMM slice still runs serially,
-by design — that is what buys bit-identity — so on one core the gain comes
-purely from eliminated Python dispatch and allocations.  Timings, speedups
-and the target are recorded in ``extra_info`` (and hence in
-``BENCH_<pr>.json``), not asserted: ``perfbench/`` is the perf gate.
+Runs full-participation federations through the serial and
+``backend="batched"`` execution paths — the Sentiment text head (the
+figure's headline setting, where the model is all small GEMMs) and the
+FEMNIST MLP — and asserts the two histories are identical, so a regression
+in the batched math can never hide at benchmark scale.  Wall clock is not
+measured here: the ``krum-sentiment-batched`` workload in ``perfbench/``
+is the perf record of this backend.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from benchmarks.conftest import run_once
-from repro.experiments.results import format_table
 from repro.experiments.runner import build_dataset, run_experiment
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
-
-#: Paper-facing round-throughput target at Fig-8 model sizes (multi-core).
-TARGET_SPEEDUP = 3.0
 
 
 def _fig8_scenario(dataset: str) -> Scenario:
@@ -49,52 +35,24 @@ def _fig8_scenario(dataset: str) -> Scenario:
     )
 
 
-def _sweep(scenario: Scenario, repeats: int = 3) -> tuple[list[dict], float]:
-    rows = []
-    histories = {}
-    data = build_dataset(scenario)  # shared, outside the timed region
-    for backend in ("serial", "batched"):
-        cell = scenario.with_overrides(backend=backend)
-        best = None
-        for _ in range(repeats):  # best-of-N: single runs are too jittery
-            start = time.perf_counter()
-            result = run_experiment(cell, prebuilt_data=data)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        histories[backend] = result.history
-        rows.append(
-            {
-                "backend": backend,
-                "seconds": round(best, 3),
-                "ms_per_round": round(best * 1000 / scenario.rounds, 2),
-            }
-        )
+def _assert_batched_matches_serial(scenario: Scenario) -> None:
+    data = build_dataset(scenario)  # one federation shared by both backends
+    histories = {
+        backend: run_experiment(
+            scenario.with_overrides(backend=backend), prebuilt_data=data
+        ).history
+        for backend in ("serial", "batched")
+    }
     assert histories["batched"].series("update_norm") == histories["serial"].series(
         "update_norm"
     ), "batched backend diverged from serial"
-    speedup = rows[0]["seconds"] / rows[1]["seconds"]
-    for row in rows:
-        row["speedup_vs_serial"] = round(rows[0]["seconds"] / row["seconds"], 2)
-    return rows, speedup
 
 
-def _record(benchmark, rows, speedup, label):
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["target_speedup"] = TARGET_SPEEDUP
-    print(f"\nBatched-execution wall clock — {label}, 24 clients/round, 8 rounds")
-    print(format_table(rows))
-
-
-def test_batched_throughput_fig8_sentiment(benchmark):
+def test_batched_throughput_fig8_sentiment():
     """Fig 8's Sentiment text head (all small GEMMs): where stacking pays most."""
-    rows, speedup = run_once(benchmark, _sweep, _fig8_scenario("sentiment"))
-    _record(benchmark, rows, speedup, "sentiment text head")
+    _assert_batched_matches_serial(_fig8_scenario("sentiment"))
 
 
-def test_batched_throughput_fig8_femnist(benchmark):
-    """The FEMNIST MLP carries bigger GEMMs per client, so dispatch overhead
-    is a smaller share and the gain is milder."""
-    rows, speedup = run_once(benchmark, _sweep, _fig8_scenario("femnist"))
-    _record(benchmark, rows, speedup, "femnist mlp(64)")
+def test_batched_throughput_fig8_femnist():
+    """The FEMNIST MLP carries bigger GEMMs per client."""
+    _assert_batched_matches_serial(_fig8_scenario("femnist"))

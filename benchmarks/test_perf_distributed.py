@@ -1,24 +1,15 @@
-"""Round-latency benches for the distributed execution backend.
+"""Bit-identity of the distributed execution backend at a 1e5-parameter model.
 
 ``test_distributed_round_latency`` runs the same seeded federated workload
 — full participation, a ≥1e5-parameter MLP so the update vectors crossing
 the wire are benchmark-sized — through the serial and distributed (2 local
-socket workers) backends, asserting history bit-identity across both and
-recording per-backend round latency into the BENCH
-trajectory.  Wall-clock *assertions* are deliberately absent: the
-distributed backend pays two interpreter spawns plus per-round parameter
-broadcasts, which only amortise on real multi-host/multi-core hardware,
-and shared CI runners are too noisy to gate on.  The numbers are recorded
-so the trajectory shows when the break-even point moves.
+socket workers) backends and asserts the histories are identical.  Round
+latency is not measured here: the ``secagg-distributed`` workload in
+``perfbench/`` times this backend, spawn and wire included.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from benchmarks.conftest import run_once
-from repro.experiments.results import format_table
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
 
@@ -50,41 +41,16 @@ def _scenario() -> Scenario:
     )
 
 
-def test_distributed_round_latency(benchmark):
+def test_distributed_round_latency():
     """serial vs 2-worker distributed; histories bit-identical."""
     base = _scenario()
     assert PARAM_DIM >= 100_000
 
-    def sweep():
-        rows = []
-        histories = {}
-        for name, overrides in BACKENDS:
-            scenario = base.with_overrides(backend=name, **overrides)
-            start = time.perf_counter()
-            result = scenario.run()
-            elapsed = time.perf_counter() - start
-            histories[name] = result.history.to_dict()["records"]
-            rows.append(
-                {
-                    "backend": name,
-                    "seconds": round(elapsed, 3),
-                    "s_per_round": round(elapsed / base.rounds, 3),
-                }
-            )
-        return rows, histories
-
-    rows, histories = run_once(benchmark, sweep)
+    histories = {
+        name: base.with_overrides(backend=name, **overrides).run().history.to_dict()["records"]
+        for name, overrides in BACKENDS
+    }
     for name, _overrides in BACKENDS[1:]:
         assert histories[name] == histories["serial"], (
             f"{name} backend diverged from serial at param_dim={PARAM_DIM}"
         )
-
-    print(
-        f"\nRound latency — {base.num_clients} clients, param_dim={PARAM_DIM}, "
-        f"{NUM_WORKERS} workers, {os.cpu_count()} cpus"
-    )
-    print(format_table(rows))
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["param_dim"] = PARAM_DIM
-    benchmark.extra_info["num_workers"] = NUM_WORKERS
-    benchmark.extra_info["cpu_count"] = os.cpu_count()

@@ -4,9 +4,9 @@
 scatter-add against the historical Python double loop over output positions
 (the exact code shipped before the optimisation), on identical inputs.
 
-Timings are always recorded (``extra_info``); the speedup assertion only
-runs off-CI — wall-clock thresholds are too noisy on shared CI runners to
-gate a pipeline on.
+Timings are always printed; the speedup assertion only runs off-CI —
+wall-clock thresholds are too noisy on shared CI runners to gate a
+pipeline on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.nn.layers import Conv2d
 
 
@@ -49,7 +48,7 @@ def _time(fn, repeats: int = 10) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def test_conv2d_backward_col2im(benchmark):
+def test_conv2d_backward_col2im():
     """Vectorised col2im must match the loop bit-for-bit-ish and beat it."""
     rng = np.random.default_rng(0)
     conv = Conv2d(4, 8, kernel_size=3, padding=1, rng=rng)
@@ -63,11 +62,8 @@ def test_conv2d_backward_col2im(benchmark):
     np.testing.assert_allclose(vectorized, reference, rtol=1e-10, atol=1e-12)
 
     loop_time = _time(lambda: _backward_reference_loop(conv, grad_out))
-    vec_time = run_once(benchmark, lambda: _time(lambda: conv.backward(grad_out)))
+    vec_time = _time(lambda: conv.backward(grad_out))
     speedup = loop_time / vec_time
-    benchmark.extra_info["loop_ms"] = loop_time * 1000
-    benchmark.extra_info["vectorized_ms"] = vec_time * 1000
-    benchmark.extra_info["speedup"] = speedup
     print(
         f"\nConv2d.backward col2im: loop {loop_time * 1000:.2f} ms -> "
         f"vectorized {vec_time * 1000:.2f} ms ({speedup:.2f}x)"

@@ -12,11 +12,8 @@ inequality so it cannot silently regress.
 
 from __future__ import annotations
 
-import os
-import time
 import tracemalloc
 
-from benchmarks.conftest import run_once
 from repro.data.federated_data import build_federated_dataset
 from repro.data.femnist import SyntheticFEMNIST
 from repro.experiments.results import format_table
@@ -48,74 +45,64 @@ def _scenario(**overrides) -> Scenario:
 
 
 def _traced(fn):
-    """Run ``fn``, returning (result, peak_traced_bytes, seconds)."""
+    """Run ``fn``, returning (result, peak_traced_bytes)."""
     tracemalloc.start()
-    start = time.perf_counter()
     try:
         result = fn()
-        elapsed = time.perf_counter() - start
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak, elapsed
+    return result, peak
 
 
-def test_population_memory_is_o_sampled(benchmark):
+def _eager_build():
+    generator = SyntheticFEMNIST(num_classes=6, image_size=12, seed=11)
+    return build_federated_dataset(
+        generator,
+        num_clients=EAGER_CLIENTS,
+        samples_per_client=16,
+        alpha=0.5,
+        seed=11,
+    )
+
+
+def test_population_memory_is_o_sampled():
     """1e5 lazy clients must peak below an eager build of 2e3 clients."""
+    peaks = {}
+    dataset, peaks["eager_build"] = _traced(_eager_build)
+    del dataset
+    rows = [
+        {
+            "mode": f"eager build ({EAGER_CLIENTS} clients)",
+            "clients": EAGER_CLIENTS,
+            "peak_mb": round(peaks["eager_build"] / 1e6, 1),
+        }
+    ]
 
-    def sweep():
-        rows = []
-        peaks = {}
-
-        def eager_build():
-            generator = SyntheticFEMNIST(num_classes=6, image_size=12, seed=11)
-            return build_federated_dataset(
-                generator,
-                num_clients=EAGER_CLIENTS,
-                samples_per_client=16,
-                alpha=0.5,
-                seed=11,
-            )
-
-        dataset, peaks["eager_build"], eager_s = _traced(eager_build)
-        del dataset
+    runs = {
+        "lazy uniform": _scenario(
+            participation="uniform:sample_rate=0.0003,min_clients=8",
+        ),
+        "lazy buffered_async": _scenario(
+            participation=(
+                "tiered:sample_rate=0.0003,min_clients=8,"
+                "availability=0.8,dropout_rate=0.001"
+            ),
+            aggregation_mode="buffered_async:buffer_size=6",
+        ),
+    }
+    for label, scenario in runs.items():
+        result, peaks[label] = _traced(scenario.run)
+        cache = result.extras["dataset"].cache_info()
         rows.append(
             {
-                "mode": f"eager build ({EAGER_CLIENTS} clients)",
-                "clients": EAGER_CLIENTS,
-                "peak_mb": round(peaks["eager_build"] / 1e6, 1),
-                "seconds": round(eager_s, 3),
+                "mode": f"{label} ({LAZY_CLIENTS} clients)",
+                "clients": LAZY_CLIENTS,
+                "peak_mb": round(peaks[label] / 1e6, 1),
+                "materialized": cache["materializations"],
             }
         )
-
-        runs = {
-            "lazy uniform": _scenario(
-                participation="uniform:sample_rate=0.0003,min_clients=8",
-            ),
-            "lazy buffered_async": _scenario(
-                participation=(
-                    "tiered:sample_rate=0.0003,min_clients=8,"
-                    "availability=0.8,dropout_rate=0.001"
-                ),
-                aggregation_mode="buffered_async:buffer_size=6",
-            ),
-        }
-        for label, scenario in runs.items():
-            result, peaks[label], run_s = _traced(scenario.run)
-            cache = result.extras["dataset"].cache_info()
-            rows.append(
-                {
-                    "mode": f"{label} ({LAZY_CLIENTS} clients)",
-                    "clients": LAZY_CLIENTS,
-                    "peak_mb": round(peaks[label] / 1e6, 1),
-                    "seconds": round(run_s, 3),
-                    "materialized": cache["materializations"],
-                }
-            )
-            del result
-        return rows, peaks
-
-    rows, peaks = run_once(benchmark, sweep)
+        del result
 
     # The acceptance pin: a full 1e5-client *training run* (two rounds,
     # evaluation included) stays under the memory of merely *building* a
@@ -128,8 +115,3 @@ def test_population_memory_is_o_sampled(benchmark):
 
     print(f"\nPopulation memory — lazy {LAZY_CLIENTS} vs eager {EAGER_CLIENTS} clients")
     print(format_table(rows))
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["lazy_clients"] = LAZY_CLIENTS
-    benchmark.extra_info["eager_clients"] = EAGER_CLIENTS
-    benchmark.extra_info["peak_bytes"] = {k: int(v) for k, v in peaks.items()}
-    benchmark.extra_info["cpu_count"] = os.cpu_count()

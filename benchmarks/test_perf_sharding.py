@@ -1,25 +1,22 @@
-"""Performance benches for sharded aggregation.
+"""Bit-identity of sharded aggregation at benchmark sizes.
 
-* ``test_sharded_fold_latency_scaling`` — wall clock of one full round fold
-  (accumulate × 32 clients + finalize), plain single fold vs. a 4-shard
-  worker-pool fold, across ``param_dim`` 1e5–1e6.  Bit-identity of the two
-  paths is asserted at every size; the speedups are recorded, not asserted,
-  because they depend on the host's cores (``perfbench/`` is the perf gate).
+* ``test_sharded_fold_latency_scaling`` — one full round fold (accumulate
+  × 32 clients + finalize), plain single fold vs. a 4-shard worker-pool
+  fold, across ``param_dim`` 1e5–1e6; the two results must be identical at
+  every size.
 * ``test_sharded_round_end_to_end`` — full federated rounds through the
   server with ``num_shards=4`` vs ``num_shards=1``; history bit-identity is
-  the assertion, the latency table is recorded for the perf trajectory.
+  the assertion.
+
+Fold latency is not measured here: it depends on the host's cores, and
+``perfbench/`` is the perf record.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.defenses.base import AggregationContext, MeanAggregator
-from repro.experiments.results import format_table
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
@@ -47,61 +44,20 @@ def _fold_round(aggregator, updates, param_dim):
     return aggregator.finalize(state, np.zeros(param_dim), ctx)
 
 
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
+def test_sharded_fold_latency_scaling():
+    """The sharded fold must stay bit-identical to the single fold."""
+    for param_dim in PARAM_DIMS:
+        updates = _synthetic_updates(param_dim)
+        plain_out = _fold_round(MeanAggregator(), updates, param_dim)
+        sharded = ShardedAggregator(MeanAggregator(), NUM_SHARDS)
+        try:
+            sharded_out = _fold_round(sharded, updates, param_dim)
+        finally:
+            sharded.close()
+        np.testing.assert_array_equal(sharded_out, plain_out)
 
 
-def test_sharded_fold_latency_scaling(benchmark):
-    """Sharded fold must stay bit-identical and scale with shard workers."""
-
-    def sweep():
-        rows = []
-        for param_dim in PARAM_DIMS:
-            updates = _synthetic_updates(param_dim)
-            plain_s, plain_out = _best_of(
-                lambda updates=updates, param_dim=param_dim: _fold_round(
-                    MeanAggregator(), updates, param_dim
-                )
-            )
-            sharded = ShardedAggregator(MeanAggregator(), NUM_SHARDS)
-            try:
-                sharded_s, sharded_out = _best_of(
-                    lambda updates=updates, param_dim=param_dim: _fold_round(
-                        sharded, updates, param_dim
-                    )
-                )
-            finally:
-                sharded.close()
-            np.testing.assert_array_equal(sharded_out, plain_out)
-            rows.append(
-                {
-                    "param_dim": param_dim,
-                    "plain_ms": round(plain_s * 1e3, 2),
-                    "sharded_ms": round(sharded_s * 1e3, 2),
-                    "speedup": round(plain_s / sharded_s, 2),
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    print(
-        f"\nStreaming-mean round fold — {NUM_CLIENTS} clients, "
-        f"{NUM_SHARDS} shard workers, {os.cpu_count()} cpus"
-    )
-    print(format_table(rows))
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["param_dim"] = PARAM_DIMS[-1]
-    benchmark.extra_info["num_shards"] = NUM_SHARDS
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-
-
-def test_sharded_round_end_to_end(benchmark):
+def test_sharded_round_end_to_end():
     """num_shards=4 vs 1 through the real server; histories bit-identical."""
     config = Scenario(
         dataset="femnist",
@@ -116,26 +72,11 @@ def test_sharded_round_end_to_end(benchmark):
         local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
         seed=3,
     )
-
-    def sweep():
-        rows = []
-        histories = {}
-        for shards in (1, NUM_SHARDS):
-            scenario = config.with_overrides(num_shards=shards)
-            start = time.perf_counter()
-            result = run_experiment(scenario)
-            elapsed = time.perf_counter() - start
-            histories[shards] = result.history
-            rows.append({"num_shards": shards, "seconds": round(elapsed, 3)})
-        return rows, histories
-
-    rows, histories = run_once(benchmark, sweep)
+    histories = {
+        shards: run_experiment(config.with_overrides(num_shards=shards)).history
+        for shards in (1, NUM_SHARDS)
+    }
     reference = histories[1].series("update_norm")
     assert histories[NUM_SHARDS].series("update_norm") == reference, (
         "sharded run diverged from the unsharded reference"
     )
-
-    print(f"\nEnd-to-end round latency — num_shards 1 vs {NUM_SHARDS}")
-    print(format_table(rows))
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["cpu_count"] = os.cpu_count()

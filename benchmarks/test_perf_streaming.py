@@ -15,7 +15,6 @@ import tracemalloc
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.defenses.base import AggregationContext, MeanAggregator
 from repro.experiments.results import format_table
 from repro.federated.engine.plan import ClientUpdate
@@ -41,7 +40,7 @@ def _traced_peak(fn):
     return out, peak
 
 
-def test_streaming_mean_peak_memory(benchmark):
+def test_streaming_mean_peak_memory():
     """Streaming aggregation must not materialise the round matrix."""
     global_params = np.zeros(PARAM_DIM)
 
@@ -59,9 +58,7 @@ def test_streaming_mean_peak_memory(benchmark):
         return aggregator.finalize(state, global_params, ctx)
 
     buffered_out, buffered_peak = _traced_peak(buffered)
-    streaming_out, streaming_peak = run_once(
-        benchmark, lambda: _traced_peak(streaming)
-    )
+    streaming_out, streaming_peak = _traced_peak(streaming)
 
     np.testing.assert_array_equal(streaming_out, buffered_out)
 
@@ -74,8 +71,6 @@ def test_streaming_mean_peak_memory(benchmark):
         f"param_dim={PARAM_DIM}"
     )
     print(format_table(rows, floatfmt=".1f"))
-    benchmark.extra_info["buffered_peak_mib"] = buffered_peak / 2**20
-    benchmark.extra_info["streaming_peak_mib"] = streaming_peak / 2**20
 
     matrix_bytes = NUM_CLIENTS * PARAM_DIM * 8
     assert buffered_peak > matrix_bytes, "buffered path should hold the full stack"

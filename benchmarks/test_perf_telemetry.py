@@ -9,10 +9,9 @@ and the medians are compared, because a single run's wall time on a shared
 CI machine is too noisy to gate a single-digit-percent bound on.
 
 The enabled run's whole-run phase breakdown
-(:func:`repro.telemetry.render.phase_totals`) is tagged into
-``extra_info["phases"]``, which ``benchmarks/record.py`` distills into the
-BENCH trajectory — the perf record then says *where* the benchmark's time
-went, not just how much there was.
+(:func:`repro.telemetry.render.phase_totals`) is printed next to the
+medians, so a blown budget says *where* the time went, not just how much
+there was.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import os
 import statistics
 import time
 
-from benchmarks.conftest import run_once
 from repro.experiments.results import format_table
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
@@ -57,27 +55,23 @@ def _scenario() -> Scenario:
     )
 
 
-def test_telemetry_overhead(benchmark):
+def test_telemetry_overhead():
     """telemetry off vs on: identical histories, <5% median latency cost."""
     base = _scenario()
     assert PARAM_DIM >= 100_000
 
-    def sweep():
-        times = {"off": [], "on": []}
-        histories = {}
-        last_result = {}
-        # Alternate modes so drift (cache warmup, cpu frequency) hits both.
-        for _ in range(REPEATS):
-            for label, enabled in (("off", False), ("on", True)):
-                scenario = base.with_overrides(telemetry=enabled)
-                start = time.perf_counter()
-                result = scenario.run()
-                times[label].append(time.perf_counter() - start)
-                histories[label] = result.history.to_dict()["records"]
-                last_result[label] = result
-        return times, histories, last_result
-
-    times, histories, last_result = run_once(benchmark, sweep)
+    times = {"off": [], "on": []}
+    histories = {}
+    last_result = {}
+    # Alternate modes so drift (cache warmup, cpu frequency) hits both.
+    for _ in range(REPEATS):
+        for label, enabled in (("off", False), ("on", True)):
+            scenario = base.with_overrides(telemetry=enabled)
+            start = time.perf_counter()
+            result = scenario.run()
+            times[label].append(time.perf_counter() - start)
+            histories[label] = result.history.to_dict()["records"]
+            last_result[label] = result
     assert histories["on"] == histories["off"], (
         f"telemetry changed the history at param_dim={PARAM_DIM}"
     )
@@ -110,8 +104,3 @@ def test_telemetry_overhead(benchmark):
     )
     print(format_table(rows))
     print(f"overhead: {overhead:+.1%}; phases: {phases}")
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["param_dim"] = PARAM_DIM
-    benchmark.extra_info["overhead_pct"] = round(overhead * 100.0, 2)
-    benchmark.extra_info["phases"] = phases
-    benchmark.extra_info["cpu_count"] = os.cpu_count()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.statistics import gradient_indistinguishability
 from repro.defenses.detector import StatisticalDetector
 from repro.experiments.gradient_geometry import _collect_round_updates
@@ -18,11 +17,11 @@ from repro.experiments.results import format_table
 from repro.metrics.gradients import angles_to_reference
 
 
-def test_statistical_bypass(benchmark, femnist_bench_config):
+def test_statistical_bypass(femnist_bench_config):
     config = femnist_bench_config.with_overrides(
         psi_low=0.95, psi_high=0.99, clip_bound=0.5
     )
-    collected = run_once(benchmark, _collect_round_updates, config, "collapois")
+    collected = _collect_round_updates(config, "collapois")
     benign = collected["benign"]
     malicious = collected["malicious"]
     reference = np.vstack([benign, malicious]).mean(axis=0)

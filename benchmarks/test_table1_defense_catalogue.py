@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.defenses.base import AggregationContext
 from repro.defenses.registry import available_defenses, make_defense
 from repro.experiments.gradient_geometry import _collect_round_updates
@@ -36,10 +35,8 @@ def test_table1_every_defense_is_implemented():
         assert row in names, f"Table I defense {row!r} is missing"
 
 
-def test_table1_defenses_on_a_collapois_round(benchmark, femnist_bench_config):
-    collected = run_once(
-        benchmark, _collect_round_updates, femnist_bench_config, "collapois"
-    )
+def test_table1_defenses_on_a_collapois_round(femnist_bench_config):
+    collected = _collect_round_updates(femnist_bench_config, "collapois")
     benign = collected["benign"]
     malicious = collected["malicious"]
     updates = np.vstack([benign, malicious])

@@ -146,25 +146,6 @@ class Aggregator:
     #: this flag as the ``server-blind`` capability.
     requires_plaintext_updates = False
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # A subclass that replaces the matrix math without touching the fold
-        # machinery (e.g. a test double overriding ``aggregate`` on top of
-        # MeanAggregator) would otherwise inherit a slice fold that no longer
-        # matches its own aggregate() — drop it back to the buffering
-        # fallback, which delegates to the subclass's aggregate().
-        overrides_matrix = "aggregate" in cls.__dict__
-        touches_fold = {
-            "shardable", "_begin", "_fold", "_finalize",
-            "begin_round", "accumulate", "finalize",
-            "prepare_update", "fold_aux", "fold_slice", "finalize_vector",
-        } & cls.__dict__.keys()
-        if overrides_matrix and not touches_fold:
-            cls.shardable = False
-            cls._begin = Aggregator._begin
-            cls._fold = Aggregator._fold
-            cls._finalize = Aggregator._finalize
-
     # -- matrix protocol ---------------------------------------------------
 
     def aggregate(

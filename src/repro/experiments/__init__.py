@@ -3,8 +3,8 @@
 Every figure in the paper's evaluation section has a corresponding function
 here that sweeps the relevant parameter (Dirichlet α, compromised fraction,
 defense, training algorithm, …) and returns the series the figure plots.
-The benchmark suite under ``benchmarks/`` calls these functions and prints
-the regenerated rows; ``EXPERIMENTS.md`` records paper-vs-measured values.
+The benchmark suite under ``benchmarks/`` calls these functions, prints
+the regenerated rows and asserts the shape of each result.
 """
 
 from repro.experiments.attack_comparison import attack_comparison_sweep, baseline_sensitivity_sweep

@@ -20,9 +20,9 @@ from repro.federated.engine.hooks import RoundHook
 class RoundSeriesHook(RoundHook):
     """Collects the per-round evaluation series as it is produced.
 
-    Runs after the server's :class:`~repro.federated.engine.hooks.EvaluationHook`
-    (constructor hooks are registered first), so the record already carries
-    the round's metrics when this hook sees it.
+    Runs after the runner's :class:`~repro.federated.engine.hooks.EvaluationHook`
+    (registered ahead of user hooks), so the record already carries the
+    round's metrics when this hook sees it.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,7 @@ from repro.defenses.registry import make_defense
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.federated.engine.backends import make_backend
-from repro.federated.engine.hooks import RoundHook
+from repro.federated.engine.hooks import EvaluationHook, RoundHook
 from repro.federated.engine.ledger import CommunicationLedger, LedgerHook
 from repro.federated.server import FederatedServer
 from repro.metrics.accuracy import evaluate_clients
@@ -183,18 +183,8 @@ def build_backend(config: Scenario):
     ``configure_scenario``; they get the scenario itself so their workers
     can rebuild the execution context remotely.
     """
-    kwargs = dict(config.backend_kwargs)
-    if config.secure_aggregation:
-        # Backends with a construction-time secagg check (the distributed
-        # coordinator rejecting lossy wire formats) get the flag; in-process
-        # backends are driven purely by the server's engine context.
-        from repro.registry import BACKENDS
-
-        accepted = {p.name for p in BACKENDS.describe(config.backend)}
-        if "secure_aggregation" in accepted:
-            kwargs.setdefault("secure_aggregation", True)
     backend = make_backend(
-        config.backend, max_workers=config.backend_workers, **kwargs
+        config.backend, max_workers=config.backend_workers, **config.backend_kwargs
     )
     configure = getattr(backend, "configure_scenario", None)
     if configure is not None:
@@ -210,8 +200,9 @@ def run_experiment(
     """Run a full experiment: build, train, evaluate at the client level.
 
     ``hooks`` are extra round hooks registered on the server's pipeline —
-    the supported way to instrument a run (the evaluation hook derived from
-    ``config.eval_every`` is always registered through the constructor).
+    the supported way to instrument a run.  They run after the evaluation
+    hook derived from ``config.eval_every`` and the ledger hook, so they
+    observe round records with metrics already filled in.
     ``prebuilt_data`` optionally supplies an already-built
     ``(dataset, generator)`` pair whose construction parameters match the
     scenario — :class:`~repro.experiments.suite.Suite` uses this to share
@@ -249,7 +240,7 @@ def run_experiment(
     # evaluation O(evaluated clients) at 1e5+ scale.
     benign_ids = [c for c in dataset.eval_client_ids() if c not in compromised_set]
 
-    eval_fn = None
+    eval_hooks = []
     if config.eval_every:
 
         def eval_fn(global_params, round_idx):
@@ -263,6 +254,8 @@ def run_experiment(
                 max_test_samples=config.max_test_samples,
             )
             return evaluation.as_dict()
+
+        eval_hooks.append(EvaluationHook(eval_fn, every=config.eval_every))
 
     backend = build_backend(config)
     # Every run carries a communication ledger: the LedgerHook accounts the
@@ -282,9 +275,8 @@ def run_experiment(
         aggregator=make_defense(config.defense, **config.defense_kwargs),
         attack=attack,
         compromised_ids=compromised,
-        eval_fn=eval_fn,
         backend=backend,
-        hooks=[ledger_hook, *(hooks or ())],
+        hooks=[*eval_hooks, ledger_hook, *(hooks or ())],
     )
 
     # Context manager: worker processes and shard pools are released even

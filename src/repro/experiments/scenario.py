@@ -70,8 +70,7 @@ class Scenario:
     """Everything needed to run one federated-training experiment.
 
     Defaults are sized for laptop-scale smoke runs; the benchmark harness
-    scales ``num_clients`` / ``rounds`` up and the paper-scale parameters
-    are recorded in ``EXPERIMENTS.md``.
+    scales ``num_clients`` / ``rounds`` up.
     """
 
     # Identity (optional, used by suites/CLI output)
@@ -241,6 +240,15 @@ class Scenario:
             defense = DEFENSES.get(self.defense)
             if getattr(defense, "requires_plaintext_updates", False):
                 raise PlaintextRequiredError(self.defense)
+            wire_dtype = self.backend_kwargs.get("wire_dtype", "float64")
+            if wire_dtype != "float64":
+                raise ValueError(
+                    "secure aggregation is incompatible with wire_dtype="
+                    f"{wire_dtype!r}: masked updates are IEEE-754 float64 words "
+                    "plus a pairwise mask mod 2**64, and any narrowing round-trip "
+                    "corrupts the ciphertext so the masks no longer cancel; use "
+                    "the bit-exact float64 wire format"
+                )
 
     def server_config(self) -> ServerConfig:
         """The server-side round configuration this scenario runs with.
@@ -262,7 +270,6 @@ class Scenario:
             server_lr=self.server_lr,
             seed=self.seed,
             local=self.local,
-            eval_every=self.eval_every,
             num_shards=self.num_shards,
             secure_aggregation=self.secure_aggregation,
             telemetry=self.telemetry,

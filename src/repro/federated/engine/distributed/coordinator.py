@@ -113,7 +113,6 @@ class DistributedBackend(ExecutionBackend):
         connect: str | list[str] | None = None,
         spawn_timeout: float = 60.0,
         wire_dtype: str = "float64",
-        secure_aggregation: bool = False,
     ) -> None:
         super().__init__()
         if max_workers is not None and max_workers <= 0:
@@ -123,21 +122,9 @@ class DistributedBackend(ExecutionBackend):
         self.spawn_timeout = spawn_timeout
         # Validate at construction so a typo fails before workers spawn.
         serialization.wire_dtype(wire_dtype)
-        if secure_aggregation and wire_dtype != "float64":
-            raise ValueError(
-                "secure aggregation is incompatible with wire_dtype="
-                f"{wire_dtype!r}: masked updates are IEEE-754 float64 words "
-                "plus a pairwise mask mod 2**64, and any narrowing round-trip "
-                "corrupts the ciphertext so the masks no longer cancel; use "
-                "the bit-exact float64 wire format"
-            )
         #: Wire encoding of every parameter/update vector this backend ships
         #: ("float64" = bit-exact default, "float32" = lossy, half traffic).
         self.wire_dtype = wire_dtype
-        #: Declared at construction so an incompatible wire_dtype fails here
-        #: rather than rounds later; the round-time trigger is the server's
-        #: ``ctx.secagg_seed`` (guarded again in ``iter_updates``).
-        self.secure_aggregation = secure_aggregation
         self._links: list[_WorkerLink] = []
         self._started = False
         self._scenario_payload: dict | None = None
@@ -364,9 +351,9 @@ class DistributedBackend(ExecutionBackend):
         live: list[_WorkerLink] = []
         secagg_seed = ctx.secagg_seed
         if secagg_seed is not None and self.wire_dtype != "float64":
-            # Belt and braces behind the constructor check: the round-time
-            # trigger is the server's context, which a direct backend user
-            # can reach without the constructor flag.
+            # Scenario construction rejects this pairing; a direct
+            # FederatedServer user reaches it only here, before any worker
+            # spawns.
             raise RuntimeError(
                 "secure aggregation is active but this coordinator ships "
                 f"wire_dtype={self.wire_dtype!r}; masked updates survive only "

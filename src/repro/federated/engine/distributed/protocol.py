@@ -56,7 +56,10 @@ from repro.nn.serialization import vector_from_bytes, vector_to_bytes, wire_dtyp
 #: using ``mono`` (the worker's monotonic send timestamp) for a per-link
 #: clock-offset estimate.  Strictly observational — the blob never feeds
 #: back into aggregation.
-PROTOCOL_VERSION = 4
+#: Version 5 added ``population`` and ``population_kwargs`` to the
+#: ``CONFIGURE`` context, so a worker rebuilds the driver's lazy population
+#: instead of an eager federation with different client data.
+PROTOCOL_VERSION = 5
 
 _MAGIC = b"RW"
 _HEADER = struct.Struct(">2sBBI")
@@ -252,9 +255,10 @@ def recv_message(
 # -- execution-context payloads ---------------------------------------------
 
 #: The scenario fields a worker needs to rebuild the benign execution
-#: context (federation, model factory, algorithm, local-training config).
-#: Deliberately excludes attack/defense/round-count fields so re-running a
-#: scenario with a different defense reuses a standalone worker's cache.
+#: context (federation or lazy population, model factory, algorithm,
+#: local-training config).  Deliberately excludes attack/defense/round-count
+#: fields so re-running a scenario with a different defense reuses a
+#: standalone worker's cache.
 CONTEXT_FIELDS = (
     "dataset",
     "dataset_kwargs",
@@ -264,6 +268,8 @@ CONTEXT_FIELDS = (
     "num_classes",
     "image_size",
     "data_seed",
+    "population",
+    "population_kwargs",
     "model",
     "model_kwargs",
     "hidden",

@@ -123,28 +123,21 @@ class EvaluationHook(RoundHook):
     ``eval_fn(global_params, round_idx)`` returns a metrics dict; the keys
     ``benign_accuracy`` and ``attack_success_rate`` are promoted to the
     record's typed fields and the full dict lands in ``record.extras``.
-
-    ``every=None`` defers the period to ``server.config.eval_every`` at round
-    time (the historical server semantics: assigning ``eval_fn`` before
-    enabling ``eval_every`` is fine, and evaluation stays off while
-    ``eval_every`` is unset).
+    Evaluation runs after every ``every``-th round.
     """
 
     def __init__(
         self,
         eval_fn: Callable[[np.ndarray, int], dict],
-        every: int | None = 1,
+        every: int = 1,
     ) -> None:
-        if every is not None and every <= 0:
+        if every <= 0:
             raise ValueError("every must be positive")
         self.eval_fn = eval_fn
         self.every = every
 
     def on_round_end(self, server, plan: RoundPlan, record: RoundRecord) -> None:
-        every = self.every
-        if every is None:
-            every = getattr(server.config, "eval_every", None)
-        if not every or (record.round_idx + 1) % every:
+        if (record.round_idx + 1) % self.every:
             return
         with maybe_span(
             getattr(server, "telemetry", None), "evaluate", round=record.round_idx

@@ -27,7 +27,7 @@ from repro.federated.engine.backends import (
     make_backend,
     maybe_span,
 )
-from repro.federated.engine.hooks import EvaluationHook, HookPipeline, RoundHook
+from repro.federated.engine.hooks import HookPipeline, RoundHook
 from repro.federated.engine.plan import ClientUpdate, build_round_plan
 from repro.federated.engine.sharding import maybe_shard
 from repro.federated.history import RoundRecord, TrainingHistory
@@ -94,7 +94,6 @@ class ServerConfig:
     server_lr: float = 1.0
     seed: int = 0
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    eval_every: int | None = None
     num_shards: int = 1
     secure_aggregation: bool = False
     participation: object | None = None
@@ -165,7 +164,6 @@ class FederatedServer:
         aggregator: Aggregator | None = None,
         attack=None,
         compromised_ids: list[int] | None = None,
-        eval_fn: Callable[[np.ndarray, int], dict] | None = None,
         backend: ExecutionBackend | str | None = None,
         hooks: Sequence[RoundHook] | None = None,
         participation: ParticipationModel | None = None,
@@ -253,11 +251,9 @@ class FederatedServer:
                 telemetry=self.telemetry,
             )
         )
-        # The evaluation hook is registered first so user hooks observe round
-        # records with metrics already filled in.
+        # Hooks run in the order given; pass an EvaluationHook first so later
+        # hooks observe round records with metrics already filled in.
         self.hooks = HookPipeline()
-        if eval_fn is not None:
-            self.hooks.add(EvaluationHook(eval_fn, every=None))
         for hook in hooks or ():
             self.hooks.add(hook)
         if self.telemetry is not None:

@@ -367,27 +367,6 @@ class TestStreamingProtocol:
             streamed = _stream(factory(), benign_updates, GLOBAL, _ctx())
             np.testing.assert_array_equal(streamed, matrix)
 
-    def test_subclass_overriding_aggregate_loses_shardable_flag(self):
-        class Doubled(MeanAggregator):
-            def aggregate(self, updates, global_params, ctx):
-                return 2.0 * updates.mean(axis=0)
-
-        assert Doubled.shardable is False
-        # ... but the buffering fallback routes streaming calls through the
-        # subclass's own matrix math.
-        updates = np.arange(8, dtype=np.float64).reshape(2, 4)
-        streamed = _stream(Doubled(), updates, np.zeros(4), _ctx())
-        np.testing.assert_array_equal(streamed, 2.0 * updates.mean(axis=0))
-
-    def test_subclass_redeclaring_shardable_keeps_it(self):
-        class StillShardable(MeanAggregator):
-            shardable = True
-
-            def aggregate(self, updates, global_params, ctx):
-                return updates.mean(axis=0)
-
-        assert StillShardable.shardable is True
-
 
 class TestClipToNorm:
     def test_matches_matrix_clipping_bitwise(self, rng):

@@ -321,6 +321,18 @@ class TestBitIdentity:
         first_round = arrivals[:per_round]
         assert first_round != sorted(first_round), "delays failed to reorder arrivals"
 
+    def test_lazy_population_reaches_the_workers(self):
+        """Workers rebuild the driver's lazy population, not an eager federation."""
+        population = dict(
+            num_clients=200,
+            samples_per_client=12,
+            sample_rate=0.05,
+            population="synthetic:cache_size=16",
+        )
+        serial = base_scenario(**population).run().history.to_dict()["records"]
+        records, _server = distributed_history(backend_workers=1, **population)
+        assert records == serial
+
     def test_worker_kill_redispatches_and_matches_serial(self, monkeypatch):
         """SIGKILLing a worker mid-round re-runs its tasks on the survivor."""
         monkeypatch.setenv("REPRO_WORKER_TEST_DELAY", "0.3")

@@ -8,6 +8,7 @@ import pytest
 from repro.attacks.triggers import PixelPatchTrigger
 from repro.core.collapois import CollaPoisAttack
 from repro.defenses.base import AggregationContext, MeanAggregator
+from repro.experiments.runner import run_experiment
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine import (
@@ -182,12 +183,10 @@ class TestHookPipeline:
     def test_constructor_eval_fn_registers_single_hook(
         self, small_federation, image_model_factory
     ):
-        config = ServerConfig(
-            rounds=1, participation="uniform:sample_rate=0.5", seed=2, eval_every=1
-        )
+        config = ServerConfig(rounds=1, participation="uniform:sample_rate=0.5", seed=2)
         server = FederatedServer(
             small_federation, image_model_factory, FedAvg(), config,
-            eval_fn=lambda params, idx: {"benign_accuracy": 0.9},
+            hooks=[EvaluationHook(lambda params, idx: {"benign_accuracy": 0.9})],
         )
         assert len(server.hooks) == 1
         record = server.run_round()
@@ -201,41 +200,17 @@ class TestHookPipeline:
         pipeline.remove(hook)
         assert len(pipeline) == 0
 
-    def test_eval_fn_runs_before_user_hooks(
-        self, small_federation, image_model_factory
-    ):
-        # The evaluation hook is always first in the pipeline, so user hooks
+    def test_eval_fn_runs_before_user_hooks(self, tiny_config):
+        # The runner registers the evaluation hook first, so user hooks
         # observe records with the metrics already filled in.
         seen = []
         collector = CallbackHook(
             on_round_end=lambda s, p, rec: seen.append(rec.benign_accuracy)
         )
-        config = ServerConfig(
-            rounds=1, participation="uniform:sample_rate=0.5", seed=2, eval_every=1
-        )
-        server = FederatedServer(
-            small_federation, image_model_factory, FedAvg(), config,
-            eval_fn=lambda params, idx: {"benign_accuracy": 0.7},
-            hooks=[collector],
-        )
-        server.run()
-        assert seen == [0.7]
-
-    def test_eval_fn_respects_eval_every_toggle(
-        self, small_federation, image_model_factory
-    ):
-        # The hook gates on config.eval_every at round end, so toggling it
-        # mid-run takes effect immediately.
-        config = ServerConfig(rounds=2, participation="uniform:sample_rate=0.5", seed=2)
-        server = FederatedServer(
-            small_federation, image_model_factory, FedAvg(), config,
-            eval_fn=lambda params, idx: {"benign_accuracy": 0.4},
-        )
-        first = server.run_round()
-        assert first.benign_accuracy is None  # eval_every still unset
-        server.config.eval_every = 1
-        second = server.run_round()
-        assert second.benign_accuracy == 0.4
+        result = run_experiment(tiny_config.with_overrides(rounds=2, eval_every=1),
+                                hooks=[collector])
+        assert seen == result.history.series("benign_accuracy")
+        assert None not in seen
 
     def test_backend_rebind_resets_driver_model(self, small_federation, image_model_factory):
         backend = SerialBackend()
@@ -256,6 +231,8 @@ class TestAggregationContext:
         contexts = []
 
         class RecordingAggregator(MeanAggregator):
+            shardable = False  # buffer the round so aggregate() runs
+
             def aggregate(self, updates, global_params, ctx):
                 contexts.append(ctx)
                 return super().aggregate(updates, global_params, ctx)

