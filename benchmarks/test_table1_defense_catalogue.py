@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import AggregationContext
-from repro.defenses.registry import available_defenses, make_defense
 from repro.experiments.gradient_geometry import _collect_round_updates
 from repro.experiments.results import format_table
+from repro.registry import DEFENSES
 
 TABLE1_ROWS = [
     "krum",          # Krum / Multi-Krum
@@ -30,7 +30,7 @@ TABLE1_ROWS = [
 
 
 def test_table1_every_defense_is_implemented():
-    names = available_defenses()
+    names = DEFENSES.names()
     for row in TABLE1_ROWS:
         assert row in names, f"Table I defense {row!r} is missing"
 
@@ -45,7 +45,7 @@ def test_table1_defenses_on_a_collapois_round(femnist_bench_config):
     ctx = AggregationContext(rng=np.random.default_rng(0))
     rows = []
     for name in TABLE1_ROWS + ["mean", "detector"]:
-        defense = make_defense(name)
+        defense = DEFENSES.create(name)
         aggregated = defense(updates, global_params, ctx)
         rows.append(
             {

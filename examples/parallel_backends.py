@@ -16,7 +16,8 @@ import sys
 import time
 
 from repro.experiments import Scenario, run_experiment
-from repro.federated.engine import RoundHook, available_backends
+from repro.federated.engine import RoundHook
+from repro.registry import BACKENDS
 
 
 class ProgressHook(RoundHook):
@@ -50,7 +51,7 @@ def main() -> int:
     # "distributed" runs socket worker processes on separate interpreters
     # (pays ~1s/worker spawn, the price of the multi-host story — see README).
     backends = ["serial", "batched", "distributed"]
-    print(f"Registered backends: {', '.join(available_backends())}")
+    print(f"Registered backends: {', '.join(BACKENDS.names())}")
 
     histories = {}
     for backend in backends:

@@ -10,11 +10,11 @@ Seven subcommands::
     python -m repro worker --listen :0   # standalone distributed worker
     python -m repro lint [paths]         # project-specific static analysis
 
-``run`` accepts ``--set key=value`` overrides (values parsed as literals,
-component fields accept spec strings like ``--set defense=krum:multi=3``),
-``--shards N`` to fold shard-capable defenses across a worker pool,
-``--telemetry on|off`` to record out-of-band span/metric telemetry, and
-``--out results.json`` to write the full
+``run`` accepts ``--set key=value`` overrides of any scenario field (values
+parsed as literals, component fields accept spec strings like
+``--set defense=krum:multi=3``; e.g. ``--set backend=batched``,
+``--set num_shards=4``, ``--set secure_aggregation=true``,
+``--set telemetry=true``) and ``--out results.json`` to write the full
 :class:`~repro.experiments.results.ExperimentResult` as JSON — the file
 reloads losslessly via ``ExperimentResult.load()`` and re-running the
 embedded scenario reproduces the history bit-identically.
@@ -31,44 +31,6 @@ from repro.experiments.results import format_table
 from repro.experiments.scenario import Scenario
 from repro.experiments.suite import Suite
 from repro.registry import BACKENDS, DEFENSES, Registry, parse_literal
-
-
-def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a scenario field (repeatable); values are parsed as "
-        "literals, component fields accept spec strings",
-    )
-    parser.add_argument(
-        "--backend", help="override the client-execution backend for every run"
-    )
-    parser.add_argument(
-        "--workers", type=int, help="worker cap for the distributed backend"
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        help="split the update fold across this many parameter shards "
-        "(shard-capable defenses only; others keep the single fold)",
-    )
-    parser.add_argument(
-        "--secagg",
-        action="store_true",
-        help="run under pairwise-masked secure aggregation (server-blind "
-        "defenses only; histories stay bit-identical to plaintext)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        choices=("on", "off"),
-        help="record out-of-band run telemetry — span traces, engine "
-        "metrics, worker-side profiling (default off; histories are "
-        "bit-identical either way)",
-    )
-    parser.add_argument("--out", type=Path, help="write results as JSON")
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -128,16 +90,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.load(args.scenario)
     overrides = _parse_overrides(args.overrides)
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.workers is not None:
-        overrides["backend_workers"] = args.workers
-    if args.shards is not None:
-        overrides["num_shards"] = args.shards
-    if args.secagg:
-        overrides["secure_aggregation"] = True
-    if args.telemetry is not None:
-        overrides["telemetry"] = args.telemetry == "on"
     if overrides:
         scenario = scenario.with_overrides(**overrides)
     label = scenario.name or Path(args.scenario).stem
@@ -277,7 +229,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not isinstance(telemetry, dict) or "spans" not in telemetry:
         print(
             f"error: {args.results} carries no telemetry "
-            "(re-run with --telemetry on)",
+            "(re-run with --set telemetry=true)",
             file=sys.stderr,
         )
         return 2
@@ -312,7 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one scenario JSON file")
     run_parser.add_argument("scenario", type=Path, help="path to a scenario JSON")
-    _add_run_overrides(run_parser)
+    run_parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a scenario field (repeatable); values are parsed as "
+        "literals, component fields accept spec strings",
+    )
+    run_parser.add_argument("--out", type=Path, help="write results as JSON")
     run_parser.set_defaults(func=_cmd_run)
 
     sweep_parser = sub.add_parser("sweep", help="run a sweep-suite JSON file")
@@ -344,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the telemetry trace of a results JSON",
         description="Render the per-round phase breakdown, slowest "
         "client-training tasks, engine metrics and worker clock offsets of "
-        "the telemetry embedded in a `repro run --telemetry on --out "
+        "the telemetry embedded in a `repro run --set telemetry=true --out "
         "results.json` file (also accepts a bare telemetry dict).",
     )
     trace_parser.add_argument(

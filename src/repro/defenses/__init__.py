@@ -44,7 +44,6 @@ from repro.defenses.flare import FLARE
 from repro.defenses.krum import Krum
 from repro.defenses.median import CoordinateMedian
 from repro.defenses.norm_bound import NormBound
-from repro.defenses.registry import available_defenses, make_defense
 from repro.defenses.rlr import RobustLearningRate
 from repro.defenses.signsgd import SignSGDAggregator
 from repro.defenses.trimmed_mean import TrimmedMean
@@ -68,6 +67,4 @@ __all__ = [
     "CRFL",
     "DittoPersonalizer",
     "StatisticalDetector",
-    "available_defenses",
-    "make_defense",
 ]

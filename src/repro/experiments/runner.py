@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.stealth import StealthConfig
 from repro.data.federated_data import FederatedDataset, build_federated_dataset
-from repro.defenses.registry import make_defense
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.federated.engine.backends import make_backend
@@ -25,7 +24,15 @@ from repro.federated.server import FederatedServer
 from repro.metrics.accuracy import evaluate_clients
 from repro.nn.layers import Flatten
 from repro.nn.model import Sequential
-from repro.registry import ALGORITHMS, ATTACKS, DATASETS, MODELS, POPULATIONS, TRIGGERS
+from repro.registry import (
+    ALGORITHMS,
+    ATTACKS,
+    DATASETS,
+    DEFENSES,
+    MODELS,
+    POPULATIONS,
+    TRIGGERS,
+)
 
 
 def build_dataset(config: Scenario) -> tuple[FederatedDataset, object]:
@@ -272,7 +279,7 @@ def run_experiment(
         model_factory,
         algorithm,
         config.server_config(),
-        aggregator=make_defense(config.defense, **config.defense_kwargs),
+        aggregator=DEFENSES.create(config.defense, **config.defense_kwargs),
         attack=attack,
         compromised_ids=compromised,
         backend=backend,

@@ -108,10 +108,10 @@ class Suite:
         backend: str | None = None,
         backend_workers: int | None = None,
         hooks_factory: Callable[[Scenario], Sequence] | None = None,
-        reuse_datasets: bool = True,
     ) -> list[CellResult]:
         """Run every cell and return its results in grid order.
 
+        Cells whose data-defining fields agree share one built federation.
         ``backend``/``backend_workers`` override the client-execution
         backend of every cell; ``hooks_factory`` builds per-cell round hooks
         (returned on the :class:`CellResult` for collection).
@@ -127,18 +127,17 @@ class Suite:
             ]
 
         datasets: dict[tuple, tuple] = {}
-        if reuse_datasets:
-            for scenario in scenarios:
-                signature = scenario.data_signature()
-                if signature not in datasets:
-                    datasets[signature] = build_dataset(scenario)
+        for scenario in scenarios:
+            signature = scenario.data_signature()
+            if signature not in datasets:
+                datasets[signature] = build_dataset(scenario)
 
         def run_cell(scenario: Scenario, overrides: dict) -> CellResult:
             hooks = list(hooks_factory(scenario)) if hooks_factory is not None else None
             result = run_experiment(
                 scenario,
                 hooks=hooks,
-                prebuilt_data=datasets.get(scenario.data_signature()),
+                prebuilt_data=datasets[scenario.data_signature()],
             )
             return CellResult(
                 scenario=scenario,

@@ -22,7 +22,6 @@ from repro.federated.algorithms.metafed import MetaFed
 from repro.federated.client import LocalTrainingConfig, local_train
 from repro.federated.engine import (
     CallbackHook,
-    ClientResult,
     ClientTask,
     ClientUpdate,
     EvaluationHook,
@@ -31,7 +30,6 @@ from repro.federated.engine import (
     RoundHook,
     RoundPlan,
     SerialBackend,
-    available_backends,
     build_round_plan,
     make_backend,
 )
@@ -72,14 +70,12 @@ __all__ = [
     "ServerConfig",
     "ExecutionBackend",
     "SerialBackend",
-    "available_backends",
     "make_backend",
     "RoundHook",
     "HookPipeline",
     "EvaluationHook",
     "CallbackHook",
     "ClientTask",
-    "ClientResult",
     "ClientUpdate",
     "RoundPlan",
     "build_round_plan",

@@ -19,7 +19,6 @@ from repro.federated.engine.backends import (
     EngineContext,
     ExecutionBackend,
     SerialBackend,
-    available_backends,
     make_backend,
     run_benign_task,
     run_malicious_task,
@@ -39,7 +38,6 @@ from repro.federated.engine.ledger import (
     LedgerHook,
 )
 from repro.federated.engine.plan import (
-    ClientResult,
     ClientTask,
     ClientUpdate,
     RoundPlan,
@@ -60,7 +58,6 @@ __all__ = [
     "BatchedBackend",
     "BatchedClientRunner",
     "SerialBackend",
-    "available_backends",
     "make_backend",
     "run_benign_task",
     "run_malicious_task",
@@ -71,7 +68,6 @@ __all__ = [
     "CommunicationLedger",
     "LedgerHook",
     "ClientTask",
-    "ClientResult",
     "ClientUpdate",
     "RoundPlan",
     "build_round_plan",

@@ -9,8 +9,16 @@ round's benign clients as one stacked model, and the ``distributed`` backend
 (:mod:`repro.federated.engine.distributed`) runs them on socket-connected
 worker processes.
 
-Malicious updates are always computed in the driver process, in task order:
-attacks are stateful by contract (``MRepl.attacked_rounds``, CollaPois'
+Whatever trains a client builds its :class:`ClientUpdate`, with the
+example count of the training data it already holds: :func:`run_benign_task`
+and :func:`run_malicious_task` here, the batched runner, and the distributed
+worker (whose UPDATE frame carries the count to the coordinator).  A
+driver-side update then passes :meth:`ExecutionBackend.seal`, which masks it
+under secure aggregation.
+
+Malicious updates are always computed in the driver process, in task order,
+by the one generator :meth:`ExecutionBackend._malicious_updates`: attacks
+are stateful by contract (``MRepl.attacked_rounds``, CollaPois'
 ``psi_history``) and their cross-round state must live where the server can
 see it.  Benign updates only *read* shared state (dataset, algorithm state,
 global parameters), which is what makes them safe to parallelise.
@@ -28,14 +36,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.data.federated_data import FederatedDataset
 from repro.federated.algorithms.base import FederatedAlgorithm
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine.plan import ClientResult, ClientTask, ClientUpdate, RoundPlan
+from repro.federated.engine.plan import ClientTask, ClientUpdate, RoundPlan
 from repro.registry import BACKENDS
 
 
@@ -81,27 +89,36 @@ def maybe_span(telemetry, name: str, **attrs):
 
 
 def run_benign_task(
-    ctx: EngineContext, task: ClientTask, global_params: np.ndarray, model
-) -> ClientResult:
-    """Execute one benign client task on the given scratch model."""
+    ctx: EngineContext,
+    task: ClientTask,
+    global_params: np.ndarray,
+    model,
+    train=None,
+) -> ClientUpdate:
+    """Execute one benign client task on the given scratch model.
+
+    ``train`` is the client's training data when the caller already holds
+    it; otherwise it is looked up here, once.
+    """
+    if train is None:
+        train = ctx.dataset.client(task.client_id).train
     with maybe_span(
         ctx.telemetry, "client_train", round=task.round_idx, client=task.client_id
     ):
         update, loss = ctx.algorithm.benign_update(
-            task.client_id,
-            model,
-            global_params,
-            ctx.dataset.client(task.client_id).train,
-            ctx.local_config,
-            task.rng(),
+            task.client_id, model, global_params, train, ctx.local_config, task.rng()
         )
-    return ClientResult(task=task, update=update, loss=loss)
+    return task.update(update, len(train), loss)
 
 
 def run_malicious_task(
     ctx: EngineContext, task: ClientTask, global_params: np.ndarray, model
-) -> ClientResult:
-    """Execute one compromised client task through the active attack."""
+) -> ClientUpdate:
+    """Execute one compromised client task through the active attack.
+
+    The update reports the client's own example count, so a weighted
+    defense weighs it like any benign participant of the same size.
+    """
     if ctx.attack is None:
         raise RuntimeError("malicious task scheduled without an active attack")
     with maybe_span(
@@ -115,7 +132,7 @@ def run_malicious_task(
             model=model,
             rng=task.rng(),
         )
-    return ClientResult(task=task, update=update, loss=None)
+    return task.update(update, len(ctx.dataset.client(task.client_id).train))
 
 
 class ExecutionBackend:
@@ -167,42 +184,51 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def make_update(self, result: ClientResult, plan: RoundPlan) -> ClientUpdate:
-        """Wrap an executed result with its client's dataset weight.
+    def seal(self, update: ClientUpdate, plan: RoundPlan) -> ClientUpdate:
+        """Mask a driver-side update under secure aggregation.
 
-        The single choke point where results leave the execution engine:
-        under secure aggregation (``ctx.secagg_seed``) the update vector is
-        masked here — in the client's stead — unless the result is already
-        masked at the source (``secagg_masked`` extra, set by the
-        distributed coordinator whose workers mask before the bytes ever
-        reach a socket).  All round participants mask, compromised clients
+        The choke point where driver-computed updates leave the execution
+        engine: under secure aggregation (``ctx.secagg_seed``) the vector is
+        masked here, in the client's stead, so hooks, retained lists and the
+        aggregator API only see ciphertext; otherwise the update passes
+        through unchanged.  All round participants mask, compromised clients
         included: an unmasked participant would leave its pairwise terms
-        uncancelled in the sum.
+        uncancelled in the sum.  Distributed workers mask at the source, so
+        the coordinator never seals their updates.
         """
         seed = self.ctx.secagg_seed
-        if seed is not None and not result.extras.get("secagg_masked"):
-            # Imported lazily: the secagg package pulls in plan/defense
-            # modules and is only needed when masking is actually on.
-            from repro.federated.secagg.masking import mask_update
+        if seed is None:
+            return update
+        # Imported lazily: the secagg package pulls in plan/defense modules
+        # and is only needed when masking is actually on.
+        from repro.federated.secagg.masking import mask_update
 
-            with maybe_span(
-                self.ctx.telemetry, "secagg_mask",
-                round=plan.round_idx, client=result.client_id,
-            ):
-                masked = mask_update(
-                    result.update, seed, plan.round_idx, result.client_id,
-                    plan.sampled_clients,
-                )
-            result = ClientResult(
-                task=result.task,
-                update=masked,
-                loss=result.loss,
-                extras={**result.extras, "secagg_masked": True},
+        with maybe_span(
+            self.ctx.telemetry, "secagg_mask",
+            round=plan.round_idx, client=update.client_id,
+        ):
+            masked = mask_update(
+                update.update, seed, plan.round_idx, update.client_id,
+                plan.sampled_clients,
             )
-        return ClientUpdate.from_result(
-            result,
-            num_examples=len(self.ctx.dataset.client(result.client_id).train),
+        return replace(
+            update, update=masked, metadata={**update.metadata, "secagg_masked": True}
         )
+
+    def _malicious_updates(
+        self, plan: RoundPlan, global_params: np.ndarray
+    ) -> Iterator[ClientUpdate]:
+        """Run the plan's malicious tasks in the driver, sealing each update.
+
+        Every backend runs them here, on the driver's scratch model, in task
+        order (see the module docstring).
+        """
+        ctx = self.ctx  # an unbound backend fails here, before reading the plan
+        for task in plan.malicious_tasks:
+            yield self.seal(
+                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
+                plan,
+            )
 
     def _get_driver_model(self):
         if self._driver_model is None:
@@ -222,17 +248,10 @@ class SerialBackend(ExecutionBackend):
     def iter_updates(self, plan, global_params):
         # Malicious first on the shared scratch model, then benign in task
         # order; each update is yielded the moment it exists.
-        ctx = self.ctx
+        yield from self._malicious_updates(plan, global_params)
         model = self._get_driver_model()
-        for task in plan.malicious_tasks:
-            yield self.make_update(run_malicious_task(ctx, task, global_params, model), plan)
         for task in plan.benign_tasks:
-            yield self.make_update(run_benign_task(ctx, task, global_params, model), plan)
-
-
-def available_backends() -> list[str]:
-    """Names of every registered execution backend."""
-    return BACKENDS.names()
+            yield self.seal(run_benign_task(self.ctx, task, global_params, model), plan)
 
 
 def make_backend(

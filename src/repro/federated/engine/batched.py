@@ -43,9 +43,8 @@ from repro.federated.engine.backends import (
     ExecutionBackend,
     maybe_span,
     run_benign_task,
-    run_malicious_task,
 )
-from repro.federated.engine.plan import ClientResult, ClientTask
+from repro.federated.engine.plan import ClientTask, ClientUpdate
 from repro.nn.model import BatchedSequential, supports_batching
 from repro.registry import BACKENDS
 
@@ -66,17 +65,13 @@ class BatchedClientRunner:
     sorted by descending dataset size and the ragged step scheduler of
     :func:`local_train_batched` stacks whatever sub-range of them shares a
     batch shape on each step — unequal dataset sizes do not fragment the
-    stack.  ``max_group`` optionally caps the stack size to bound the
-    working set; stacked models are cached per group size and reused across
+    stack.  Stacked models are cached per group size and reused across
     rounds (their parameters are overwritten from the global vector each
     call, like any scratch model).
     """
 
-    def __init__(self, ctx: EngineContext, max_group: int | None = None) -> None:
-        if max_group is not None and max_group <= 0:
-            raise ValueError("max_group must be positive")
+    def __init__(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self.max_group = max_group
         self._template = None
         self._batchable: bool | None = None
         self._stacked: dict[int, BatchedSequential] = {}
@@ -108,9 +103,13 @@ class BatchedClientRunner:
 
     def run(
         self, tasks: tuple[ClientTask, ...], global_params: np.ndarray
-    ) -> list[ClientResult]:
-        """Execute the benign tasks; results come back sorted by plan order."""
-        results: dict[int, ClientResult] = {}
+    ) -> list[ClientUpdate]:
+        """Execute the benign tasks; updates come back sorted by slot.
+
+        Each client's training data is looked up once, here, and every
+        update carries its size as ``num_examples``.
+        """
+        updates: dict[int, ClientUpdate] = {}
         groups: dict[tuple, list[tuple[ClientTask, object, np.ndarray | None]]] = {}
         group_configs: dict[tuple, LocalTrainingConfig] = {}
         batchable = self._model_batchable()
@@ -118,9 +117,7 @@ class BatchedClientRunner:
             data = self.ctx.dataset.client(task.client_id).train
             if len(data) == 0:
                 # Matches serial local_train: zero update, no RNG draw.
-                results[task.order] = ClientResult(
-                    task=task, update=np.zeros_like(global_params), loss=0.0
-                )
+                updates[task.slot] = task.update(np.zeros_like(global_params), 0, 0.0)
                 continue
             spec = (
                 self.ctx.algorithm.benign_batch_spec(task.client_id, self.ctx.local_config)
@@ -128,8 +125,8 @@ class BatchedClientRunner:
                 else None
             )
             if spec is None:
-                results[task.order] = run_benign_task(
-                    self.ctx, task, global_params, self._get_scratch()
+                updates[task.slot] = run_benign_task(
+                    self.ctx, task, global_params, self._get_scratch(), data
                 )
                 continue
             config, drift = spec
@@ -137,30 +134,26 @@ class BatchedClientRunner:
             groups.setdefault(key, []).append((task, data, drift))
             group_configs[key] = config
         for key, members in groups.items():
-            config = group_configs[key]
+            if len(members) == 1:
+                # A stack of one has no amortisation to offer; the plain
+                # task path skips the stacking copies.
+                task, data, _drift = members[0]
+                updates[task.slot] = run_benign_task(
+                    self.ctx, task, global_params, self._get_scratch(), data
+                )
+                continue
             # Descending size is what the ragged scheduler requires; the
-            # plan-order tiebreak keeps the grouping deterministic.
-            members.sort(key=lambda member: (-len(member[1]), member[0].order))
-            cap = self.max_group or len(members)
-            for start in range(0, len(members), cap):
-                chunk = members[start : start + cap]
-                if len(chunk) == 1:
-                    # A stack of one has no amortisation to offer; the plain
-                    # task path skips the stacking copies.
-                    task = chunk[0][0]
-                    results[task.order] = run_benign_task(
-                        self.ctx, task, global_params, self._get_scratch()
-                    )
-                    continue
-                self._run_group(chunk, config, global_params, results)
-        return [results[order] for order in sorted(results)]
+            # slot tiebreak keeps the grouping deterministic.
+            members.sort(key=lambda member: (-len(member[1]), member[0].slot))
+            self._run_group(members, group_configs[key], global_params, updates)
+        return [updates[slot] for slot in sorted(updates)]
 
     def _run_group(
         self,
         members: list[tuple[ClientTask, object, np.ndarray | None]],
         config: LocalTrainingConfig,
         global_params: np.ndarray,
-        results: dict[int, ClientResult],
+        updates: dict[int, ClientUpdate],
     ) -> None:
         tasks = [task for task, _data, _drift in members]
         datasets = [data for _task, data, _drift in members]
@@ -174,36 +167,30 @@ class BatchedClientRunner:
             self.ctx.telemetry, "client_train",
             round=tasks[0].round_idx, clients=len(tasks), batched=True,
         ):
-            updates, losses = local_train_batched(
+            stacked, losses = local_train_batched(
                 model, global_params, datasets, config, rngs,
                 drift_corrections=drift_stack,
             )
         self.batched_task_count += len(tasks)
         for i, task in enumerate(tasks):
-            # Copy the row out so a result does not pin the whole stack.
-            results[task.order] = ClientResult(
-                task=task, update=updates[i].copy(), loss=float(losses[i])
+            # Copy the row out so an update does not pin the whole stack.
+            updates[task.slot] = task.update(
+                stacked[i].copy(), len(datasets[i]), float(losses[i])
             )
 
 
 @BACKENDS.register("batched")
 class BatchedBackend(ExecutionBackend):
-    """Benign clients train together as one stacked model per round group.
+    """Benign clients train together as one stacked model per config group.
 
-    ``max_group`` caps how many clients stack into one model (default:
-    unlimited — one stack per work-shape group); smaller caps trade GEMM
-    amortisation for working-set size.  ``iter_updates`` yields benign
-    updates in canonical slot order.
+    ``iter_updates`` yields benign updates in canonical slot order.
     """
 
     name = "batched"
     batched_execution = True
 
-    def __init__(self, max_group: int | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if max_group is not None and max_group <= 0:
-            raise ValueError("max_group must be positive")
-        self.max_group = max_group
         self._runner: BatchedClientRunner | None = None
 
     def bind(self, ctx: EngineContext) -> None:
@@ -212,18 +199,13 @@ class BatchedBackend(ExecutionBackend):
 
     def _get_runner(self) -> BatchedClientRunner:
         if self._runner is None:
-            self._runner = BatchedClientRunner(self.ctx, max_group=self.max_group)
+            self._runner = BatchedClientRunner(self.ctx)
         return self._runner
 
     def iter_updates(self, plan, global_params):
         # Malicious first on the driver model (stateful attacks), then the
-        # stacked benign results in slot order — the whole group finishes
+        # stacked benign updates in slot order — the whole group finishes
         # together, so slot order costs nothing and keeps streams canonical.
-        ctx = self.ctx
-        for task in plan.malicious_tasks:
-            yield self.make_update(
-                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
-                plan,
-            )
-        for result in self._get_runner().run(plan.benign_tasks, global_params):
-            yield self.make_update(result, plan)
+        yield from self._malicious_updates(plan, global_params)
+        for update in self._get_runner().run(plan.benign_tasks, global_params):
+            yield self.seal(update, plan)

@@ -15,7 +15,10 @@ spawned locally (:meth:`DistributedBackend.spawn_local`) or attached to
 4. runs malicious tasks in the driver (attacks are stateful — exactly like
    the in-process backends) while workers chew on the benign fan-out,
 5. yields each :class:`~repro.federated.engine.plan.ClientUpdate` as its
-   frame arrives, so the server folds while other workers still train — and
+   frame arrives, so the server folds while other workers still train; the
+   frame carries the client's example count and, under secure aggregation,
+   ciphertext masked by the worker, so the coordinator never reads its own
+   dataset for a benign client — and
 6. on a worker's death (EOF/reset mid-round) re-queues that worker's
    unfinished tasks for the surviving workers.  Tasks are deterministic in
    their ``(seed, round, client)`` stream, so a re-dispatched task computes
@@ -40,11 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import repro
-from repro.federated.engine.backends import (
-    ExecutionBackend,
-    maybe_span,
-    run_malicious_task,
-)
+from repro.federated.engine.backends import ExecutionBackend, maybe_span
 from repro.federated.engine.distributed.protocol import (
     PROTOCOL_VERSION,
     ConnectionClosed,
@@ -57,7 +56,7 @@ from repro.federated.engine.distributed.protocol import (
     send_message,
 )
 from repro.federated.engine.ledger import SETUP_ROUND
-from repro.federated.engine.plan import ClientResult, ClientTask, RoundPlan
+from repro.federated.engine.plan import ClientTask, RoundPlan
 from repro.nn import serialization
 from repro.registry import BACKENDS
 
@@ -347,7 +346,7 @@ class DistributedBackend(ExecutionBackend):
         ctx = self.ctx
         benign = plan.benign_tasks
         pending: deque[ClientTask] = deque(benign)
-        remaining: dict[int, ClientTask] = {t.order: t for t in benign}
+        remaining: dict[int, ClientTask] = {t.slot: t for t in benign}
         live: list[_WorkerLink] = []
         secagg_seed = ctx.secagg_seed
         if secagg_seed is not None and self.wire_dtype != "float64":
@@ -404,11 +403,7 @@ class DistributedBackend(ExecutionBackend):
 
         # Driver-side malicious work overlaps with the worker fan-out:
         # attacks keep their cross-round state here.
-        for task in plan.malicious_tasks:
-            yield self.make_update(
-                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
-                plan,
-            )
+        yield from self._malicious_updates(plan, global_params)
         if not benign:
             return
 
@@ -431,27 +426,25 @@ class DistributedBackend(ExecutionBackend):
                         )
                     if msg is not MessageType.UPDATE:
                         raise ProtocolError(f"expected UPDATE, got {msg.name}")
-                    order = fields["order"]
+                    slot = fields["slot"]
                     self._merge_worker_telemetry(link, fields, plan, pending)
-                    link.outstanding.pop(order, None)
+                    link.outstanding.pop(slot, None)
                     if not self._fill(link, pending, plan.round_idx):
                         # The worker died as we topped it up (EPIPE on send):
                         # same cleanup as a death detected on the recv side.
                         self._bury(link, pending, sel)
                         self._refill_survivors(pending, plan.round_idx, sel, remaining)
-                    task = remaining.pop(order, None)
+                    task = remaining.pop(slot, None)
                     if task is None:
                         # Already completed before a re-dispatch raced it.
                         continue
-                    result = ClientResult(
-                        task=task,
-                        update=arrays["update"],
-                        loss=fields.get("loss"),
-                        # Masked at the source: ``make_update`` must not mask
-                        # this vector a second time.
-                        extras={"secagg_masked": True} if fields.get("masked") else {},
+                    update = task.update(
+                        arrays["update"], fields["num_examples"], fields.get("loss")
                     )
-                    yield self.make_update(result, plan)
+                    if fields.get("masked"):
+                        # Masked at the source, so never sealed again here.
+                        update.metadata["secagg_masked"] = True
+                    yield update
         finally:
             sel.close()
 
@@ -505,7 +498,7 @@ class DistributedBackend(ExecutionBackend):
         while link.alive and pending and len(link.outstanding) < PIPELINE_DEPTH:
             task = pending.popleft()
             fields = {
-                "order": task.order,
+                "slot": task.slot,
                 "client": task.client_id,
                 "round": round_idx,
                 "rng_seed": task.rng_seed,
@@ -518,7 +511,7 @@ class DistributedBackend(ExecutionBackend):
             except OSError:
                 pending.appendleft(task)
                 return False
-            link.outstanding[task.order] = task
+            link.outstanding[task.slot] = task
         return True
 
     def _bury(self, link: _WorkerLink, pending: deque, sel) -> None:
@@ -533,7 +526,7 @@ class DistributedBackend(ExecutionBackend):
             link.proc.poll()
         if link.outstanding:
             self.redispatch_count += len(link.outstanding)
-            for task in sorted(link.outstanding.values(), key=lambda t: t.order):
+            for task in sorted(link.outstanding.values(), key=lambda t: t.slot):
                 pending.appendleft(task)
             link.outstanding.clear()
 

@@ -22,7 +22,15 @@ with ``HELLO``; the coordinator installs the execution context with
 ``CONFIGURE`` (acknowledged by ``CONFIGURED``), broadcasts the round's
 global parameters with ``ROUND``, and dispatches ``TASK`` frames; the
 worker streams an ``UPDATE`` frame back per task the moment it is computed
-(or ``ERROR`` with a traceback); ``SHUTDOWN`` ends the session.
+(or ``ERROR`` with a traceback); ``SHUTDOWN`` ends the session.  An
+``UPDATE`` header is built by :func:`update_header` alone, for the worker's
+frame and for the communication ledger's logical model channel alike.
+
+The decoder trusts nothing it reads: a frame with the wrong magic, version
+or type, an oversized or truncated payload, a header that is not a UTF-8
+JSON object, a malformed ``_arrays`` layout or trailing bytes raises
+:class:`ProtocolError` (a peer gone mid-frame raises its subclass
+:class:`ConnectionClosed`), never another exception type.
 
 The module depends only on the standard library plus the vector codec, so
 both sides of the wire — and any future non-Python tooling reading the
@@ -59,7 +67,12 @@ from repro.nn.serialization import vector_from_bytes, vector_to_bytes, wire_dtyp
 #: Version 5 added ``population`` and ``population_kwargs`` to the
 #: ``CONFIGURE`` context, so a worker rebuilds the driver's lazy population
 #: instead of an eager federation with different client data.
-PROTOCOL_VERSION = 5
+#: Version 6 renamed the ``order`` field of ``TASK``, ``UPDATE`` and
+#: ``ERROR`` to ``slot`` and added ``num_examples`` (the client's training
+#: set size) to ``UPDATE``, so the coordinator builds updates without
+#: reading its own dataset.  The bump is manual: the wire-protocol golden
+#: fingerprints the frame structure, not header field names.
+PROTOCOL_VERSION = 6
 
 _MAGIC = b"RW"
 _HEADER = struct.Struct(">2sBBI")
@@ -78,8 +91,8 @@ class MessageType(enum.IntEnum):
     CONFIGURED = 3   # worker → coordinator: {fingerprint}
     ROUND = 4        # coordinator → worker: {round} + params vector
     TASK = 5         # coordinator → worker: task fields (+ optional state)
-    UPDATE = 6       # worker → coordinator: {order, client, loss} + update
-    ERROR = 7        # worker → coordinator: {traceback, order?}
+    UPDATE = 6       # worker → coordinator: update_header(...) + update
+    ERROR = 7        # worker → coordinator: {traceback, slot?}
     SHUTDOWN = 8     # coordinator → worker: {}
 
 
@@ -148,7 +161,7 @@ def message_size(
 
 
 def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Inverse of :func:`encode_message`.
+    """Inverse of :func:`encode_message`; malformed input raises :class:`ProtocolError`.
 
     Array payload slices are zero-copy ``memoryview``s into ``payload``;
     the one copy per vector happens inside :func:`vector_from_bytes` when it
@@ -161,16 +174,41 @@ def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if len(payload) < offset + header_len:
         raise ProtocolError("message payload shorter than its declared header")
     view = memoryview(payload)
-    fields = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
+    try:
+        # UnicodeDecodeError and JSONDecodeError are both ValueErrors.
+        fields = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
+    except ValueError as exc:
+        raise ProtocolError(f"message header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise ProtocolError(
+            f"message header is a JSON {type(fields).__name__}, not an object"
+        )
     offset += header_len
     dtype = fields.pop("_dtype", "float64")
+    if not isinstance(dtype, str):
+        raise ProtocolError(f"wire dtype tag {dtype!r} is not a string")
     try:
         itemsize = wire_dtype(dtype).itemsize
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    layout = fields.pop("_arrays", [])
+    if not isinstance(layout, list):
+        raise ProtocolError(f"array layout {layout!r} is not a list")
     arrays: dict[str, np.ndarray] = {}
-    for name, length in fields.pop("_arrays", []):
-        nbytes = int(length) * itemsize
+    for entry in layout:
+        # [name, length] with a non-negative int length (bool is not one).
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and type(entry[1]) is int
+            and entry[1] >= 0
+        ):
+            raise ProtocolError(f"malformed array entry {entry!r} in message header")
+        name, length = entry
+        if name in arrays:
+            raise ProtocolError(f"array {name!r} declared twice in message header")
+        nbytes = length * itemsize
         if offset + nbytes > len(payload):
             raise ProtocolError(f"array {name!r} truncated in message payload")
         arrays[name] = vector_from_bytes(view[offset : offset + nbytes], dtype=dtype)
@@ -178,6 +216,26 @@ def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if offset != len(payload):
         raise ProtocolError(f"{len(payload) - offset} trailing bytes in message")
     return fields, arrays
+
+
+def update_header(update) -> dict:
+    """The JSON header of a client update's ``UPDATE`` frame.
+
+    ``update`` is a :class:`~repro.federated.engine.plan.ClientUpdate`.  The
+    worker sends this header (plus its optional ``telemetry`` blob) and the
+    communication ledger sizes its logical model channel with it, so the
+    two can never disagree on the layout.  ``masked`` appears only on
+    secure-aggregation ciphertext.
+    """
+    fields = {
+        "slot": update.slot,
+        "client": update.client_id,
+        "loss": update.loss,
+        "num_examples": update.num_examples,
+    }
+    if update.metadata.get("secagg_masked"):
+        fields["masked"] = True
+    return fields
 
 
 # -- frame I/O --------------------------------------------------------------

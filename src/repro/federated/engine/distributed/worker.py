@@ -16,9 +16,12 @@ coordinator at a time:
    frames stay small.
 4. Each ``TASK`` is executed through
    :func:`~repro.federated.engine.backends.run_benign_task` on the cached
-   scratch model and its ``UPDATE`` is streamed back the moment it exists.
-   A task may carry the client's algorithm state vector (FedDC drift);
-   it is installed before execution.
+   scratch model, which builds the client's
+   :class:`~repro.federated.engine.plan.ClientUpdate` with its example
+   count; the ``UPDATE`` frame (header from
+   :func:`~repro.federated.engine.distributed.protocol.update_header`) is
+   streamed back the moment it exists.  A task may carry the client's
+   algorithm state vector (FedDC drift); it is installed before execution.
 
 Determinism needs no extra machinery: a task's randomness comes entirely
 from its ``(seed, round, client)`` stream seed (:mod:`repro.federated.rng`)
@@ -26,7 +29,7 @@ and vectors cross the wire as raw float64, so a remote worker computes the
 exact bytes the serial backend would.
 
 ``REPRO_WORKER_TEST_DELAY`` (seconds, test-only) makes the worker sleep
-``delay / (1 + task.order)`` after computing each update, so lower slots
+``delay / (1 + task.slot)`` after computing each update, so lower slots
 finish *last* — the reordered-completion fixture of the bit-identity tests.
 """
 
@@ -51,6 +54,7 @@ from repro.federated.engine.distributed.protocol import (
     context_fingerprint,
     recv_message,
     send_message,
+    update_header,
 )
 from repro.federated.engine.plan import ClientTask
 from repro.federated.secagg.masking import mask_update
@@ -249,7 +253,7 @@ class WorkerServer:
         secagg: dict | None = None,
         telemetry: bool = False,
     ) -> None:
-        order = fields.get("order")
+        slot = fields.get("slot")
         try:
             if active is None:
                 raise ProtocolError("TASK received before CONFIGURE")
@@ -260,20 +264,14 @@ class WorkerServer:
                 round_idx=fields["round"],
                 rng_seed=fields["rng_seed"],
                 malicious=False,
-                order=order,
+                slot=slot,
             )
             state = arrays.get("state")
             if state is not None:
                 active.engine.algorithm.set_client_benign_state(task.client_id, state)
             train_start = time.monotonic()
-            result = run_benign_task(active.engine, task, global_params, active.model)
+            update = run_benign_task(active.engine, task, global_params, active.model)
             train_s = time.monotonic() - train_start
-            update = result.update
-            update_fields = {
-                "order": task.order,
-                "client": task.client_id,
-                "loss": result.loss,
-            }
             mask_s = None
             if secagg is not None:
                 # Mask at the source: the plaintext update never leaves this
@@ -281,15 +279,16 @@ class WorkerServer:
                 # so a re-dispatched task after a worker death regenerates
                 # the identical ciphertext on whichever worker picks it up.
                 mask_start = time.monotonic()
-                update = mask_update(
-                    update,
+                update.update = mask_update(
+                    update.update,
                     secagg["seed"],
                     task.round_idx,
                     task.client_id,
                     secagg["participants"],
                 )
                 mask_s = time.monotonic() - mask_start
-                update_fields["masked"] = True
+                update.metadata["secagg_masked"] = True
+            update_fields = update_header(update)
             if telemetry:
                 # Worker-side profiling (protocol v4): phase durations plus
                 # the worker's monotonic send timestamp, from which the
@@ -306,20 +305,20 @@ class WorkerServer:
             send_message(
                 conn,
                 MessageType.ERROR,
-                {"traceback": traceback.format_exc(), "order": order},
+                {"traceback": traceback.format_exc(), "slot": slot},
             )
             return
         if self._test_delay:
             # Test-only completion scrambler: lower slots sleep longest, so
             # updates arrive at the coordinator in (roughly) reversed order.
-            time.sleep(self._test_delay / (1.0 + task.order))
+            time.sleep(self._test_delay / (1.0 + task.slot))
         if telemetry:
             update_fields["telemetry"]["mono"] = time.monotonic()
         send_message(
             conn,
             MessageType.UPDATE,
             update_fields,
-            {"update": update},
+            {"update": update.update},
             dtype=wire_dtype,
         )
 

@@ -11,10 +11,12 @@ protocol overhead (frame header + JSON envelope) versus vector payload, per
     parameters down to each sampled client at round start, one update back
     per client — accounted analytically through
     :func:`~repro.federated.engine.distributed.protocol.message_size` by
-    the :class:`LedgerHook`.  Uniform across the serial, batched and
-    distributed backends: the *logical* federation traffic of a
-    round does not depend on how the clients happen to execute, so ledgers
-    are comparable across backends.
+    the :class:`LedgerHook`, with the update frame's header built by the
+    protocol's own
+    :func:`~repro.federated.engine.distributed.protocol.update_header`.
+    Uniform across the serial, batched and distributed backends: the
+    *logical* federation traffic of a round does not depend on how the
+    clients happen to execute, so ledgers are comparable across backends.
 
 ``wire``
     The frames a distributed coordinator actually exchanged with its worker
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.federated.engine.distributed.protocol import message_size
+from repro.federated.engine.distributed.protocol import message_size, update_header
 from repro.federated.engine.hooks import RoundHook
 from repro.federated.engine.plan import ClientUpdate, RoundPlan
 
@@ -208,9 +210,7 @@ class LedgerHook(RoundHook):
             )
 
     def on_update(self, server, plan: RoundPlan, update: ClientUpdate) -> None:
-        fields = {"order": update.slot, "client": update.client_id, "loss": update.loss}
-        if update.metadata.get("secagg_masked"):
-            fields["masked"] = True
+        fields = update_header(update)
         # Buffered-async carried updates fire on_update in the round they
         # *arrive* (plan.round_idx), not the round that computed them — a
         # straggler's bytes reach the server late, and the ledger attributes

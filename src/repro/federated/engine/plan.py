@@ -1,4 +1,4 @@
-"""Round planning: the value objects handed to an execution backend.
+"""Round planning: the value objects handed to and from an execution backend.
 
 The server turns each sampled round into a :class:`RoundPlan` — an immutable
 description of *what* has to be computed — and hands it to an
@@ -7,6 +7,10 @@ description of *what* has to be computed — and hands it to an
 entirely in the plan: every task carries the seed of its private RNG stream,
 derived from ``(run seed, round, client)`` by :mod:`repro.federated.rng`, so
 the computed updates do not depend on execution order or placement.
+
+Each executed :class:`ClientTask` comes back as one :class:`ClientUpdate`,
+built by :meth:`ClientTask.update` where the client's training data is in
+hand, so its example count never needs a second dataset lookup.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.federated.rng import client_stream_seed
 class ClientTask:
     """One client's work item within a round.
 
-    ``order`` is the client's position in the round's aggregation order; the
+    ``slot`` is the client's position in the round's aggregation order; the
     aggregator folds updates in it, so the result is identical across
     backends whatever order clients finish in.
     """
@@ -32,11 +36,24 @@ class ClientTask:
     round_idx: int
     rng_seed: int
     malicious: bool
-    order: int
+    slot: int
 
     def rng(self) -> np.random.Generator:
         """Fresh generator for this task's private random stream."""
         return np.random.default_rng(self.rng_seed)
+
+    def update(
+        self, vector: np.ndarray, num_examples: int, loss: float | None = None
+    ) -> ClientUpdate:
+        """This task's :class:`ClientUpdate` (shares ``vector``, no copy)."""
+        return ClientUpdate(
+            client_id=self.client_id,
+            slot=self.slot,
+            update=vector,
+            num_examples=num_examples,
+            loss=loss,
+            malicious=self.malicious,
+        )
 
 
 @dataclass(frozen=True)
@@ -73,28 +90,6 @@ class RoundPlan:
 
 
 @dataclass
-class ClientResult:
-    """Outcome of executing one :class:`ClientTask`.
-
-    ``loss`` is the final-epoch training loss for benign clients and ``None``
-    for malicious ones (attacks do not report a loss).
-    """
-
-    task: ClientTask
-    update: np.ndarray
-    loss: float | None = None
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def client_id(self) -> int:
-        return self.task.client_id
-
-    @property
-    def malicious(self) -> bool:
-        return self.task.malicious
-
-
-@dataclass
 class ClientUpdate:
     """One client's contribution to a round, as the aggregation layer sees it.
 
@@ -104,8 +99,10 @@ class ClientUpdate:
     round's canonical aggregation order — which is what lets an
     :class:`~repro.defenses.base.Aggregator` fold out-of-order arrivals
     deterministically.  ``num_examples`` is the size of the client's local
-    training set (``0`` when unknown); ``metadata`` carries per-client extras
-    for hooks and weighted/defensive aggregators.
+    training set (``0`` when unknown); ``loss`` is the final-epoch training
+    loss of a benign client and ``None`` for a malicious one (attacks report
+    no loss); ``metadata`` carries per-client extras for hooks and
+    weighted/defensive aggregators.
     """
 
     client_id: int
@@ -120,19 +117,6 @@ class ClientUpdate:
     def weight(self) -> float:
         """Aggregation weight (the example count; ``0.0`` means unweighted)."""
         return float(self.num_examples)
-
-    @classmethod
-    def from_result(cls, result: ClientResult, num_examples: int = 0) -> "ClientUpdate":
-        """Wrap an executed :class:`ClientResult` (shares the update array)."""
-        return cls(
-            client_id=result.client_id,
-            slot=result.task.order,
-            update=result.update,
-            num_examples=num_examples,
-            loss=result.loss,
-            malicious=result.malicious,
-            metadata=dict(result.extras),
-        )
 
 
 def build_round_plan(
@@ -154,9 +138,9 @@ def build_round_plan(
             round_idx=round_idx,
             rng_seed=client_stream_seed(seed, round_idx, client_id),
             malicious=attack_active and client_id in compromised_ids,
-            order=order,
+            slot=slot,
         )
-        for order, client_id in enumerate(sampled)
+        for slot, client_id in enumerate(sampled)
     )
     return RoundPlan(
         round_idx=round_idx, sampled_clients=sampled, tasks=tasks, latencies=lat

@@ -10,7 +10,8 @@ are bit-identical with masking on or off; inspection defenses declare
 ``requires_plaintext_updates`` and fail fast with
 :class:`~repro.federated.secagg.aggregator.PlaintextRequiredError`.
 
-Enable per scenario with ``secure_aggregation: true`` (CLI: ``--secagg``).
+Enable per scenario with ``secure_aggregation: true`` (CLI:
+``--set secure_aggregation=true``).
 """
 
 from repro.federated.secagg.aggregator import (

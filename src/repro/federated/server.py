@@ -167,21 +167,19 @@ class FederatedServer:
         backend: ExecutionBackend | str | None = None,
         hooks: Sequence[RoundHook] | None = None,
         participation: ParticipationModel | None = None,
-        telemetry=None,
     ) -> None:
         self.dataset = dataset
         self.model_factory = model_factory
         self.algorithm = algorithm
         self.config = config
-        # A RunTelemetry instance can be injected (shared across servers in a
-        # sweep); otherwise the config flag decides whether one is allocated.
-        # Imported lazily so plaintext/telemetry-off runs never pay the
-        # telemetry package import.
-        if telemetry is None and config.telemetry:
+        # The config flag decides whether the run allocates telemetry.
+        # Imported lazily so telemetry-off runs never pay the telemetry
+        # package import.
+        self.telemetry = None
+        if config.telemetry:
             from repro.telemetry import RunTelemetry
 
-            telemetry = RunTelemetry()
-        self.telemetry = telemetry
+            self.telemetry = RunTelemetry()
         # The participation model owns round sampling; an instance can be
         # injected directly (tests, custom traces), otherwise it is built
         # from the config's spec.

@@ -13,7 +13,6 @@ from repro.defenses.flare import FLARE
 from repro.defenses.krum import Krum
 from repro.defenses.median import CoordinateMedian
 from repro.defenses.norm_bound import NormBound
-from repro.defenses.registry import make_defense
 from repro.defenses.rlr import RobustLearningRate
 from repro.defenses.signsgd import SignSGDAggregator
 from repro.defenses.trimmed_mean import TrimmedMean
@@ -203,7 +202,7 @@ class TestWeightedMean:
             WeightedMeanAggregator()(benign_updates, GLOBAL, _ctx())
 
     def test_registered_as_shardable(self):
-        agg = make_defense("weighted_mean")
+        agg = DEFENSES.create("weighted_mean")
         assert isinstance(agg, WeightedMeanAggregator)
         assert agg.shardable
 
@@ -277,7 +276,7 @@ class TestStreamingProtocol:
         # These folds are all elementwise given their prepare_update
         # precompute, so each one supports the sharded worker-pool fold.
         shardable = {
-            name for name in DEFENSES.names() if make_defense(name).shardable
+            name for name in DEFENSES.names() if DEFENSES.create(name).shardable
         }
         assert shardable == self.SHARDABLE
 
@@ -289,17 +288,17 @@ class TestStreamingProtocol:
     def test_matches_matrix_path_bitwise(self, name, rng):
         updates = rng.normal(size=(7, 24))
         global_params = rng.normal(size=24)
-        matrix = make_defense(name)(updates, global_params, _ctx())
-        streamed = _stream(make_defense(name), updates, global_params, _ctx())
+        matrix = DEFENSES.create(name)(updates, global_params, _ctx())
+        streamed = _stream(DEFENSES.create(name), updates, global_params, _ctx())
         np.testing.assert_array_equal(streamed, matrix)
 
     @pytest.mark.parametrize("name", sorted(DEFENSES.names()))
     def test_out_of_order_accumulation_is_reordered(self, name, rng):
         updates = rng.normal(size=(6, 16))
         global_params = rng.normal(size=16)
-        in_order = _stream(make_defense(name), updates, global_params, _ctx())
+        in_order = _stream(DEFENSES.create(name), updates, global_params, _ctx())
         shuffled = _stream(
-            make_defense(name), updates, global_params, _ctx(),
+            DEFENSES.create(name), updates, global_params, _ctx(),
             order=[5, 2, 0, 4, 1, 3],
         )
         np.testing.assert_array_equal(shuffled, in_order)

@@ -8,8 +8,8 @@ import pytest
 from repro.defenses.base import AggregationContext, Aggregator
 from repro.defenses.detector import StatisticalDetector
 from repro.defenses.ditto import DittoPersonalizer
-from repro.defenses.registry import available_defenses, make_defense
 from repro.nn.serialization import flatten_params
+from repro.registry import DEFENSES
 
 
 class TestStatisticalDetector:
@@ -59,22 +59,22 @@ class TestStatisticalDetector:
 
 class TestRegistry:
     def test_all_known_defenses_available(self):
-        names = available_defenses()
+        names = DEFENSES.names()
         for expected in ("mean", "krum", "median", "trimmed_mean", "norm_bound",
                          "dp", "rlr", "signsgd", "flare", "crfl", "detector"):
             assert expected in names
 
     def test_make_defense_returns_aggregator(self):
-        for name in available_defenses():
-            assert isinstance(make_defense(name), Aggregator)
+        for name in DEFENSES.names():
+            assert isinstance(DEFENSES.create(name), Aggregator)
 
     def test_make_defense_forwards_kwargs(self):
-        krum = make_defense("krum", num_malicious=3, multi=2)
+        krum = DEFENSES.create("krum", num_malicious=3, multi=2)
         assert krum.num_malicious == 3 and krum.multi == 2
 
     def test_unknown_defense_raises(self):
         with pytest.raises(ValueError):
-            make_defense("does-not-exist")
+            DEFENSES.create("does-not-exist")
 
 
 class TestDitto:

@@ -91,13 +91,13 @@ class TestRun:
     def test_shards_flag_is_applied(self, tiny_scenario_path, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         rc = main(
-            ["run", str(tiny_scenario_path), "--shards", "4", "--out", str(out_path)]
+            ["run", str(tiny_scenario_path), "--set", "num_shards=4", "--out", str(out_path)]
         )
         assert rc == 0
         assert json.loads(out_path.read_text())["scenario"]["num_shards"] == 4
 
     def test_shards_flag_rejects_non_positive(self, tiny_scenario_path, capsys):
-        assert main(["run", str(tiny_scenario_path), "--shards", "0"]) == 2
+        assert main(["run", str(tiny_scenario_path), "--set", "num_shards=0"]) == 2
         assert "num_shards" in capsys.readouterr().err
 
     def test_list_defenses_shows_capabilities(self, capsys):
@@ -122,7 +122,10 @@ class TestRun:
     def test_secagg_flag_is_applied(self, tiny_scenario_path, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         rc = main(
-            ["run", str(tiny_scenario_path), "--secagg", "--out", str(out_path)]
+            [
+                "run", str(tiny_scenario_path),
+                "--set", "secure_aggregation=true", "--out", str(out_path),
+            ]
         )
         assert rc == 0
         payload = json.loads(out_path.read_text())
@@ -130,7 +133,10 @@ class TestRun:
         assert payload["ledger"]["totals"]["payload_bytes"] > 0
 
     def test_secagg_flag_rejects_inspection_defense(self, tiny_scenario_path, capsys):
-        rc = main(["run", str(tiny_scenario_path), "--secagg", "--set", "defense=krum"])
+        rc = main([
+            "run", str(tiny_scenario_path),
+            "--set", "secure_aggregation=true", "--set", "defense=krum",
+        ])
         assert rc == 2
         assert "server-blind" in capsys.readouterr().err
 
@@ -221,7 +227,7 @@ class TestTrace:
     ):
         out_path = tmp_path / "results.json"
         rc = main(
-            ["run", str(tiny_scenario_path), "--telemetry", "on", "--out", str(out_path)]
+            ["run", str(tiny_scenario_path), "--set", "telemetry=true", "--out", str(out_path)]
         )
         assert rc == 0
         payload = json.loads(out_path.read_text())
@@ -257,7 +263,7 @@ class TestTrace:
     ):
         out_path = tmp_path / "results.json"
         rc = main(
-            ["run", str(tiny_scenario_path), "--telemetry", "off", "--out", str(out_path)]
+            ["run", str(tiny_scenario_path), "--set", "telemetry=false", "--out", str(out_path)]
         )
         assert rc == 0
         assert json.loads(out_path.read_text())["scenario"]["telemetry"] is False

@@ -90,11 +90,10 @@ class TestRun:
 
     def test_shared_dataset_results_identical_to_rebuilt(self):
         suite = Suite.grid(tiny_scenario(), attack=["dpois", "mrepl"])
-        shared = suite.run(reuse_datasets=True)
-        rebuilt = suite.run(reuse_datasets=False)
-        for a, b in zip(shared, rebuilt, strict=True):
-            assert a.result.history.records == b.result.history.records
-        assert rebuilt[0].result.extras["dataset"] is not rebuilt[1].result.extras["dataset"]
+        for cell in suite.run():
+            rebuilt = run_experiment(cell.scenario)
+            assert rebuilt.extras["dataset"] is not cell.result.extras["dataset"]
+            assert cell.result.history.records == rebuilt.history.records
 
     def test_backend_fanout_override(self):
         suite = Suite.grid(tiny_scenario(), alpha=[0.3])

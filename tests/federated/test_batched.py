@@ -11,7 +11,6 @@ empty client data) degrades to the serial task path rather than diverging.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.attacks.triggers import PixelPatchTrigger
 from repro.core.collapois import CollaPoisAttack
@@ -20,7 +19,7 @@ from repro.defenses.krum import Krum
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine import make_backend
+from repro.federated.engine import build_round_plan, make_backend
 from repro.federated.engine.batched import BatchedBackend
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.layers import Flatten
@@ -133,18 +132,6 @@ class TestBatchedBitIdentity:
         recorded = sum(len(r.compromised_sampled) for r in other.history.records)
         assert len(other.attack.psi_history) == recorded
 
-    def test_max_group_chunking_matches_serial(
-        self, small_federation, image_model_factory
-    ):
-        reference = _make_server(
-            small_federation, image_model_factory, "serial", rounds=3, sample_rate=1.0
-        )
-        other = _make_server(
-            small_federation, image_model_factory, BatchedBackend(max_group=3),
-            rounds=3, sample_rate=1.0,
-        )
-        _assert_identical_runs(reference, other)
-
 
 class TestBatchedFallbacks:
     def test_dropout_model_falls_back_to_serial_path(
@@ -169,12 +156,17 @@ class TestBatchedFallbacks:
     def test_singleton_groups_take_plain_task_path(
         self, small_federation, image_model_factory
     ):
-        server = _make_server(
-            small_federation, image_model_factory, BatchedBackend(max_group=1),
-            rounds=2, sample_rate=1.0,
-        )
-        server.run()
+        # A round with one benign client has nothing to stack.
+        plan = build_round_plan(0, [3], set(), seed=2, attack_active=False)
+        reference = _make_server(small_federation, image_model_factory, "serial")
+        server = _make_server(small_federation, image_model_factory, "batched")
+        (expected,) = reference.backend.iter_updates(plan, reference.global_params)
+        (update,) = server.backend.iter_updates(plan, server.global_params)
         assert server.backend._get_runner().batched_task_count == 0
+        np.testing.assert_array_equal(update.update, expected.update)
+        assert (update.slot, update.loss, update.num_examples) == (
+            expected.slot, expected.loss, expected.num_examples,
+        )
 
     def test_batched_task_count_counts_stacked_clients(
         self, small_federation, image_model_factory
@@ -227,12 +219,6 @@ class TestBatchedFallbacks:
 class TestBatchedConstruction:
     def test_registry_constructs_batched(self):
         assert isinstance(make_backend("batched"), BatchedBackend)
-        assert isinstance(make_backend("batched", max_group=4), BatchedBackend)
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_rejects_nonpositive_max_group(self, bad):
-        with pytest.raises(ValueError, match="max_group"):
-            BatchedBackend(max_group=bad)
 
     def test_capability_flags(self):
         backend = BatchedBackend()

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 from functools import lru_cache
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.scenario import Scenario
-from repro.federated.engine import CallbackHook
+from repro.federated.engine import CallbackHook, build_round_plan
 from repro.federated.engine.backends import make_backend
 from repro.federated.engine.distributed import protocol
 from repro.federated.engine.distributed.coordinator import (
@@ -68,7 +69,7 @@ class TestProtocol:
     def test_message_roundtrip_is_bitexact(self):
         rng = np.random.default_rng(0)
         arrays = {"params": rng.normal(size=257), "state": rng.normal(size=31)}
-        fields = {"order": 3, "loss": 0.25, "label": "x"}
+        fields = {"slot": 3, "loss": 0.25, "label": "x"}
         decoded_fields, decoded = protocol.decode_message(
             protocol.encode_message(fields, arrays)
         )
@@ -87,11 +88,11 @@ class TestProtocol:
         try:
             update = np.arange(5, dtype=np.float64) / 3.0
             protocol.send_message(
-                left, protocol.MessageType.UPDATE, {"order": 1}, {"update": update}
+                left, protocol.MessageType.UPDATE, {"slot": 1}, {"update": update}
             )
             msg, fields, arrays = protocol.recv_message(right)
             assert msg is protocol.MessageType.UPDATE
-            assert fields == {"order": 1}
+            assert fields == {"slot": 1}
             assert arrays["update"].tobytes() == update.tobytes()
         finally:
             left.close()
@@ -118,6 +119,15 @@ class TestProtocol:
         finally:
             right.close()
 
+    def test_update_header_is_the_update_frame_layout(self):
+        plan = build_round_plan(0, [4, 7], set(), seed=0, attack_active=False)
+        update = plan.tasks[1].update(np.ones(3), num_examples=12, loss=0.5)
+        assert protocol.update_header(update) == {
+            "slot": 1, "client": 7, "loss": 0.5, "num_examples": 12,
+        }
+        update.metadata["secagg_masked"] = True
+        assert protocol.update_header(update)["masked"] is True
+
     def test_context_payload_projects_and_fingerprints(self):
         scenario = base_scenario()
         payload = protocol.context_payload(scenario.to_dict())
@@ -133,6 +143,81 @@ class TestProtocol:
         assert protocol.context_fingerprint(
             protocol.context_payload(reseeded.to_dict())
         ) != fingerprint
+
+
+def _frame(payload: bytes, magic=b"RW", version=None, msg_type=6, length=None) -> bytes:
+    """Raw frame bytes: 2 B magic, 1 B version, 1 B type, 4 B BE length, payload."""
+    version = protocol.PROTOCOL_VERSION if version is None else version
+    length = len(payload) if length is None else length
+    return struct.pack(">2sBBI", magic, version, msg_type, length) + payload
+
+
+def _message(header: bytes, body: bytes = b"") -> bytes:
+    """Raw message payload: 4 B BE header length, JSON header, vector bytes."""
+    return struct.pack(">I", len(header)) + header + body
+
+
+def _receive(data: bytes):
+    """Send ``data`` then EOF over a socketpair and decode one frame."""
+    left, right = socket.socketpair()
+    right.settimeout(5)  # a decoder that blocks fails instead of hanging
+    try:
+        left.sendall(data)
+        left.close()
+        return protocol.recv_message(right)
+    finally:
+        left.close()
+        right.close()
+
+
+ONE_FLOAT = np.float64(1.0).tobytes()
+
+MALFORMED_FRAMES = {
+    "wrong magic": _frame(_message(b"{}"), magic=b"XX"),
+    "wrong version": _frame(_message(b"{}"), version=protocol.PROTOCOL_VERSION - 1),
+    "oversized length": _frame(b"", length=protocol.MAX_PAYLOAD + 1),
+    "unknown type": _frame(_message(b"{}"), msg_type=99),
+    "payload shorter than header prefix": _frame(b"\x00\x00"),
+    "payload shorter than header": _frame(struct.pack(">I", 64) + b"{}"),
+    "corrupt JSON header": _frame(_message(b'{"slot": 1,')),
+    "non-UTF-8 header": _frame(_message(b'{"client": "\xff"}')),
+    "JSON list header": _frame(_message(b"[1, 2]")),
+    "non-string dtype": _frame(_message(b'{"_dtype": [1]}')),
+    "arrays not a list": _frame(_message(b'{"_arrays": {"x": 1}}')),
+    "array entry without length": _frame(_message(b'{"_arrays": [["x"]]}')),
+    "negative array length": _frame(_message(
+        b'{"_arrays": [["x", -1], ["y", 2]], "_dtype": "float64"}', ONE_FLOAT
+    )),
+    "boolean array length": _frame(_message(b'{"_arrays": [["x", true]]}', ONE_FLOAT)),
+    "array declared twice": _frame(
+        _message(b'{"_arrays": [["x", 1], ["x", 1]]}', ONE_FLOAT * 2)
+    ),
+    "truncated array": _frame(_message(b'{"_arrays": [["x", 4]]}', ONE_FLOAT)),
+    "trailing bytes": _frame(_message(b"{}", b"\x00" * 3)),
+}
+
+
+class TestFrameFaults:
+    """Every malformed frame ends in a ProtocolError, never a hang."""
+
+    def test_truncated_frame_raises_connection_closed(self):
+        with pytest.raises(protocol.ConnectionClosed):
+            _receive(_frame(_message(b"{}"), length=64))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_raises_protocol_error(self, case):
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            _receive(MALFORMED_FRAMES[case])
+        # A real violation, not the peer's EOF (ConnectionClosed subclasses it).
+        assert not isinstance(excinfo.value, protocol.ConnectionClosed)
+
+    def test_well_formed_frame_still_decodes(self):
+        msg, fields, arrays = _receive(
+            _frame(_message(b'{"_arrays": [["x", 1]], "slot": 2}', ONE_FLOAT))
+        )
+        assert msg is protocol.MessageType.UPDATE
+        assert fields == {"slot": 2}
+        assert arrays["x"].tolist() == [1.0]
 
 
 class TestWireDtype:

@@ -18,12 +18,12 @@ from repro.federated.engine import (
     HookPipeline,
     RoundHook,
     SerialBackend,
-    available_backends,
     build_round_plan,
     make_backend,
 )
 from repro.federated.rng import client_stream_seed, personalization_seed
 from repro.federated.server import FederatedServer, ServerConfig
+from repro.registry import BACKENDS
 
 
 def _make_server(
@@ -72,7 +72,7 @@ class TestRoundPlan:
     def test_build_round_plan_orders_and_flags(self):
         plan = build_round_plan(2, [1, 4, 6], {4}, seed=9, attack_active=True)
         assert plan.sampled_clients == (1, 4, 6)
-        assert [t.order for t in plan.tasks] == [0, 1, 2]
+        assert [t.slot for t in plan.tasks] == [0, 1, 2]
         assert [t.malicious for t in plan.tasks] == [False, True, False]
         assert plan.compromised_sampled == [4]
         assert plan.tasks[0].rng_seed == client_stream_seed(9, 2, 1)
@@ -83,8 +83,8 @@ class TestRoundPlan:
 
 
 class TestBackendRegistry:
-    def test_available_backends(self):
-        assert set(available_backends()) == {"serial", "batched", "distributed"}
+    def test_registered_backends(self):
+        assert set(BACKENDS.names()) == {"serial", "batched", "distributed"}
 
     def test_make_backend(self):
         assert isinstance(make_backend("serial"), SerialBackend)
@@ -111,6 +111,23 @@ class TestBackendEquivalence:
         server.close()
         recorded = sum(len(r.compromised_sampled) for r in server.history.records)
         assert len(server.attack.psi_history) == recorded
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_every_update_reports_its_clients_example_count(
+        self, small_federation, image_model_factory, backend
+    ):
+        # Malicious updates included: weighted_mean weighs them like any
+        # benign participant of the same size.
+        seen = []
+        hook = CallbackHook(on_update=lambda s, p, u: seen.append(u))
+        server = _make_server(
+            small_federation, image_model_factory, backend, attack=True, hooks=[hook]
+        )
+        server.run()
+        server.close()
+        assert any(u.malicious for u in seen) and not all(u.malicious for u in seen)
+        for u in seen:
+            assert u.num_examples == len(small_federation.client(u.client_id).train) > 0
 
 
 class TestHookPipeline:

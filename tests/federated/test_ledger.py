@@ -177,7 +177,7 @@ class TestRunLedger:
 
 
 class TestLedgerCli:
-    def test_ledger_table_from_results_json(self, tmp_path, capsys):
+    def test_ledger_table_of_saved_results(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "results.json"

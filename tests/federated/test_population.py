@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.scenario import Scenario
+from repro.federated.engine import RoundHook
 from repro.federated.population import ClientPopulation, SyntheticPopulation
 from repro.registry import POPULATIONS
 
@@ -132,3 +134,48 @@ class TestRegistryIntegration:
         counts = pop.auxiliary_class_counts([1, 2])
         assert counts.shape == (pop.num_classes,)
         assert pop.input_shape[-1] == pop.generator.image_size
+
+
+class _MaterializationProbe(RoundHook):
+    """Per round: (sampled clients, materialisations the round caused)."""
+
+    def __init__(self) -> None:
+        self.rounds: list[tuple[int, int]] = []
+        self._before = 0
+
+    def on_round_start(self, server, plan) -> None:
+        self._before = server.dataset.materializations
+
+    def on_round_end(self, server, plan, record) -> None:
+        self.rounds.append((len(plan), server.dataset.materializations - self._before))
+
+
+class TestOneMaterializationPerTrainedClient:
+    """A round looks a client's data up once, where the client trains.
+
+    The driver trains every client on serial and batched, so each sampled
+    client materialises once per round (21 of them, well past the 16-slot
+    cache); distributed workers train on their own copy of the population,
+    so the driver materialises none.
+    """
+
+    @pytest.mark.parametrize("backend", ["serial", "batched", "distributed"])
+    def test_materializations_per_round(self, backend):
+        scenario = Scenario(
+            dataset="femnist",
+            hidden=(32,),
+            num_clients=200,
+            samples_per_client=12,
+            population="synthetic:cache_size=16",
+            sample_rate=0.1,
+            attack="none",
+            rounds=2,
+            backend=backend,
+            backend_workers=1 if backend == "distributed" else None,
+        )
+        probe = _MaterializationProbe()
+        scenario.run(hooks=[probe])
+        assert len(probe.rounds) == 2
+        for sampled, materialized in probe.rounds:
+            assert sampled > 16  # more than the cache holds
+            assert materialized == (0 if backend == "distributed" else sampled)

@@ -152,9 +152,9 @@ class TestSecureAggregator:
         )
 
     def test_rejects_plaintext_required_defense(self):
-        from repro.defenses.registry import make_defense
+        from repro.registry import DEFENSES
 
-        krum = make_defense("krum")
+        krum = DEFENSES.create("krum")
         with pytest.raises(PlaintextRequiredError) as excinfo:
             SecureAggregator(krum, seed=0)
         assert excinfo.value.defense == "krum"

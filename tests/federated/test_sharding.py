@@ -15,12 +15,12 @@ import pytest
 import repro.defenses  # noqa: F401 - populate the defense registry
 from repro.defenses.base import AggregationContext, MeanAggregator
 from repro.defenses.krum import Krum
-from repro.defenses.registry import make_defense
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.plan import ClientUpdate
 from repro.federated.engine.sharding import ShardedAggregator, maybe_shard, plan_shards
 from repro.federated.server import FederatedServer, ServerConfig
+from repro.registry import DEFENSES
 
 
 class TestPlanShards:
@@ -76,8 +76,8 @@ class TestShardedAggregator:
         updates = rng.normal(size=(6, 53)) * rng.uniform(0.1, 30.0, size=(6, 1))
         global_params = rng.normal(size=53)
         weights = [3, 1, 4, 1, 5, 9]
-        plain = _stream(make_defense(name), updates, global_params, weights=weights)
-        sharded = ShardedAggregator(make_defense(name), num_shards)
+        plain = _stream(DEFENSES.create(name), updates, global_params, weights=weights)
+        sharded = ShardedAggregator(DEFENSES.create(name), num_shards)
         try:
             out = _stream(sharded, updates, global_params, weights=weights)
         finally:
@@ -88,14 +88,14 @@ class TestShardedAggregator:
     def test_out_of_order_accumulation_is_reordered(self, name, rng):
         updates = rng.normal(size=(6, 40))
         global_params = rng.normal(size=40)
-        sharded = ShardedAggregator(make_defense(name), 3)
+        sharded = ShardedAggregator(DEFENSES.create(name), 3)
         try:
             shuffled = _stream(
                 sharded, updates, global_params, order=[5, 2, 0, 4, 1, 3]
             )
         finally:
             sharded.close()
-        plain = _stream(make_defense(name), updates, global_params)
+        plain = _stream(DEFENSES.create(name), updates, global_params)
         np.testing.assert_array_equal(shuffled, plain)
 
     def test_more_shards_than_params_still_exact(self, rng):
@@ -242,7 +242,7 @@ class TestServerSharding:
     @pytest.mark.parametrize("reordered", [False, True], ids=["serial", "reordered"])
     @pytest.mark.parametrize(
         "make_aggregator",
-        [MeanAggregator, lambda: make_defense("weighted_mean")],
+        [MeanAggregator, lambda: DEFENSES.create("weighted_mean")],
         ids=["mean", "weighted_mean"],
     )
     def test_shards_match_unsharded(

@@ -15,7 +15,7 @@ from repro.defenses.base import MeanAggregator
 from repro.defenses.krum import Krum
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.engine import CallbackHook, ClientResult, ClientUpdate, build_round_plan
+from repro.federated.engine import CallbackHook, build_round_plan
 from repro.federated.server import FederatedServer, ServerConfig
 
 
@@ -58,17 +58,17 @@ def _fingerprint(history):
 
 
 class TestClientUpdate:
-    def test_from_result_carries_slot_and_weight(self):
+    def test_task_update_carries_slot_and_weight(self):
         plan = build_round_plan(1, [4, 7], set(), seed=0, attack_active=False)
-        result = ClientResult(task=plan.tasks[1], update=np.ones(3), loss=0.5)
-        update = ClientUpdate.from_result(result, num_examples=12)
+        vector = np.ones(3)
+        update = plan.tasks[1].update(vector, num_examples=12, loss=0.5)
         assert update.client_id == 7
         assert update.slot == 1
         assert update.loss == 0.5
         assert not update.malicious
         assert update.num_examples == 12
         assert update.weight == 12.0
-        assert update.update is result.update  # shares, does not copy
+        assert update.update is vector  # shares, does not copy
 
     def test_iter_updates_covers_plan(self, small_federation, image_model_factory):
         server = _make_server(small_federation, image_model_factory, "serial")
