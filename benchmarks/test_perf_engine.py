@@ -2,7 +2,10 @@
 
 ``test_conv2d_backward_col2im`` times the vectorised kernel-offset
 scatter-add against the historical Python double loop over output positions
-(the exact code shipped before the optimisation), on identical inputs.
+(the exact code shipped before the optimisation), on identical inputs.  Both
+sides run the whole backward — weight and bias gradients included — and are
+timed interleaved, taking each side's fastest of several repeats, so a burst
+of host noise cannot land on one side only.
 
 Timings are always printed; the speedup assertion only runs off-CI —
 wall-clock thresholds are too noisy on shared CI runners to gate a
@@ -11,6 +14,7 @@ pipeline on.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -20,11 +24,15 @@ from repro.nn.layers import Conv2d
 
 
 def _backward_reference_loop(conv: Conv2d, grad_out: np.ndarray) -> np.ndarray:
-    """The pre-optimisation Conv2d.backward input-gradient path, verbatim."""
+    """The pre-optimisation Conv2d.backward: the weight and bias gradient
+    lines ``conv.backward`` runs, then the per-position col2im loop."""
     batch, _, out_h, out_w = grad_out.shape
     k = conv.kernel_size
     grad = grad_out.transpose(0, 2, 3, 1)
+    cols_2d = conv._cols.reshape(-1, conv._cols.shape[-1])
     grad_2d = grad.reshape(-1, conv.out_channels)
+    conv.grads["W"] += (grad_2d.T @ cols_2d).reshape(conv.params["W"].shape)
+    conv.grads["b"] += grad_2d.sum(axis=0)
     w_mat = conv.params["W"].reshape(conv.out_channels, -1)
     grad_cols = (grad_2d @ w_mat).reshape(batch, out_h, out_w, conv.in_channels, k, k)
     grad_x = np.zeros(conv._x_shape, dtype=np.float64)
@@ -40,12 +48,17 @@ def _backward_reference_loop(conv: Conv2d, grad_out: np.ndarray) -> np.ndarray:
     return grad_x
 
 
-def _time(fn, repeats: int = 10) -> float:
-    fn()  # warm-up
-    start = time.perf_counter()
+def _interleaved_min(fns, repeats: int = 10) -> list[float]:
+    """Fastest of ``repeats`` timings per callable, alternating between them."""
+    for fn in fns:
+        fn()  # warm-up
+    best = [math.inf] * len(fns)
     for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - start) / repeats
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
 
 
 def test_conv2d_backward_col2im():
@@ -61,8 +74,9 @@ def test_conv2d_backward_col2im():
     # Same math, different floating-point summation order.
     np.testing.assert_allclose(vectorized, reference, rtol=1e-10, atol=1e-12)
 
-    loop_time = _time(lambda: _backward_reference_loop(conv, grad_out))
-    vec_time = _time(lambda: conv.backward(grad_out))
+    loop_time, vec_time = _interleaved_min(
+        [lambda: _backward_reference_loop(conv, grad_out), lambda: conv.backward(grad_out)]
+    )
     speedup = loop_time / vec_time
     print(
         f"\nConv2d.backward col2im: loop {loop_time * 1000:.2f} ms -> "

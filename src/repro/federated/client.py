@@ -26,7 +26,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.optim import SGD, BatchedSGD
-from repro.nn.serialization import flatten_params, unflatten_params
+from repro.nn.serialization import unflatten_params
 
 
 @dataclass
@@ -107,13 +107,12 @@ def local_train(
             grad = criterion.backward()
             model.backward(grad)
             if config.proximal_mu > 0.0:
-                _add_proximal_gradient(model, anchor, config.proximal_mu)
+                model.grads += config.proximal_mu * (model.params - anchor)
             optimiser.step()
             epoch_losses.append(loss)
         last_epoch_losses = epoch_losses
-    local_params = flatten_params(model)
     mean_loss = float(np.mean(last_epoch_losses)) if last_epoch_losses else 0.0
-    return local_params - global_params, mean_loss
+    return model.params - global_params, mean_loss
 
 
 def _plan_step_runs(
@@ -161,9 +160,11 @@ def local_train_batched(
     and every client trains under the same ``config``.  Clients of *different*
     sizes batch together: each mini-batch step runs over the contiguous runs
     of clients sharing a batch size at that offset (see
-    :func:`_plan_step_runs`), through sliced views of the stacked parameter
-    planes — clients that exhaust their data simply drop out of later steps,
-    exactly as their serial loop would have ended.
+    :func:`_plan_step_runs`), through row views of the stacked ``(clients,
+    dim)`` parameter plane — clients that exhaust their data simply drop out
+    of later steps, exactly as their serial loop would have ended.  A view
+    over the first rows of a larger stack is a valid ``model`` too; the
+    batched runner trains smaller groups that way.
 
     Per-client randomness comes from ``rngs`` — each generator is consumed
     exactly as the serial path consumes it (one permutation per epoch), so
@@ -199,20 +200,9 @@ def local_train_batched(
     optimiser = BatchedSGD(model, lr=config.lr, momentum=config.momentum,
                            weight_decay=config.weight_decay)
     criterion = BatchedSoftmaxCrossEntropy()
-    anchor_planes = None
-    if config.proximal_mu > 0.0:
-        if drift_corrections is None:
-            anchors = np.broadcast_to(global_params, (clients, global_params.shape[0]))
-        else:
-            anchors = global_params[None, :] - drift_corrections
-        anchor_planes = []
-        offset = 0
-        for name, plane in model.named_parameters():
-            size = plane[0].size
-            anchor_planes.append(
-                (name, anchors[:, offset : offset + size].reshape(plane.shape))
-            )
-            offset += size
+    anchors = np.broadcast_to(global_params, model.params.shape)
+    if drift_corrections is not None:
+        anchors = anchors - drift_corrections
     max_n = sizes[0]
     step_runs = _plan_step_runs(sizes, config.batch_size)
     # One shuffled-epoch gather buffer: row ``c`` holds client ``c``'s
@@ -237,19 +227,13 @@ def local_train_batched(
                 step_losses = criterion.forward(logits, y_epoch[a:b, start : start + size])
                 grad = criterion.backward()
                 sub.backward(grad)
-                if anchor_planes is not None:
-                    grads = dict(sub.named_gradients())
-                    params = dict(sub.named_parameters())
-                    for name, anchor_plane in anchor_planes:
-                        grads[name] += config.proximal_mu * (
-                            params[name] - anchor_plane[a:b]
-                        )
+                if config.proximal_mu > 0.0:
+                    sub.grads += config.proximal_mu * (sub.params - anchors[a:b])
                 optimiser.step_slice(a, b)
                 for i in range(b - a):
                     epoch_losses[a + i].append(float(step_losses[i]))
         last_epoch_losses = epoch_losses
-    updates = model.flatten_per_client()
-    updates -= global_params[None, :]
+    updates = model.params - global_params
     # Per-client mean over a list of python floats — the exact reduction the
     # serial path's ``float(np.mean(last_epoch_losses))`` performs.
     mean_losses = np.array(
@@ -257,18 +241,6 @@ def local_train_batched(
         dtype=np.float64,
     )
     return updates, mean_losses
-
-
-def _add_proximal_gradient(model, anchor: np.ndarray, mu: float) -> None:
-    """Add ``mu * (θ − anchor)`` to the model's parameter gradients in place."""
-    offset = 0
-    anchor = np.asarray(anchor)
-    grads = dict(model.named_gradients())
-    for name, param in model.named_parameters():
-        size = param.size
-        anchor_slice = anchor[offset : offset + size].reshape(param.shape)
-        grads[name] += mu * (param - anchor_slice)
-        offset += size
 
 
 def evaluate_model(model, params: np.ndarray, data: Dataset) -> float:

@@ -15,7 +15,8 @@ The headline property is **bit-identity**: per run seed, the batched path
 produces the exact :class:`~repro.federated.history.TrainingHistory` bytes of
 the serial backend.  That works because
 
-* per-client parameter planes keep client weights strictly separate,
+* each client's parameters are its own row of the stack's ``(clients, dim)``
+  plane, so client weights stay strictly separate,
 * ``np.matmul`` executes a stacked matmul as one BLAS GEMM per client slice
   with the serial shapes/strides (see :mod:`repro.nn.layers`),
 * every reduction (bias gradients, loss means) reduces the same contiguous
@@ -65,16 +66,17 @@ class BatchedClientRunner:
     sorted by descending dataset size and the ragged step scheduler of
     :func:`local_train_batched` stacks whatever sub-range of them shares a
     batch shape on each step — unequal dataset sizes do not fragment the
-    stack.  Stacked models are cached per group size and reused across
-    rounds (their parameters are overwritten from the global vector each
-    call, like any scratch model).
+    stack.  The runner keeps one stacked model, rebuilt only when a larger
+    group arrives; a smaller group trains on a view of its first rows.  Its
+    parameters are overwritten from the global vector each call, like any
+    scratch model.
     """
 
     def __init__(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         self._template = None
         self._batchable: bool | None = None
-        self._stacked: dict[int, BatchedSequential] = {}
+        self._stack: BatchedSequential | None = None
         self._scratch = None
         #: Benign tasks that took the stacked path (observable by tests).
         self.batched_task_count = 0
@@ -92,12 +94,11 @@ class BatchedClientRunner:
             self._batchable = supports_batching(self._template)
         return self._batchable
 
-    def _stacked_model(self, clients: int) -> BatchedSequential:
-        model = self._stacked.get(clients)
-        if model is None:
-            model = BatchedSequential.from_template(self._template, clients)
-            self._stacked[clients] = model
-        return model
+    def _stack_for(self, clients: int) -> BatchedSequential:
+        if self._stack is None or self._stack.num_clients < clients:
+            self._stack = None  # free the smaller planes before allocating
+            self._stack = BatchedSequential.from_template(self._template, clients)
+        return self._stack.view(0, clients)
 
     # -- execution ----------------------------------------------------------
 
@@ -161,7 +162,7 @@ class BatchedClientRunner:
         drift_stack = None
         if drifts[0] is not None:
             drift_stack = np.stack(drifts)
-        model = self._stacked_model(len(members))
+        model = self._stack_for(len(members))
         rngs = [task.rng() for task in tasks]
         with maybe_span(
             self.ctx.telemetry, "client_train",

@@ -3,10 +3,10 @@
 The paper trains LeNet-style image classifiers and a small text-classification
 head on top of frozen BERT features, using PyTorch.  This reproduction is
 framework-free: every layer implements explicit ``forward`` / ``backward``
-passes over numpy arrays, and models expose their parameters as an ordered
-collection of named arrays so that federated-learning code can flatten them
-into a single vector (the representation the attack and the defenses operate
-on).
+passes over numpy arrays.  A model keeps all its parameters in one flat
+vector ``params`` (and its gradients in ``grads``) — the representation the
+attack and the defenses operate on — and its layers hold reshaped views of
+those buffers, so the optimiser and (un)flattening work on one vector.
 
 Public API
 ----------

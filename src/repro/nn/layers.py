@@ -7,7 +7,11 @@ Every layer follows the same contract:
 * ``backward(grad_out)`` consumes the gradient of the loss with respect to the
   layer output and returns the gradient with respect to the layer input,
   accumulating parameter gradients in ``self.grads``.
-* ``params`` / ``grads`` are ordered dictionaries keyed by parameter name.
+* ``params`` / ``grads`` are dictionaries keyed by parameter name.  A
+  standalone layer owns its arrays; inside a model they are reshaped views
+  of the model's flat ``params`` / ``grads`` buffers (see
+  :mod:`repro.nn.model`), so every write below lands in the buffers and an
+  entry must be updated in place, never rebound.
 
 The design intentionally mirrors the subset of PyTorch used by the paper's
 models (LeNet-style CNN, MLP heads) while staying dependency-free.
@@ -58,9 +62,9 @@ class Layer:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for name, grad in self.grads.items():
-            self.grads[name] = np.zeros_like(grad)
+        """Reset accumulated parameter gradients to zero, in place."""
+        for grad in self.grads.values():
+            grad.fill(0.0)
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -363,7 +367,9 @@ class MaxPool2d(Layer):
 # These layers train ``clients`` identically-shaped models at once by giving
 # every array a leading ``clients`` dimension: inputs are
 # ``(clients, batch, ...)`` and parameters are per-client planes
-# ``(clients, *shape)``, so client weights never mix.  The per-slice math is
+# ``(clients, *shape)`` (inside a ``BatchedSequential``, views of its
+# ``(clients, dim)`` buffers whose per-client slices stay C-contiguous), so
+# client weights never mix.  The per-slice math is
 # dispatched through ``np.matmul``'s gufunc, which runs one BLAS GEMM per
 # leading-dimension slice with exactly the shapes/strides the serial layers
 # use — that is what makes the batched path *bitwise* identical to running
@@ -650,7 +656,7 @@ def has_batched_counterpart(layer: Layer) -> bool:
 def batch_layer(layer: Layer, num_clients: int) -> Layer:
     """Build the client-stacked counterpart of a serial layer.
 
-    Only geometry is copied — parameters are freshly allocated planes, to be
+    Only geometry is copied — parameters are fresh zero planes, to be
     filled by ``BatchedSequential.load_global``.
     """
     if isinstance(layer, Linear):

@@ -7,12 +7,19 @@ The paper (Section V, Supplementary E) uses:
 * a two-layer fully connected task head on top of frozen BERT features for
   the Sentiment text task — reproduced by :func:`make_text_head`;
 * plain MLPs for ablations and quick experiments — :func:`make_mlp`.
+
+Every model owns one flat float64 parameter buffer ``params`` and one
+gradient buffer ``grads`` — the representation federated learning, the
+attack and the defenses work on (``Δθ = params − θ_global``).  Layers hold
+reshaped views of them (see :func:`_pack`), so the layer kernels write into
+the buffers directly, and ``zero_grad``, the optimiser step, the proximal
+term and (un)flattening each work on the whole vector at once.
 """
 
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterator
+import math
 
 import numpy as np
 
@@ -29,21 +36,50 @@ from repro.nn.layers import (
     slice_clients,
 )
 from repro.nn.losses import softmax
+from repro.nn.serialization import unflatten_params
 from repro.registry import MODELS
+
+
+def _pack(layers: list[Layer], lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Move every layer's parameters and gradients into one buffer pair.
+
+    Returns ``(params, grads)`` of shape ``(*lead, dim)`` — ``lead`` is ``()``
+    for a serial model and ``(clients,)`` for a stacked one.  Each parameter
+    takes the next slice of the last axis in the canonical order (layer
+    order, then sorted name) and the layer's ``params[name]``/``grads[name]``
+    become reshaped views of that slice, so a stacked client's parameter is
+    C-contiguous with the serial GEMM's shape and strides.  Parameter values
+    are copied in; gradients start at zero.
+    """
+    slots = [(layer, name) for layer in layers for name in sorted(layer.params)]
+    shapes = [layer.params[name].shape[len(lead):] for layer, name in slots]
+    dim = sum(math.prod(shape) for shape in shapes)
+    params = np.empty(lead + (dim,), dtype=np.float64)
+    grads = np.zeros(lead + (dim,), dtype=np.float64)
+    offset = 0
+    for (layer, name), shape in zip(slots, shapes, strict=True):
+        end = offset + math.prod(shape)
+        view = params[..., offset:end].reshape(lead + shape)
+        view[...] = layer.params[name]
+        layer.params[name] = view
+        layer.grads[name] = grads[..., offset:end].reshape(lead + shape)
+        offset = end
+    return params, grads
 
 
 class Sequential:
     """Ordered container of layers with whole-model forward/backward.
 
-    The container also implements the parameter-introspection protocol used by
-    :mod:`repro.nn.serialization` (``named_parameters`` / ``named_gradients``)
-    and convenience prediction helpers used by the metrics code.
+    ``params``/``grads`` are the model's flat buffers; the layers' own
+    arrays are views of them (:func:`_pack`).  Also provides the prediction
+    helpers used by the metrics code.
     """
 
     def __init__(self, layers: list[Layer]) -> None:
         if not layers:
             raise ValueError("Sequential requires at least one layer")
         self.layers = list(layers)
+        self.params, self.grads = _pack(self.layers, ())
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -58,20 +94,7 @@ class Sequential:
         return grad
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(name, array)`` pairs in a deterministic order."""
-        for idx, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                yield f"layer{idx}.{name}", layer.params[name]
-
-    def named_gradients(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(name, gradient array)`` pairs aligned with parameters."""
-        for idx, layer in enumerate(self.layers):
-            for name in sorted(layer.grads):
-                yield f"layer{idx}.{name}", layer.grads[name]
+        self.grads.fill(0.0)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of inputs (evaluation mode)."""
@@ -80,10 +103,6 @@ class Sequential:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions for a batch of inputs."""
         return self.forward(x, training=False).argmax(axis=-1)
-
-    def clone(self) -> "Sequential":
-        """Deep copy of the model (parameters included, caches discarded)."""
-        return copy.deepcopy(self)
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -97,14 +116,14 @@ def supports_batching(model: Sequential) -> bool:
 class BatchedSequential:
     """Train ``num_clients`` copies of one architecture as a single model.
 
-    Layers carry per-client parameter planes ``(clients, *shape)`` and all
-    activations a leading ``clients`` dimension, so one forward/backward pass
-    trains every client at once — with per-slice math bitwise identical to
-    running each client through the serial :class:`Sequential` (see the
-    batched-kernel notes in :mod:`repro.nn.layers`).  ``named_parameters``
-    yields planes under the *same* canonical names as the template model,
-    which is what keeps the flat-vector ordering of
-    :mod:`repro.nn.serialization` aligned between the two.
+    ``params``/``grads`` are ``(clients, dim)`` planes: row ``c`` is client
+    ``c``'s flat vector in the template model's canonical order, and each
+    batched layer's ``(clients, *shape)`` arrays are views of them.  All
+    activations carry a leading ``clients`` dimension, so one
+    forward/backward pass trains every client at once — with per-slice math
+    bitwise identical to running each client through the serial
+    :class:`Sequential` (see the batched-kernel notes in
+    :mod:`repro.nn.layers`).
     """
 
     def __init__(self, layers: list[Layer], num_clients: int) -> None:
@@ -114,6 +133,7 @@ class BatchedSequential:
             raise ValueError("num_clients must be positive")
         self.layers = list(layers)
         self.num_clients = num_clients
+        self.params, self.grads = _pack(self.layers, (num_clients,))
         self._views: dict[tuple[int, int], BatchedSequential] = {}
 
     @classmethod
@@ -136,45 +156,20 @@ class BatchedSequential:
         return grad
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(name, plane)`` pairs in the template model's order."""
-        for idx, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                yield f"layer{idx}.{name}", layer.params[name]
-
-    def named_gradients(self) -> Iterator[tuple[str, np.ndarray]]:
-        for idx, layer in enumerate(self.layers):
-            for name in sorted(layer.grads):
-                yield f"layer{idx}.{name}", layer.grads[name]
-
-    def parameter_count(self) -> int:
-        """Per-client flat parameter count (matches the template model's)."""
-        return int(sum(plane[0].size for _, plane in self.named_parameters()))
+        self.grads.fill(0.0)
 
     def load_global(self, vector: np.ndarray) -> None:
-        """Write one flat global parameter vector into every client's planes."""
-        expected = self.parameter_count()
-        if vector.ndim != 1 or vector.shape[0] != expected:
-            raise ValueError(
-                f"parameter vector has length {vector.shape}, model expects ({expected},)"
-            )
-        offset = 0
-        for _, plane in self.named_parameters():
-            size = plane[0].size
-            plane[...] = vector[offset : offset + size].reshape(plane.shape[1:])
-            offset += size
+        """Write one flat global parameter vector into every client's row."""
+        unflatten_params(self, vector)
 
     def view(self, a: int, b: int) -> "BatchedSequential":
         """A cached sub-model over client rows ``[a, b)`` sharing storage.
 
-        Layer parameters and gradients of the view are basic-slice views into
-        this model's planes (see :func:`repro.nn.layers.slice_clients`), so
-        training through the view updates the parent in place.  Views are
-        cached per range — the ragged step scheduler revisits the same handful
-        of prefixes every epoch.
+        The view's ``params``/``grads`` are rows ``[a, b)`` of this model's
+        planes and its layers' arrays are views of those rows (see
+        :func:`repro.nn.layers.slice_clients`), so training through the view
+        updates the parent in place.  Views are cached per range — the ragged
+        step scheduler revisits the same handful of prefixes every epoch.
         """
         if a == 0 and b == self.num_clients:
             return self
@@ -184,27 +179,14 @@ class BatchedSequential:
             )
         cached = self._views.get((a, b))
         if cached is None:
-            cached = BatchedSequential(
-                [slice_clients(layer, a, b) for layer in self.layers], b - a
-            )
+            cached = copy.copy(self)
+            cached.layers = [slice_clients(layer, a, b) for layer in self.layers]
+            cached.num_clients = b - a
+            cached.params = self.params[a:b]
+            cached.grads = self.grads[a:b]
+            cached._views = {}
             self._views[(a, b)] = cached
         return cached
-
-    def flatten_per_client(self) -> np.ndarray:
-        """Flatten every client's parameters into a ``(clients, dim)`` matrix.
-
-        Row ``c`` equals ``flatten_params`` of client ``c``'s serial model:
-        the same canonical (layer order, then name order) concatenation,
-        written segment-by-segment into one output matrix (a single copy;
-        ``np.concatenate`` + ``astype`` would make two).
-        """
-        out = np.empty((self.num_clients, self.parameter_count()), dtype=np.float64)
-        offset = 0
-        for _, plane in self.named_parameters():
-            size = plane[0].size
-            out[:, offset : offset + size] = plane.reshape(self.num_clients, size)
-            offset += size
-        return out
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)

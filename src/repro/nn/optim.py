@@ -1,8 +1,11 @@
 """Optimisers for local client training.
 
 The paper uses SGD with learning rate 0.01 (global) and 0.001 (local models);
-this module provides SGD with optional momentum and weight decay, operating on
-any model exposing ``named_parameters`` / ``named_gradients``.
+this module provides SGD with optional momentum and weight decay.  It steps a
+model's flat ``params`` buffer with its ``grads`` buffer (see
+:mod:`repro.nn.model`): one step is a few elementwise operations over the
+whole vector, or over client rows of a stacked model's ``(clients, dim)``
+planes.
 """
 
 from __future__ import annotations
@@ -30,25 +33,28 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
+        # One velocity array shaped like the parameter buffer, and one scratch
+        # array for ``lr * update`` so a step allocates nothing.
+        self._velocity = np.zeros_like(model.params) if momentum else None
+        self._scratch = np.empty_like(model.params)
 
     def step(self) -> None:
         """Apply one update using the gradients accumulated on the model."""
-        grads = dict(self.model.named_gradients())
-        for name, param in self.model.named_parameters():
-            grad = grads[name]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param
-            if self.momentum:
-                vel = self._velocity.get(name)
-                if vel is None:
-                    vel = np.zeros_like(param)
-                vel = self.momentum * vel + grad
-                self._velocity[name] = vel
-                update = vel
-            else:
-                update = grad
-            param -= self.lr * update
+        self._update(self.model.params, self.model.grads, self._velocity, self._scratch)
+
+    def _update(self, params, grads, velocity, scratch) -> None:
+        """``θ -= lr·v`` with ``v = m·v + g + wd·θ``, in place and elementwise."""
+        update = grads
+        if self.weight_decay:
+            np.multiply(params, self.weight_decay, out=scratch)
+            scratch += grads
+            update = scratch
+        if velocity is not None:
+            velocity *= self.momentum
+            velocity += update
+            update = velocity
+        np.multiply(update, self.lr, out=scratch)
+        params -= scratch
 
     def zero_grad(self) -> None:
         """Clear accumulated gradients on the underlying model."""
@@ -56,14 +62,13 @@ class SGD:
 
 
 class BatchedSGD(SGD):
-    """SGD over a batched model's stacked per-client parameter planes.
+    """SGD over a batched model's ``(clients, dim)`` parameter plane.
 
-    Every rule in :meth:`SGD.step` — weight decay, momentum, the parameter
-    update — is elementwise, so applying it to ``(clients, *shape)`` planes
-    performs each client's serial update exactly: one vectorised step
-    replaces ``clients`` small ones, bit-for-bit.  The momentum velocity
-    dict holds one stacked plane per parameter name, mirroring the fresh
-    per-client velocities of a serial optimiser created per client.
+    Every rule of :meth:`SGD.step` is elementwise, so applying it to the
+    stacked plane performs each client's serial update exactly: one
+    vectorised step replaces ``clients`` small ones, bit-for-bit.  Row ``c``
+    of the velocity is client ``c``'s, mirroring the fresh velocity of a
+    serial optimiser created per client.
 
     :meth:`step_slice` applies the update to a contiguous sub-range of
     clients only — the ragged step scheduler uses it to step exactly the
@@ -83,49 +88,21 @@ class BatchedSGD(SGD):
                 "BatchedSGD requires a client-stacked model (BatchedSequential)"
             )
         super().__init__(model, lr=lr, momentum=momentum, weight_decay=weight_decay)
-        # (name, param plane, grad plane, scratch plane) — resolved once; the
-        # planes are stable arrays (``load_global`` writes in place), so
-        # re-walking the model and building gradient dicts every step would
-        # only burn Python time.  The scratch plane holds ``lr * update`` so
-        # the hot ``param -= lr * update`` line allocates nothing.
-        grads = dict(model.named_gradients())
-        self._pairs = [
-            (name, param, grads[name], np.empty_like(param))
-            for name, param in model.named_parameters()
-        ]
 
     def step(self) -> None:
         self.step_slice(0, self.model.num_clients)
 
     def step_slice(self, a: int, b: int) -> None:
-        """Apply one update to client rows ``[a, b)`` of every plane.
+        """Apply one update to client rows ``[a, b)`` of the planes.
 
-        Velocity planes are allocated full-size on first use and sliced, so a
-        client's momentum state persists across steps regardless of which
+        A client's velocity row persists across steps regardless of which
         run (full-batch prefix or partial-batch tail) it lands in.
         """
         if not 0 <= a < b <= self.model.num_clients:
             raise ValueError(
                 f"invalid client range [{a}, {b}) for {self.model.num_clients} clients"
             )
-        for name, param, grad_plane, scratch in self._pairs:
-            grad = grad_plane[a:b]
-            plane = param[a:b]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * plane
-            if self.momentum:
-                vel = self._velocity.get(name)
-                if vel is None:
-                    vel = np.zeros_like(param)
-                    self._velocity[name] = vel
-                vel_slice = vel[a:b]
-                np.multiply(vel_slice, self.momentum, out=vel_slice)
-                vel_slice += grad
-                update = vel_slice
-            else:
-                update = grad
-            # ``update * lr`` into scratch, then in-place subtract: the same
-            # two elementwise ops as ``plane -= lr * update``, minus the temp.
-            scratch_slice = scratch[a:b]
-            np.multiply(update, self.lr, out=scratch_slice)
-            plane -= scratch_slice
+        velocity = None if self._velocity is None else self._velocity[a:b]
+        self._update(
+            self.model.params[a:b], self.model.grads[a:b], velocity, self._scratch[a:b]
+        )

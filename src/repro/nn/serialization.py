@@ -1,11 +1,12 @@
-"""Flattening model parameters to/from a single vector.
+"""Flat parameter vectors and their wire encoding.
 
 Federated learning, the CollaPois attack, and every robust-aggregation defense
 in this library operate on *flat parameter vectors*: a client update is
-``Δθ = flatten(local model) − flatten(global model)``.  These helpers define
-that canonical ordering (layer order, then parameter-name order within each
-layer) and guarantee that ``unflatten_params(model, flatten_params(model))``
-is the identity.
+``Δθ = θ_local − θ_global``.  A model already stores its parameters as one
+such vector, ``model.params``, in the canonical order (layer order, then
+parameter-name order within each layer; see :mod:`repro.nn.model`), so
+flattening and unflattening are one copy each and
+``unflatten_params(model, flatten_params(model))`` is the identity.
 """
 
 from __future__ import annotations
@@ -14,36 +15,31 @@ import numpy as np
 
 
 def flatten_params(model) -> np.ndarray:
-    """Concatenate every trainable parameter of ``model`` into one 1-D vector."""
-    chunks = [param.ravel() for _, param in model.named_parameters()]
-    if not chunks:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(chunks).astype(np.float64)
+    """A copy of ``model``'s flat parameter vector."""
+    return model.params.copy()
 
 
 def unflatten_params(model, vector: np.ndarray) -> None:
-    """Write ``vector`` back into the model's parameters in place.
+    """Write ``vector`` into the model's parameters in place.
+
+    On a client-stacked model the vector is written into every client's row.
 
     Raises
     ------
     ValueError
         If the vector length does not match the model's parameter count.
     """
-    expected = parameter_count(model)
+    expected = model.params.shape[-1]
     if vector.ndim != 1 or vector.shape[0] != expected:
         raise ValueError(
             f"parameter vector has length {vector.shape}, model expects ({expected},)"
         )
-    offset = 0
-    for _, param in model.named_parameters():
-        size = param.size
-        param[...] = vector[offset : offset + size].reshape(param.shape)
-        offset += size
+    model.params[...] = vector
 
 
 def parameter_count(model) -> int:
     """Total number of trainable scalars in ``model``."""
-    return int(sum(param.size for _, param in model.named_parameters()))
+    return int(model.params.size)
 
 
 #: Wire encodings a flat vector may ship as: tag → little-endian NumPy dtype.
@@ -92,11 +88,3 @@ def vector_from_bytes(data, dtype: str = "float64") -> np.ndarray:
     # Copy (astype): frombuffer views are read-only and would pin the message
     # buffer alive.
     return np.frombuffer(data, dtype=dt).astype(np.float64)
-
-
-def flatten_grads(model) -> np.ndarray:
-    """Concatenate every parameter gradient of ``model`` into one 1-D vector."""
-    chunks = [grad.ravel() for _, grad in model.named_gradients()]
-    if not chunks:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(chunks).astype(np.float64)

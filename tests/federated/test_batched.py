@@ -23,7 +23,7 @@ from repro.federated.engine import build_round_plan, make_backend
 from repro.federated.engine.batched import BatchedBackend
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.layers import Flatten
-from repro.nn.model import Sequential, make_mlp
+from repro.nn.model import BatchedSequential, Sequential, make_mlp
 
 
 def _make_server(
@@ -167,6 +167,32 @@ class TestBatchedFallbacks:
         assert (update.slot, update.loss, update.num_examples) == (
             expected.slot, expected.loss, expected.num_examples,
         )
+
+    def test_one_stack_serves_every_group_size(
+        self, small_federation, image_model_factory, monkeypatch
+    ):
+        # A smaller group trains on a row-prefix view of the stack; only a
+        # larger group rebuilds it, so memory does not grow with the number
+        # of distinct cohort sizes a run sees.
+        built = []
+        from_template = BatchedSequential.from_template.__func__
+
+        def counting(cls, template, num_clients):
+            built.append(num_clients)
+            return from_template(cls, template, num_clients)
+
+        monkeypatch.setattr(BatchedSequential, "from_template", classmethod(counting))
+        reference = _make_server(small_federation, image_model_factory, "serial")
+        server = _make_server(small_federation, image_model_factory, "batched")
+        cohorts = [[0, 1, 2], [0, 1, 2, 3, 4, 5], [1, 3, 5, 7], [2, 6], [0, 2, 4, 6, 7]]
+        for round_idx, cohort in enumerate(cohorts):
+            plan = build_round_plan(round_idx, cohort, set(), seed=2, attack_active=False)
+            expected = reference.backend.iter_updates(plan, reference.global_params)
+            got = server.backend.iter_updates(plan, server.global_params)
+            for want, have in zip(expected, got, strict=True):
+                np.testing.assert_array_equal(have.update, want.update)
+                assert have.loss == want.loss
+        assert built == [3, 6]
 
     def test_batched_task_count_counts_stacked_clients(
         self, small_federation, image_model_factory

@@ -26,7 +26,6 @@ from repro.nn.layers import (
     Flatten,
     Linear,
     MaxPool2d,
-    ReLU,
     batch_layer,
     has_batched_counterpart,
     slice_clients,
@@ -34,13 +33,12 @@ from repro.nn.layers import (
 from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.model import (
     BatchedSequential,
-    Sequential,
     make_lenet,
     make_mlp,
     supports_batching,
 )
 from repro.nn.optim import SGD, BatchedSGD
-from repro.nn.serialization import flatten_params
+from repro.nn.serialization import flatten_params, unflatten_params
 
 CLIENTS = 5
 
@@ -128,15 +126,11 @@ class TestBatchedSGD:
     def test_step_bitwise_equals_serial(self, rng, momentum, weight_decay):
         template = make_mlp(5, (4,), 3, seed=1)
         batched = BatchedSequential.from_template(template, CLIENTS)
-        for _, plane in batched.named_parameters():
-            plane[...] = rng.normal(size=plane.shape)
+        batched.params[...] = rng.normal(size=batched.params.shape)
         serial_models = []
         for c in range(CLIENTS):
             model = make_mlp(5, (4,), 3, seed=1)
-            for (_, param), (_, plane) in zip(
-                model.named_parameters(), batched.named_parameters(), strict=True
-            ):
-                param[...] = plane[c]
+            unflatten_params(model, batched.params[c])
             serial_models.append(model)
 
         opt_b = BatchedSGD(batched, lr=0.1, momentum=momentum, weight_decay=weight_decay)
@@ -159,10 +153,32 @@ class TestBatchedSGD:
                 model.backward(criterion.backward())
                 opts[c].step()
         for c, model in enumerate(serial_models):
-            for (_, param), (_, plane) in zip(
-                model.named_parameters(), batched.named_parameters(), strict=True
-            ):
-                np.testing.assert_array_equal(param, plane[c])
+            np.testing.assert_array_equal(model.params, batched.params[c])
+
+    def test_zero_grad_before_step_keeps_stepping(self, rng):
+        # zero_grad() used to rebind the gradient arrays away from the ones
+        # BatchedSGD steps, which froze the model.  Batched backward
+        # overwrites the gradients, so zeroing first must change nothing.
+        template = make_mlp(5, (4,), 3, seed=1)
+        x = rng.normal(size=(2, 6, 5))
+        y = rng.integers(0, 3, size=(2, 6))
+        results = []
+        for zero_first in (False, True):
+            batched = BatchedSequential.from_template(template, 2)
+            batched.load_global(flatten_params(template))
+            before = flatten_params(batched)
+            opt = BatchedSGD(batched, lr=0.1)
+            criterion = BatchedSoftmaxCrossEntropy()
+            for _step in range(2):
+                if zero_first:
+                    opt.zero_grad()
+                criterion.forward(batched.forward(x, training=True), y)
+                batched.backward(criterion.backward())
+                opt.step()
+            after = flatten_params(batched)
+            assert not np.array_equal(after, before)
+            results.append(after)
+        np.testing.assert_array_equal(results[1], results[0])
 
     def test_requires_batched_model(self):
         with pytest.raises(ValueError, match="client-stacked"):
@@ -195,7 +211,7 @@ class TestSliceClients:
         template = make_mlp(5, (4,), 3, seed=1)
         batched = BatchedSequential.from_template(template, CLIENTS)
         batched.load_global(flatten_params(template))
-        before = batched.flatten_per_client()
+        before = flatten_params(batched)
         sub = batched.view(1, 3)
         opt = BatchedSGD(batched, lr=0.1)
         criterion = BatchedSoftmaxCrossEntropy()
@@ -204,7 +220,7 @@ class TestSliceClients:
         criterion.forward(sub.forward(x, training=True), y)
         sub.backward(criterion.backward())
         opt.step_slice(1, 3)
-        after = batched.flatten_per_client()
+        after = flatten_params(batched)
         assert not np.array_equal(after[1:3], before[1:3])
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[3:], before[3:])
@@ -264,7 +280,9 @@ class TestLocalTrainBatched:
         global_params = flatten_params(template)
         sizes = [11, 8, 8, 3]
         datasets = self._datasets(rng, sizes)
-        config = LocalTrainingConfig(epochs=2, batch_size=4, lr=0.05, momentum=0.9)
+        config = LocalTrainingConfig(
+            epochs=2, batch_size=4, lr=0.05, momentum=0.9, weight_decay=0.01
+        )
         batched = BatchedSequential.from_template(template, len(sizes))
         updates, losses = local_train_batched(
             batched, global_params, datasets, config,

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, ReLU
-from repro.nn.model import Sequential, make_lenet, make_mlp, make_text_head
-from repro.nn.serialization import flatten_params, parameter_count
+from repro.data.dataset import Dataset
+from repro.data.femnist import SyntheticFEMNIST
+from repro.experiments.runner import build_model_factory
+from repro.experiments.scenario import Scenario
+from repro.federated.client import LocalTrainingConfig, local_train, local_train_batched
+from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.model import (
+    BatchedSequential,
+    Sequential,
+    make_lenet,
+    make_mlp,
+    make_text_head,
+)
+from repro.nn.serialization import flatten_params, parameter_count, unflatten_params
 
 
 class TestSequential:
@@ -23,27 +36,12 @@ class TestSequential:
         grad_in = model.backward(np.ones_like(out))
         assert grad_in.shape == x.shape
 
-    def test_named_parameters_deterministic_order(self):
-        model = make_mlp(4, (5,), 2, seed=0)
-        names = [name for name, _ in model.named_parameters()]
-        assert names == [name for name, _ in model.named_parameters()]
-        assert all("." in name for name in names)
-
     def test_predict_and_predict_proba(self, rng):
         model = make_mlp(4, (), 3, seed=0)
         x = rng.normal(size=(5, 4))
         probs = model.predict_proba(x)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-9)
         assert model.predict(x).shape == (5,)
-
-    def test_clone_is_independent(self, rng):
-        model = make_mlp(4, (5,), 2, seed=0)
-        clone = model.clone()
-        original = flatten_params(model).copy()
-        for _, param in clone.named_parameters():
-            param += 1.0
-        np.testing.assert_allclose(flatten_params(model), original)
-        assert not np.allclose(flatten_params(clone), original)
 
 
 class TestFactories:
@@ -78,3 +76,102 @@ class TestFactories:
 
     def test_parameter_count_positive(self):
         assert parameter_count(make_mlp(4, (5,), 2, seed=0)) == 4 * 5 + 5 + 5 * 2 + 2
+
+
+def _runner_mlp():
+    """The experiment runner's MLP: its layers repacked behind a ``Flatten``."""
+    scenario = Scenario(model="mlp", image_size=8, num_classes=3, hidden=(5,))
+    return build_model_factory(scenario, SyntheticFEMNIST(num_classes=3, image_size=8))()
+
+
+#: name -> (factory, per-sample input shape, classes)
+SERIAL_MODELS = {
+    "mlp": (lambda: make_mlp(6, (5, 4), 3, seed=0), (6,), 3),
+    "lenet": (
+        lambda: make_lenet(image_size=8, num_classes=3, conv_channels=(2, 3), fc_width=8),
+        (1, 8, 8),
+        3,
+    ),
+    "text": (lambda: make_text_head(embedding_dim=6, hidden=5, num_classes=2), (6,), 2),
+    "runner": (_runner_mlp, (8, 8), 3),
+}
+
+
+def _assert_views_of_buffers(model):
+    """Every layer array is its canonical slice of the model's buffers.
+
+    Canonical means layer order, then sorted name, each parameter reshaped
+    from the next run of the buffers' last axis.  Comparing array interfaces
+    checks the data pointer, shape and strides at once.
+    """
+    lead = model.params.shape[:-1]
+    offset = 0
+    for layer in model.layers:
+        for name in sorted(layer.params):
+            shape = layer.params[name].shape
+            end = offset + math.prod(shape[len(lead):])
+            for arrays, buffer in ((layer.params, model.params), (layer.grads, model.grads)):
+                expected = buffer[..., offset:end].reshape(shape)
+                assert arrays[name].__array_interface__ == expected.__array_interface__
+            offset = end
+    assert offset == model.params.shape[-1] == model.grads.shape[-1]
+
+
+def _dataset(rng, n, input_shape, classes):
+    return Dataset(x=rng.normal(size=(n, *input_shape)), y=rng.integers(0, classes, size=n))
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("kind", sorted(SERIAL_MODELS))
+    def test_serial_layers_stay_views_of_the_buffers(self, kind, rng):
+        factory, input_shape, classes = SERIAL_MODELS[kind]
+        model = factory()
+        assert model.params.shape == model.grads.shape == (parameter_count(model),)
+        _assert_views_of_buffers(model)
+        model.backward(np.ones_like(model.forward(rng.normal(size=(3, *input_shape)))))
+        assert model.grads.any()
+        model.zero_grad()
+        assert not model.grads.any()
+        _assert_views_of_buffers(model)
+        vector = rng.normal(size=parameter_count(model))
+        unflatten_params(model, vector)
+        np.testing.assert_array_equal(model.params, vector)
+        _assert_views_of_buffers(model)
+        config = LocalTrainingConfig(epochs=1, batch_size=4, lr=0.05, momentum=0.5)
+        update, _ = local_train(
+            model, vector, _dataset(rng, 6, input_shape, classes), config, rng
+        )
+        np.testing.assert_array_equal(update, model.params - vector)
+        _assert_views_of_buffers(model)
+
+    def test_repacked_layers_leave_the_source_model(self):
+        # The runner builds Sequential([Flatten(), *mlp.layers]): the new
+        # model copies the layers' values into a buffer of its own.
+        mlp = make_mlp(64, (5,), 3, seed=0)
+        model = Sequential([Flatten(), *mlp.layers])
+        np.testing.assert_array_equal(model.params, flatten_params(mlp))
+        assert not np.shares_memory(model.params, mlp.params)
+        _assert_views_of_buffers(model)
+
+    def test_batched_layers_and_views_stay_views_of_the_planes(self, rng):
+        template = make_lenet(image_size=8, num_classes=3, conv_channels=(2, 3), fc_width=8)
+        dim = parameter_count(template)
+        batched = BatchedSequential.from_template(template, 4)
+        assert batched.params.shape == batched.grads.shape == (4, dim)
+        view = batched.view(1, 3)
+        assert np.shares_memory(view.params, batched.params[1:3])
+        assert np.shares_memory(view.grads, batched.grads[1:3])
+        for model in (batched, view):
+            _assert_views_of_buffers(model)
+        batched.load_global(flatten_params(template))
+        np.testing.assert_array_equal(batched.params, np.tile(flatten_params(template), (4, 1)))
+        batched.zero_grad()
+        config = LocalTrainingConfig(epochs=1, batch_size=4, lr=0.05, momentum=0.5)
+        updates, _ = local_train_batched(
+            view, flatten_params(template),
+            [_dataset(rng, n, (1, 8, 8), 3) for n in (6, 5)], config,
+            [np.random.default_rng(c) for c in range(2)],
+        )
+        np.testing.assert_array_equal(updates, batched.params[1:3] - flatten_params(template))
+        for model in (batched, view):
+            _assert_views_of_buffers(model)

@@ -67,6 +67,29 @@ class TestSGD:
         norm_before = np.linalg.norm(flatten_params(model))
         _train_steps(model, optimiser, x, y, steps=10)
         # With zero inputs the only drive on the weights is the decay term.
-        weights_only = [p for n, p in model.named_parameters() if n.endswith(".W")]
+        weights_only = [layer.params["W"] for layer in model.layers if "W" in layer.params]
         norm_after = np.linalg.norm(np.concatenate([w.ravel() for w in weights_only]))
         assert norm_after < norm_before
+
+    def test_step_matches_per_parameter_rule(self, rng):
+        # The flat-buffer step must equal, bit for bit, the rule applied to
+        # each parameter array on its own: g += wd·θ; v = m·v + g; θ -= lr·v.
+        model = make_mlp(4, (5,), 3, seed=0)
+        x = rng.normal(size=(6, 4))
+        y = rng.integers(0, 3, size=6)
+        slots = [(layer, name) for layer in model.layers for name in sorted(layer.params)]
+        theta = [layer.params[name].copy() for layer, name in slots]
+        velocity = [np.zeros_like(param) for param in theta]
+        optimiser = SGD(model, lr=0.1, momentum=0.9, weight_decay=0.01)
+        criterion = SoftmaxCrossEntropy()
+        for _ in range(3):
+            optimiser.zero_grad()
+            criterion.forward(model.forward(x, training=True), y)
+            model.backward(criterion.backward())
+            for i, (layer, name) in enumerate(slots):
+                grad = layer.grads[name] + 0.01 * theta[i]
+                velocity[i] = 0.9 * velocity[i] + grad
+                theta[i] = theta[i] - 0.1 * velocity[i]
+            optimiser.step()
+            for i, (layer, name) in enumerate(slots):
+                np.testing.assert_array_equal(layer.params[name], theta[i])

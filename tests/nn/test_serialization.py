@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.nn.model import make_lenet, make_mlp
 from repro.nn.serialization import (
-    flatten_grads,
     flatten_params,
     parameter_count,
     unflatten_params,
@@ -43,14 +42,13 @@ class TestFlattenUnflatten:
         with pytest.raises(ValueError):
             unflatten_params(model, np.zeros(parameter_count(model) + 1))
 
-    def test_flatten_grads_matches_parameter_count(self, rng):
+    def test_grads_buffer_matches_parameter_count(self, rng):
         model = make_mlp(4, (3,), 2, seed=0)
         x = rng.normal(size=(5, 4))
         out = model.forward(x)
         model.backward(np.ones_like(out))
-        grads = flatten_grads(model)
-        assert grads.shape == (parameter_count(model),)
-        assert np.abs(grads).sum() > 0
+        assert model.grads.shape == (parameter_count(model),)
+        assert np.abs(model.grads).sum() > 0
 
     @settings(max_examples=25, deadline=None)
     @given(
