@@ -49,7 +49,8 @@ def main() -> int:
     )
 
     # "distributed" runs socket worker processes on separate interpreters
-    # (pays ~1s/worker spawn, the price of the multi-host story — see README).
+    # (pays ~0.3 s to spawn its workers, started together, the price of the
+    # multi-host story — see README).
     backends = ["serial", "batched", "distributed"]
     print(f"Registered backends: {', '.join(BACKENDS.names())}")
 

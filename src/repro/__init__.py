@@ -19,9 +19,14 @@ Quickstart
 >>> result = run_experiment(config)
 >>> round(result.evaluation.mean_attack_success_rate, 2)  # doctest: +SKIP
 0.93
+
+Subpackages load on first use: ``import repro`` imports none of them, and
+reading ``repro.nn`` (or any other name in ``__all__``) imports that
+subpackage.  A process that needs only the engine, such as a distributed
+worker, pays for nothing else at start-up.
 """
 
-from repro import analysis, attacks, core, data, defenses, federated, metrics, nn, registry
+import importlib
 
 __version__ = "1.1.0"
 
@@ -37,3 +42,11 @@ __all__ = [
     "registry",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: import a subpackage the first time it is read.  The import
+    # binds it as a module attribute, so later reads never come back here.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

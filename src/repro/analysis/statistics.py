@@ -6,16 +6,23 @@ on angles/means, Levene's test on variances, a Kolmogorov–Smirnov test on the
 gradient distributions, and the 3σ outlier rule.  This module wraps those four
 tests around scipy and exposes a single summary helper used by both the
 stealth diagnostics and the MESAS-style detector defense.
+
+scipy is imported on a test's first call, not with this module.  The
+detector defense imports this module, so every process that loads the
+defense registry (the coordinator and each distributed worker) would
+otherwise pay for ``scipy.stats`` at start-up, which takes longer than a
+small run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Welch two-sample t-test; returns ``(statistic, p_value)``."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -26,6 +33,8 @@ def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def levene_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Levene's test for equality of variances; returns ``(statistic, p_value)``."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -36,6 +45,8 @@ def levene_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def ks_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Two-sample Kolmogorov–Smirnov test; returns ``(statistic, p_value)``."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 1 or b.size < 1:

@@ -13,7 +13,6 @@ attacker's target class (:func:`poison_dataset`).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.registry import TRIGGERS
@@ -48,6 +47,8 @@ class WarpingTrigger(Trigger):
         grid_size: int = 4,
         seed: int = 7,
     ) -> None:
+        from scipy import ndimage
+
         if image_size < 4:
             raise ValueError("image_size must be at least 4")
         if strength < 0:
@@ -65,6 +66,8 @@ class WarpingTrigger(Trigger):
         self.displacement = field * strength
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        from scipy import ndimage
+
         if x.ndim != 4:
             raise ValueError("WarpingTrigger expects NCHW images")
         if x.shape[-1] != self.image_size or x.shape[-2] != self.image_size:

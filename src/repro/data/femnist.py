@@ -17,7 +17,6 @@ Images are returned in NCHW layout with values in [0, 1].
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.registry import DATASETS
@@ -54,6 +53,8 @@ class SyntheticFEMNIST:
         drawn deterministically per class, low-pass filtered so the glyphs are
         smooth shapes rather than white noise.
         """
+        from scipy import ndimage
+
         protos = np.zeros((self.num_classes, self.image_size, self.image_size), dtype=np.float64)
         grid = np.arange(self.image_size)
         yy, xx = np.meshgrid(grid, grid, indexing="ij")
@@ -79,6 +80,8 @@ class SyntheticFEMNIST:
 
     def _writer_transform(self, image: np.ndarray, writer_rng: np.random.Generator) -> np.ndarray:
         """Apply a small writer-specific shift and scale to a prototype."""
+        from scipy import ndimage
+
         shift = writer_rng.uniform(-self.style_jitter * self.image_size / 4,
                                    self.style_jitter * self.image_size / 4, size=2)
         zoom = 1.0 + writer_rng.uniform(-self.style_jitter, self.style_jitter)

@@ -6,7 +6,10 @@ spawned locally (:meth:`DistributedBackend.spawn_local`) or attached to
 ``python -m repro worker``).  Per round it:
 
 1. lazily starts/configures workers (``CONFIGURE`` ships the scenario
-   payload; workers cache the rebuilt context by fingerprint),
+   payload; workers cache the rebuilt context by fingerprint).  Local
+   workers are started together, so their interpreter start-ups overlap.
+   Under telemetry the round that starts them carries a ``spawn`` (or, for
+   attached workers, ``connect``) span and a ``context_build`` span,
 2. broadcasts the round's global parameters (``ROUND``),
 3. dispatches benign tasks with *work-stealing*: every worker holds at most
    :data:`PIPELINE_DEPTH` outstanding tasks and receives the next pending
@@ -37,6 +40,7 @@ import selectors
 import socket
 import subprocess
 import sys
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -94,7 +98,9 @@ class DistributedBackend(ExecutionBackend):
     """Fan benign clients out over socket-connected worker processes.
 
     ``max_workers`` local workers are spawned lazily on the first round
-    (default: one per core, capped at 4); passing ``connect`` attaches to
+    (default: one per CPU this process may run on, capped at 4 — its
+    affinity mask, not the host's core count, so a pinned process does not
+    spawn workers that can only time-slice); passing ``connect`` attaches to
     externally started workers instead and spawns nothing.  The backend
     needs a :class:`~repro.experiments.scenario.Scenario` to describe the
     execution context to its workers — the experiment runner plumbs it
@@ -116,7 +122,11 @@ class DistributedBackend(ExecutionBackend):
         super().__init__()
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or max(1, min(4, os.cpu_count() or 1))
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        self.max_workers = max_workers or min(4, cpus)
         self.connect = _parse_addresses(connect)
         self.spawn_timeout = spawn_timeout
         # Validate at construction so a typo fails before workers spawn.
@@ -208,22 +218,31 @@ class DistributedBackend(ExecutionBackend):
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def _ensure_started(self) -> None:
+    def _ensure_started(self, round_idx: int) -> None:
         if self._started:
             return
+        telemetry = self.ctx.telemetry
         if self.connect:
-            for address in self.connect:
-                self._links.append(self._attach(address))
+            with maybe_span(telemetry, "connect", round=round_idx,
+                            workers=len(self.connect)):
+                for address in self.connect:
+                    self._links.append(self._attach(address))
         else:
-            self.spawn_local(self.max_workers)
+            with maybe_span(telemetry, "spawn", round=round_idx,
+                            workers=self.max_workers):
+                self.spawn_local(self.max_workers)
         self._started = True
 
     def spawn_local(self, count: int) -> None:
-        """Spawn ``count`` local worker processes and connect to them."""
-        for _ in range(count):
-            self._links.append(self._spawn_one())
+        """Spawn ``count`` local worker processes and connect to them.
 
-    def _spawn_one(self) -> _WorkerLink:
+        Every process is started before any announcement is read, so the
+        workers' interpreter start-ups overlap; all announcements share one
+        ``spawn_timeout`` deadline.  The call is all-or-nothing: on any
+        failure it closes every link it opened and kills and reaps every
+        process it started before re-raising, so a retried round does not
+        spawn on top of leftovers.
+        """
         env = os.environ.copy()
         # The child must find the repro package no matter how this
         # interpreter found it (src checkout, editable install, zip path).
@@ -232,26 +251,36 @@ class DistributedBackend(ExecutionBackend):
         env["PYTHONPATH"] = (
             package_root + os.pathsep + existing if existing else package_root
         )
-        proc = subprocess.Popen(
-            [sys.executable, *_WORKER_CMD],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        procs: list[subprocess.Popen] = []
+        links: list[_WorkerLink] = []
         try:
-            address = self._read_announcement(proc)
-            return self._connect(address, proc=proc)
-        except Exception:
-            proc.kill()
-            proc.wait()
-            if proc.stdout is not None:
-                proc.stdout.close()
+            for _ in range(count):
+                procs.append(subprocess.Popen(
+                    [sys.executable, *_WORKER_CMD],
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                ))
+            deadline = time.monotonic() + self.spawn_timeout
+            for proc in procs:
+                address = self._read_announcement(proc, deadline)
+                links.append(self._connect(address, proc=proc))
+        except BaseException:
+            for link in links:
+                link.close()
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+                if proc.stdout is not None:
+                    proc.stdout.close()
             raise
+        self._links.extend(links)
 
-    def _read_announcement(self, proc: subprocess.Popen) -> tuple[str, int]:
-        """Wait for the worker's ``REPRO-WORKER LISTENING host port`` line."""
+    def _read_announcement(self, proc: subprocess.Popen, deadline: float) -> tuple[str, int]:
+        """Wait until ``deadline`` for ``REPRO-WORKER LISTENING host port``."""
         assert proc.stdout is not None
-        ready, _, _ = select.select([proc.stdout], [], [], self.spawn_timeout)
+        timeout = max(0.0, deadline - time.monotonic())
+        ready, _, _ = select.select([proc.stdout], [], [], timeout)
         if not ready:
             raise RuntimeError(
                 f"spawned worker announced nothing within {self.spawn_timeout}s"
@@ -294,50 +323,57 @@ class DistributedBackend(ExecutionBackend):
             self._record_wire(fields.get("pid"), "up", SETUP_ROUND, header, payload)
         return _WorkerLink(sock=sock, pid=fields.get("pid"), proc=proc)
 
-    def _configure_links(self) -> None:
+    def _configure_links(self, round_idx: int) -> None:
         """Ship the scenario to any worker not yet on the current context.
 
         CONFIGUREs are sent to every stale worker first and acknowledged
-        after, so workers build their contexts concurrently.
+        after, so workers build their contexts concurrently.  Under
+        telemetry the exchange is one ``context_build`` span, opened only
+        when some worker is stale.
         """
         stale = [
             link
             for link in self.workers
             if link.fingerprint != self._fingerprint
         ]
-        for link in stale:
-            try:
-                # ``wire_dtype`` rides next to the context but stays out of
-                # the fingerprint: the rebuilt context is dtype-independent,
-                # so switching encodings must not invalidate worker caches.
-                self._send(
-                    link,
-                    MessageType.CONFIGURE,
-                    {
-                        "fingerprint": self._fingerprint,
-                        "scenario": self._scenario_payload,
-                        "wire_dtype": self.wire_dtype,
-                    },
-                )
-            except OSError:
-                link.close()
-        stale = [link for link in stale if link.alive]
-        for link in stale:
-            try:
-                msg, fields, _arrays = self._recv(link)
-            except ConnectionClosed:
-                # A worker that died while building its context is simply
-                # dropped; the round runs on the survivors.
-                link.close()
-                continue
-            if msg is MessageType.ERROR:
-                raise RuntimeError(
-                    f"distributed worker failed to build its context:\n"
-                    f"{fields.get('traceback')}"
-                )
-            if msg is not MessageType.CONFIGURED:
-                raise ProtocolError(f"expected CONFIGURED, got {msg.name}")
-            link.fingerprint = fields["fingerprint"]
+        if not stale:
+            return
+        with maybe_span(self.ctx.telemetry, "context_build", round=round_idx,
+                        workers=len(stale)):
+            for link in stale:
+                try:
+                    # ``wire_dtype`` rides next to the context but stays out
+                    # of the fingerprint: the rebuilt context is
+                    # dtype-independent, so switching encodings must not
+                    # invalidate worker caches.
+                    self._send(
+                        link,
+                        MessageType.CONFIGURE,
+                        {
+                            "fingerprint": self._fingerprint,
+                            "scenario": self._scenario_payload,
+                            "wire_dtype": self.wire_dtype,
+                        },
+                    )
+                except OSError:
+                    link.close()
+            stale = [link for link in stale if link.alive]
+            for link in stale:
+                try:
+                    msg, fields, _arrays = self._recv(link)
+                except ConnectionClosed:
+                    # A worker that died while building its context is
+                    # simply dropped; the round runs on the survivors.
+                    link.close()
+                    continue
+                if msg is MessageType.ERROR:
+                    raise RuntimeError(
+                        f"distributed worker failed to build its context:\n"
+                        f"{fields.get('traceback')}"
+                    )
+                if msg is not MessageType.CONFIGURED:
+                    raise ProtocolError(f"expected CONFIGURED, got {msg.name}")
+                link.fingerprint = fields["fingerprint"]
 
     # -- round execution ----------------------------------------------------
 
@@ -365,8 +401,8 @@ class DistributedBackend(ExecutionBackend):
                     "execution context; run through Scenario/run_experiment or "
                     "call backend.configure_scenario(scenario) first"
                 )
-            self._ensure_started()
-            self._configure_links()
+            self._ensure_started(plan.round_idx)
+            self._configure_links(plan.round_idx)
             live = self.workers
             if not live:
                 raise RuntimeError("no distributed workers available")

@@ -17,6 +17,7 @@ import socket
 import struct
 import subprocess
 import sys
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook, build_round_plan
 from repro.federated.engine.backends import make_backend
-from repro.federated.engine.distributed import protocol
+from repro.federated.engine.distributed import coordinator, protocol
 from repro.federated.engine.distributed.coordinator import (
     DistributedBackend,
     _parse_addresses,
@@ -307,6 +308,37 @@ class TestCoordinatorConfig:
         backend.close()
         backend.close()  # idempotent
 
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        """A process pinned to one CPU spawns one worker, whatever the host has."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert DistributedBackend().max_workers == 1
+
+    def test_failed_spawn_leaves_no_workers(self, monkeypatch):
+        """One bad worker fails the whole spawn: no link open, every process reaped."""
+        real_popen = subprocess.Popen
+        started: list[subprocess.Popen] = []
+
+        def popen(args, **kwargs):
+            if started:  # the second worker announces garbage, then hangs
+                args = [sys.executable, "-c",
+                        "print('garbage', flush=True); import time; time.sleep(30)"]
+            started.append(real_popen(args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+        backend = DistributedBackend(max_workers=2)
+        begin = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="garbage"):
+                backend.spawn_local(2)
+            assert time.monotonic() - begin < 20
+            assert backend.workers == []
+            assert len(started) == 2
+            assert all(proc.returncode is not None for proc in started)
+        finally:
+            backend.close()
+
     def test_parse_addresses(self):
         assert _parse_addresses(None) == ()
         assert _parse_addresses("h1:1, h2:2") == (("h1", 1), ("h2", 2))
@@ -455,10 +487,14 @@ class TestStandaloneWorker:
             line = proc.stdout.readline().split()
             assert line[:2] == ["REPRO-WORKER", "LISTENING"]
             address = f"{line[2]}:{line[3]}"
-            records, _server = distributed_history(
-                backend_workers=None, backend_kwargs={"connect": address}
+            records, server = distributed_history(
+                backend_workers=None, backend_kwargs={"connect": address},
+                telemetry=True,
             )
             assert records == serial_history("mean")
+            names = [span.name for span in server.telemetry.tracer.spans()]
+            assert names.count("connect") == 1
+            assert "spawn" not in names
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -134,6 +134,17 @@ class TestDistributedWireTelemetry:
         assert len(dispatches) == 2
         assert all(s["attrs"]["tasks"] == 8 for s in dispatches)
 
+    def test_round_zero_traces_spawn_and_context_build(self, distributed_result):
+        """Round 0's start-up shows as one spawn and one context_build span."""
+        spans = distributed_result.telemetry["spans"]
+        round_zero = next(
+            s for s in spans if s["name"] == "round" and s["attrs"]["round"] == 0
+        )
+        for name in ("spawn", "context_build"):
+            [span] = [s for s in spans if s["name"] == name]
+            assert span["attrs"] == {"round": 0, "workers": 2}
+            assert round_zero["start"] <= span["start"] <= span["end"] <= round_zero["end"]
+
     def test_per_link_clock_offsets_are_recorded(self, distributed_result):
         offsets = distributed_result.telemetry["clock_offsets"]
         assert offsets, "no clock offsets recorded"
