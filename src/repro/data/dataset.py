@@ -59,6 +59,20 @@ class Dataset:
         return Dataset(np.concatenate([self.x, other.x]), np.concatenate([self.y, other.y]))
 
 
+def class_count_vector(class_counts, num_classes: int) -> np.ndarray:
+    """Check a per-class sample count vector and return it as ``int64``.
+
+    Every generator's ``sample_client`` takes one: a length-``num_classes``
+    vector of non-negative counts, whose labels come back in class order.
+    """
+    counts = np.asarray(class_counts, dtype=np.int64)
+    if counts.shape != (num_classes,):
+        raise ValueError("class_counts must have one entry per class")
+    if (counts < 0).any():
+        raise ValueError(f"class_counts must be non-negative, got {counts.tolist()}")
+    return counts
+
+
 def train_test_val_split(
     data: Dataset,
     train_frac: float = 0.70,

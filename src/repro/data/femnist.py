@@ -12,13 +12,19 @@ equivalent* with the properties the paper's experiments depend on:
 * deterministic generation from a seed.
 
 Images are returned in NCHW layout with values in [0, 1].
+
+Determinism contract: a client's images come from one generator seeded with
+``client_seed``.  It first draws every class's writer style in class order
+(a 2-vector shift, then a zoom), held classes or not, and then the pixel
+noise class by class, in class order, one ``H×W`` plane per sample.
+Reordering these draws changes every client of every seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, class_count_vector
 from repro.registry import DATASETS
 
 
@@ -43,8 +49,13 @@ class SyntheticFEMNIST:
         self.noise_std = noise_std
         self.style_jitter = style_jitter
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self._prototypes = self._build_prototypes()
+        # Pixel coordinates relative to the image centre, which a writer's
+        # zoom scales about.
+        center = (image_size - 1) / 2.0
+        self._offsets = np.stack(
+            np.meshgrid(np.arange(image_size), np.arange(image_size), indexing="ij")
+        ) - center
 
     def _build_prototypes(self) -> np.ndarray:
         """One smooth, class-specific glyph per class.
@@ -78,19 +89,6 @@ class SyntheticFEMNIST:
         """Class prototype images, shape ``(num_classes, H, W)``."""
         return self._prototypes.copy()
 
-    def _writer_transform(self, image: np.ndarray, writer_rng: np.random.Generator) -> np.ndarray:
-        """Apply a small writer-specific shift and scale to a prototype."""
-        from scipy import ndimage
-
-        shift = writer_rng.uniform(-self.style_jitter * self.image_size / 4,
-                                   self.style_jitter * self.image_size / 4, size=2)
-        zoom = 1.0 + writer_rng.uniform(-self.style_jitter, self.style_jitter)
-        shifted = ndimage.shift(image, shift, order=1, mode="constant", cval=0.0)
-        center = (self.image_size - 1) / 2.0
-        coords = np.meshgrid(np.arange(self.image_size), np.arange(self.image_size), indexing="ij")
-        coords = [(c - center) / zoom + center for c in coords]
-        return ndimage.map_coordinates(shifted, coords, order=1, mode="constant", cval=0.0)
-
     def sample_client(
         self,
         class_counts: np.ndarray,
@@ -106,26 +104,33 @@ class SyntheticFEMNIST:
         client_seed:
             Seed controlling the client's writer style and sample noise.
         """
-        class_counts = np.asarray(class_counts, dtype=np.int64)
-        if class_counts.shape != (self.num_classes,):
-            raise ValueError("class_counts must have one entry per class")
+        from scipy import ndimage
+
+        class_counts = class_count_vector(class_counts, self.num_classes)
         writer_rng = np.random.default_rng(client_seed)
-        styled = np.stack(
-            [self._writer_transform(self._prototypes[c], writer_rng) for c in range(self.num_classes)]
-        )
-        images: list[np.ndarray] = []
-        labels: list[int] = []
+        reach = self.style_jitter * self.image_size / 4
+        styles = [
+            (writer_rng.uniform(-reach, reach, size=2),
+             1.0 + writer_rng.uniform(-self.style_jitter, self.style_jitter))
+            for _ in range(self.num_classes)
+        ]
+        size, center = self.image_size, (self.image_size - 1) / 2.0
+        x = np.empty((int(class_counts.sum()), 1, size, size))
+        start = 0
         for cls, count in enumerate(class_counts):
-            for _ in range(int(count)):
-                noisy = styled[cls] + writer_rng.normal(0.0, self.noise_std, size=styled[cls].shape)
-                images.append(np.clip(noisy, 0.0, 1.0))
-                labels.append(cls)
-        if not images:
-            x = np.zeros((0, 1, self.image_size, self.image_size), dtype=np.float64)
-            y = np.zeros(0, dtype=np.int64)
-            return Dataset(x, y)
-        x = np.stack(images)[:, None, :, :]
-        y = np.asarray(labels, dtype=np.int64)
+            if count == 0:
+                continue
+            shift, zoom = styles[cls]
+            shifted = ndimage.shift(
+                self._prototypes[cls], shift, order=1, mode="constant", cval=0.0
+            )
+            styled = ndimage.map_coordinates(
+                shifted, self._offsets / zoom + center, order=1, mode="constant", cval=0.0
+            )
+            noise = writer_rng.normal(0.0, self.noise_std, size=(count, size, size))
+            np.clip(styled + noise, 0.0, 1.0, out=x[start : start + count, 0])
+            start += count
+        y = np.repeat(np.arange(self.num_classes, dtype=np.int64), class_counts)
         return Dataset(x, y)
 
     def sample_iid(self, num_samples: int, seed: int = 12345) -> Dataset:

@@ -11,13 +11,21 @@ negative "vocabulary" clusters) and the embedding table is a frozen random
 projection.  A text Trojan (fixed trigger term, as in the paper's reference
 [36]) corresponds to adding the trigger token's embedding to the pooled
 feature — implemented by :class:`repro.attacks.triggers.TokenTrigger`.
+
+Determinism contract: a client's samples are generated class by class, in
+class order, from one generator seeded with ``client_seed``.  Per sample it
+draws ``tokens_per_sample`` uniforms, then ``embedding_dim`` normals of
+noise.  A uniform ``u`` picks token ``searchsorted(cdf, u, side="right")``
+on its class's token CDF, built as ``Generator.choice(p=...)`` builds it, so
+the tokens are the ones ``choice`` would have drawn.  Reordering these draws
+changes every client of every seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, class_count_vector
 from repro.registry import DATASETS
 
 
@@ -39,6 +47,8 @@ class SyntheticSentiment:
             raise ValueError("need at least two classes")
         if vocab_size < num_classes * 4:
             raise ValueError("vocab_size too small for the number of classes")
+        if tokens_per_sample < 1:
+            raise ValueError("tokens_per_sample must be at least 1")
         self.num_classes = num_classes
         self.vocab_size = vocab_size
         self.embedding_dim = embedding_dim
@@ -57,12 +67,12 @@ class SyntheticSentiment:
             logits[cls, cls * slice_size : (cls + 1) * slice_size] += class_sharpness
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         self.token_probs = exp / exp.sum(axis=1, keepdims=True)
+        # Each class's token CDF, built as Generator.choice(p=...) builds it:
+        # cumsum, then divide by the last entry.
+        cdf = self.token_probs.cumsum(axis=1)
+        self._token_cdf = cdf / cdf[:, -1:]
         # Reserve the last vocabulary index as the backdoor trigger token.
         self.trigger_token = vocab_size - 1
-
-    def embed_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Mean-pool the embeddings of a token-id sequence."""
-        return self.embeddings[np.asarray(tokens, dtype=np.int64)].mean(axis=0)
 
     def trigger_embedding(self) -> np.ndarray:
         """Embedding contribution of the fixed trigger term."""
@@ -70,23 +80,25 @@ class SyntheticSentiment:
 
     def sample_client(self, class_counts: np.ndarray, client_seed: int) -> Dataset:
         """Generate one client's dataset from a per-class count vector."""
-        class_counts = np.asarray(class_counts, dtype=np.int64)
-        if class_counts.shape != (self.num_classes,):
-            raise ValueError("class_counts must have one entry per class")
+        class_counts = class_count_vector(class_counts, self.num_classes)
         rng = np.random.default_rng(client_seed)
-        features: list[np.ndarray] = []
-        labels: list[int] = []
+        total = int(class_counts.sum())
+        k, dim = self.tokens_per_sample, self.embedding_dim
+        uniforms = np.empty((total, k))
+        noise = np.empty((total, dim))
+        for i in range(total):
+            uniforms[i] = rng.random(k)
+            noise[i] = rng.normal(0.0, self.noise_std, dim)
+        tokens = np.empty((total, k), dtype=np.int64)
+        start = 0
         for cls, count in enumerate(class_counts):
-            for _ in range(int(count)):
-                tokens = rng.choice(self.vocab_size, size=self.tokens_per_sample,
-                                    p=self.token_probs[cls])
-                feat = self.embed_tokens(tokens)
-                feat = feat + rng.normal(0.0, self.noise_std, size=feat.shape)
-                features.append(feat)
-                labels.append(cls)
-        if not features:
-            return Dataset(np.zeros((0, self.embedding_dim)), np.zeros(0, dtype=np.int64))
-        return Dataset(np.stack(features), np.asarray(labels, dtype=np.int64))
+            block = slice(start, start + count)
+            tokens[block] = self._token_cdf[cls].searchsorted(uniforms[block], side="right")
+            start += count
+        # sum / k is what .mean computes, in the same order.
+        x = self.embeddings[tokens].sum(axis=1) / k + noise
+        y = np.repeat(np.arange(self.num_classes, dtype=np.int64), class_counts)
+        return Dataset(x, y)
 
     def sample_iid(self, num_samples: int, seed: int = 12345) -> Dataset:
         """Generate an IID dataset — used for global test sets."""

@@ -225,8 +225,7 @@ class DistributedBackend(ExecutionBackend):
         if self.connect:
             with maybe_span(telemetry, "connect", round=round_idx,
                             workers=len(self.connect)):
-                for address in self.connect:
-                    self._links.append(self._attach(address))
+                self._attach_all(self.connect)
         else:
             with maybe_span(telemetry, "spawn", round=round_idx,
                             workers=self.max_workers):
@@ -294,8 +293,23 @@ class DistributedBackend(ExecutionBackend):
             )
         return parts[2], int(parts[3])
 
-    def _attach(self, address: tuple[str, int]) -> _WorkerLink:
-        return self._connect(address, proc=None)
+    def _attach_all(self, addresses: tuple[tuple[str, int], ...]) -> None:
+        """Connect to every externally started worker, all or nothing.
+
+        A worker serves one coordinator at a time, so a link left open by a
+        failed attach would hold its worker until a retried round timed
+        out.  On any failure, every link this call opened is closed before
+        re-raising, as in :meth:`spawn_local`.
+        """
+        links: list[_WorkerLink] = []
+        try:
+            for address in addresses:
+                links.append(self._connect(address, proc=None))
+        except BaseException:
+            for link in links:
+                link.close()
+            raise
+        self._links.extend(links)
 
     def _connect(
         self, address: tuple[str, int], proc: subprocess.Popen | None

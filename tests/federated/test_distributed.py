@@ -25,7 +25,7 @@ import pytest
 
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook, build_round_plan
-from repro.federated.engine.backends import make_backend
+from repro.federated.engine.backends import EngineContext, make_backend
 from repro.federated.engine.distributed import coordinator, protocol
 from repro.federated.engine.distributed.coordinator import (
     DistributedBackend,
@@ -472,33 +472,62 @@ class TestBitIdentity:
         assert killed[0] not in server.backend.worker_pids
 
 
+@pytest.fixture
+def worker_address():
+    """Run `python -m repro worker` for one test; yield its announced address."""
+    env = os.environ.copy()
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        line = proc.stdout.readline().split()
+        assert line[:2] == ["REPRO-WORKER", "LISTENING"]
+        yield f"{line[2]}:{line[3]}"
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 class TestStandaloneWorker:
-    def test_attach_to_externally_started_worker(self):
+    def test_attach_to_externally_started_worker(self, worker_address):
         """`python -m repro worker` + backend_kwargs connect= end to end."""
-        env = os.environ.copy()
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, text=True, env=env,
+        records, server = distributed_history(
+            backend_workers=None, backend_kwargs={"connect": worker_address},
+            telemetry=True,
         )
+        assert records == serial_history("mean")
+        names = [span.name for span in server.telemetry.tracer.spans()]
+        assert names.count("connect") == 1
+        assert "spawn" not in names
+
+    def test_failed_attach_leaves_no_links(self, worker_address):
+        """One refused address fails the whole attach and frees the live worker.
+
+        A worker serves one coordinator at a time: had the live link stayed
+        open, the second attach would wait out its whole spawn_timeout.
+        """
+        unbound = socket.socket()  # bound but never listening: refuses connections
+        unbound.bind(("127.0.0.1", 0))
+        refused = f"127.0.0.1:{unbound.getsockname()[1]}"
+        backend = DistributedBackend(connect=[worker_address, refused], spawn_timeout=10.0)
+        retry = DistributedBackend(connect=worker_address, spawn_timeout=10.0)
         try:
-            line = proc.stdout.readline().split()
-            assert line[:2] == ["REPRO-WORKER", "LISTENING"]
-            address = f"{line[2]}:{line[3]}"
-            records, server = distributed_history(
-                backend_workers=None, backend_kwargs={"connect": address},
-                telemetry=True,
-            )
-            assert records == serial_history("mean")
-            names = [span.name for span in server.telemetry.tracer.spans()]
-            assert names.count("connect") == 1
-            assert "spawn" not in names
+            backend.bind(EngineContext(None, None, None, None))
+            with pytest.raises(ConnectionRefusedError):
+                backend._ensure_started(round_idx=0)
+            assert backend.workers == []
+            retry.bind(EngineContext(None, None, None, None))
+            retry._ensure_started(round_idx=0)
+            assert len(retry.workers) == 1
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
-            proc.stdout.close()
+            backend.close()
+            retry.close()
+            unbound.close()
 
 
 class TestWorkerErrorPropagation:
