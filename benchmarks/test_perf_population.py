@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro.data.federated_data import build_federated_dataset
 from repro.data.femnist import SyntheticFEMNIST
 from repro.experiments.results import format_table
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.population import EagerPopulation
 
 LAZY_CLIENTS = 100_000
 EAGER_CLIENTS = 2_000
@@ -57,7 +57,7 @@ def _traced(fn):
 
 def _eager_build():
     generator = SyntheticFEMNIST(num_classes=6, image_size=12, seed=11)
-    return build_federated_dataset(
+    return EagerPopulation(
         generator,
         num_clients=EAGER_CLIENTS,
         samples_per_client=16,

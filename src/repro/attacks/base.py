@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attacks.triggers import Trigger
-from repro.data.federated_data import FederatedDataset
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.population.base import ClientPopulation
 
 
 @dataclass
 class AttackContext:
     """Static attacker knowledge assembled by :meth:`BackdoorAttack.setup`."""
 
-    dataset: FederatedDataset
+    dataset: ClientPopulation
     compromised_ids: list[int]
     trigger: Trigger
     target_class: int
@@ -48,7 +48,7 @@ class BackdoorAttack:
 
     def setup(
         self,
-        dataset: FederatedDataset,
+        dataset: ClientPopulation,
         compromised_ids: list[int],
         model_factory,
         trigger: Trigger,

@@ -1,20 +1,19 @@
-"""Assembly of a full federated dataset: clients, splits, auxiliary data.
+"""One federated client's data: train / test / validation splits and label counts.
 
-This module connects the synthetic data generators to the Dirichlet
-partitioner and produces the per-client view used throughout the library:
-each client holds train / test / validation splits, and the attacker's
-auxiliary dataset is the union of the compromised clients' validation sets
-(as specified in Section V of the paper).
+A :class:`~repro.federated.population.ClientPopulation` builds every
+:class:`ClientData` the library uses, from a synthetic generator, the
+client's class counts under the Dirichlet partition, and the 70 / 15 / 15
+split; the attacker's auxiliary dataset is the union of the compromised
+clients' validation sets (as specified in Section V of the paper).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.dataset import Dataset, train_test_val_split
-from repro.data.partition import dirichlet_label_partition, partition_sizes
+from repro.data.dataset import Dataset
 
 
 @dataclass
@@ -30,164 +29,3 @@ class ClientData:
     @property
     def num_samples(self) -> int:
         return len(self.train) + len(self.test) + len(self.val)
-
-
-def pool_client_datasets(
-    get_client, client_ids: list[int], source: str = "val"
-) -> Dataset:
-    """Pool one split of several clients into a single dataset.
-
-    ``get_client`` maps a client id to its :class:`ClientData`; the helper is
-    shared between the eager :class:`FederatedDataset` and the lazy
-    :class:`~repro.federated.population.ClientPopulation` (which materialises
-    each client on demand), so both build the attacker's auxiliary set
-    through exactly the same concatenation order.
-    """
-    if not client_ids:
-        raise ValueError("need at least one client to pool")
-    if source not in {"val", "train", "all"}:
-        raise ValueError("source must be 'val', 'train' or 'all'")
-    parts: list[Dataset] = []
-    for c in client_ids:
-        client = get_client(c)
-        if source == "val":
-            parts.append(client.val)
-        elif source == "train":
-            parts.append(client.train)
-        else:
-            parts.append(client.train.concat(client.test).concat(client.val))
-    pooled = parts[0]
-    for part in parts[1:]:
-        pooled = pooled.concat(part)
-    return pooled
-
-
-@dataclass
-class FederatedDataset:
-    """The complete federation: per-client data plus global metadata."""
-
-    clients: list[ClientData]
-    num_classes: int
-    alpha: float
-    input_shape: tuple[int, ...]
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
-
-    def client(self, client_id: int) -> ClientData:
-        return self.clients[client_id]
-
-    def class_counts(self, client_id: int) -> np.ndarray:
-        """Per-class sample counts of one client (cheap metadata access)."""
-        return self.clients[client_id].class_counts
-
-    def label_distributions(self) -> np.ndarray:
-        """Stacked ``(num_clients, num_classes)`` class-count matrix.
-
-        The supported way for algorithms/defenses to read the federation's
-        label skew: lazy populations provide the same method without
-        materialising any client data, so callers must not reach for
-        ``dataset.clients`` directly.
-        """
-        return np.stack([c.class_counts for c in self.clients])
-
-    def eval_client_ids(self) -> list[int]:
-        """Client ids evaluated by the experiment runner (all of them here).
-
-        Lazy populations override this with a deterministic capped subset so
-        final evaluation stays O(evaluated clients) at 1e5+ scale.
-        """
-        return list(range(self.num_clients))
-
-    def auxiliary_dataset(self, compromised_ids: list[int], source: str = "val") -> Dataset:
-        """Pool the compromised clients' data into the attacker's auxiliary set Da.
-
-        The paper pools the compromised clients' *validation* splits
-        (``source="val"``).  At the reduced scale of this reproduction the
-        validation splits alone can be only a handful of samples, so callers
-        that need a trainable auxiliary set (e.g. CollaPois / MRepl training
-        the Trojaned model X) may request ``source="all"`` — the union of the
-        compromised clients' train, test and validation data, which matches
-        the *relative* auxiliary-data size of the paper's setting.
-        """
-        if not compromised_ids:
-            raise ValueError("need at least one compromised client")
-        return pool_client_datasets(self.client, compromised_ids, source=source)
-
-    def auxiliary_class_counts(self, compromised_ids: list[int], source: str = "val") -> np.ndarray:
-        """Class-count vector of the attacker's auxiliary dataset."""
-        aux = self.auxiliary_dataset(compromised_ids, source=source)
-        return aux.class_counts(self.num_classes)
-
-    def global_test_set(self, max_per_client: int | None = None) -> Dataset:
-        """Union of all client test sets (optionally capped per client)."""
-        parts = []
-        for client in self.clients:
-            test = client.test
-            if max_per_client is not None and len(test) > max_per_client:
-                test = test.subset(np.arange(max_per_client))
-            parts.append(test)
-        pooled = parts[0]
-        for part in parts[1:]:
-            pooled = pooled.concat(part)
-        return pooled
-
-
-def build_federated_dataset(
-    generator,
-    num_clients: int,
-    samples_per_client: int,
-    alpha: float,
-    seed: int = 0,
-    size_imbalance: float = 0.3,
-) -> FederatedDataset:
-    """Build a federation from a synthetic generator.
-
-    Parameters
-    ----------
-    generator:
-        A :class:`~repro.data.femnist.SyntheticFEMNIST` or
-        :class:`~repro.data.sentiment.SyntheticSentiment` instance (anything
-        exposing ``num_classes`` and ``sample_client``).
-    num_clients:
-        Number of federated clients.
-    samples_per_client:
-        Mean number of samples per client (actual sizes vary lognormally).
-    alpha:
-        Dirichlet concentration parameter controlling label skew.
-    seed:
-        Master seed; all per-client seeds derive from it.
-    size_imbalance:
-        Lognormal sigma of client dataset sizes.
-    """
-    if num_clients <= 0 or samples_per_client <= 0:
-        raise ValueError("num_clients and samples_per_client must be positive")
-    rng = np.random.default_rng(seed)
-    sizes = partition_sizes(
-        num_clients * samples_per_client, num_clients, rng, imbalance=size_imbalance
-    )
-    counts = dirichlet_label_partition(sizes, generator.num_classes, alpha, rng)
-    clients: list[ClientData] = []
-    for cid in range(num_clients):
-        data = generator.sample_client(counts[cid], client_seed=seed * 100003 + cid)
-        split_rng = np.random.default_rng(seed * 7919 + cid)
-        train, test, val = train_test_val_split(data, rng=split_rng)
-        clients.append(
-            ClientData(
-                client_id=cid,
-                train=train,
-                test=test,
-                val=val,
-                class_counts=np.asarray(counts[cid], dtype=np.int64),
-            )
-        )
-    sample_shape = clients[0].train.x.shape[1:] if len(clients[0].train) else ()
-    return FederatedDataset(
-        clients=clients,
-        num_classes=generator.num_classes,
-        alpha=alpha,
-        input_shape=tuple(sample_shape),
-        metadata={"seed": seed, "samples_per_client": samples_per_client},
-    )

@@ -14,12 +14,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.stealth import StealthConfig
-from repro.data.federated_data import FederatedDataset, build_federated_dataset
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.federated.engine.backends import make_backend
 from repro.federated.engine.hooks import EvaluationHook, RoundHook
 from repro.federated.engine.ledger import CommunicationLedger, LedgerHook
+from repro.federated.population.base import ClientPopulation, EagerPopulation
 from repro.federated.server import FederatedServer
 from repro.metrics.accuracy import evaluate_clients
 from repro.nn.layers import Flatten
@@ -35,7 +35,7 @@ from repro.registry import (
 )
 
 
-def build_dataset(config: Scenario) -> tuple[FederatedDataset, object]:
+def build_dataset(config: Scenario) -> tuple[ClientPopulation, object]:
     """Build the federation and return it with its generator.
 
     Geometry fields (``num_classes``, ``image_size``, ``data_seed``) are
@@ -43,11 +43,13 @@ def build_dataset(config: Scenario) -> tuple[FederatedDataset, object]:
     registered datasets pick up exactly the fields they understand;
     ``dataset_kwargs`` overrides win.
 
-    With ``config.population`` set, the eager federation is replaced by a
-    lazy :class:`~repro.federated.population.ClientPopulation` built over
-    the same generator — the scenario's data geometry becomes the
-    population's defaults, ``population_kwargs`` (cache size, eval cap)
-    override.  The returned object duck-types ``FederatedDataset``.
+    The federation is a :class:`~repro.federated.population.ClientPopulation`
+    over that generator, with the scenario's data geometry (client count,
+    samples per client, α, data seed).  ``config.population`` names a
+    registered lazy population, whose ``population_kwargs`` (cache size,
+    eval cap) override the geometry; unset, it is an
+    :class:`~repro.federated.population.EagerPopulation` over one global
+    partition, every client built here.
     """
     accepted = {p.name for p in DATASETS.describe(config.dataset)}
     common = {
@@ -58,24 +60,17 @@ def build_dataset(config: Scenario) -> tuple[FederatedDataset, object]:
     kwargs = {k: v for k, v in common.items() if k in accepted}
     kwargs.update(config.dataset_kwargs)
     generator = DATASETS.create(config.dataset, **kwargs)
-    if config.population is not None:
-        population = POPULATIONS.create(
-            (config.population, config.population_kwargs),
-            dataset=generator,
-            num_clients=config.num_clients,
-            samples_per_client=config.samples_per_client,
-            alpha=config.alpha,
-            seed=config.data_seed,
-        )
-        return population, generator
-    dataset = build_federated_dataset(
-        generator,
-        num_clients=config.num_clients,
-        samples_per_client=config.samples_per_client,
-        alpha=config.alpha,
-        seed=config.data_seed,
-    )
-    return dataset, generator
+    geometry = {
+        "dataset": generator,
+        "num_clients": config.num_clients,
+        "samples_per_client": config.samples_per_client,
+        "alpha": config.alpha,
+        "seed": config.data_seed,
+    }
+    if config.population is None:
+        return EagerPopulation(**geometry), generator
+    spec = (config.population, config.population_kwargs)
+    return POPULATIONS.create(spec, **geometry), generator
 
 
 def _is_text_modality(generator) -> bool:
@@ -202,7 +197,7 @@ def build_backend(config: Scenario):
 def run_experiment(
     config: Scenario,
     hooks: Sequence[RoundHook] | None = None,
-    prebuilt_data: tuple[FederatedDataset, object] | None = None,
+    prebuilt_data: tuple[ClientPopulation, object] | None = None,
 ) -> ExperimentResult:
     """Run a full experiment: build, train, evaluate at the client level.
 
@@ -242,8 +237,8 @@ def run_experiment(
 
     eval_model = model_factory()
     compromised_set = set(compromised)
-    # eval_client_ids() is the whole federation on an eager dataset and a
-    # deterministic capped subset on a lazy population, keeping the final
+    # eval_client_ids() is the whole federation on an eager population and a
+    # deterministic capped subset on a lazy one, keeping the final
     # evaluation O(evaluated clients) at 1e5+ scale.
     benign_ids = [c for c in dataset.eval_client_ids() if c not in compromised_set]
 

@@ -51,8 +51,9 @@ from repro.registry import (
 # kwargs parsed out of a spec.  ``backend`` is handled separately because its
 # only kwarg (``max_workers``) maps onto the ``backend_workers`` field.
 # ``population`` and ``participation`` default to ``None`` (meaning "eager
-# dataset" / "uniform from sample_rate"); normalisation and validation skip
-# them when unset.
+# population over one global partition" / "uniform from sample_rate"), and
+# ``attack="none"`` runs no attack; validation skips the registry for an
+# unset component and rejects kwargs given for it, which nothing would use.
 _COMPONENT_FIELDS: dict[str, tuple[Registry, str]] = {
     "dataset": (DATASETS, "dataset_kwargs"),
     "model": (MODELS, "model_kwargs"),
@@ -85,7 +86,7 @@ class Scenario:
     num_classes: int = 10
     image_size: int = 16
     data_seed: int = 0
-    population: str | None = None       # lazy population spec (None = eager dataset)
+    population: str | None = None       # lazy population spec (None = eager, built up front)
     population_kwargs: dict = field(default_factory=dict)
 
     # Model
@@ -197,11 +198,16 @@ class Scenario:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        for component, (registry, _kwargs_field) in _COMPONENT_FIELDS.items():
+        for component, (registry, kwargs_field) in _COMPONENT_FIELDS.items():
             value = getattr(self, component)
-            if component == "attack" and value == "none":
-                continue
-            if value is None and component in ("population", "participation"):
+            if (component == "attack" and value == "none") or (
+                value is None and component in ("population", "participation")
+            ):
+                if getattr(self, kwargs_field):
+                    raise ValueError(
+                        f"{kwargs_field} is set but {component} is {value!r}, "
+                        "so nothing would use it"
+                    )
                 continue
             registry.validate(value)
         BACKENDS.validate(self.backend)

@@ -37,6 +37,7 @@ from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.population import (
     ChurnParticipation,
     ClientPopulation,
+    EagerPopulation,
     ParticipationContext,
     ParticipationModel,
     ParticipationRound,
@@ -59,6 +60,7 @@ __all__ = [
     "TrainingHistory",
     "uniform_sample",
     "ClientPopulation",
+    "EagerPopulation",
     "SyntheticPopulation",
     "ParticipationModel",
     "ParticipationContext",

@@ -40,10 +40,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.data.federated_data import FederatedDataset
 from repro.federated.algorithms.base import FederatedAlgorithm
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.plan import ClientTask, ClientUpdate, RoundPlan
+from repro.federated.population.base import ClientPopulation
 from repro.registry import BACKENDS
 
 
@@ -65,7 +65,7 @@ class EngineContext:
     only — no backend may read it to change what it computes.
     """
 
-    dataset: FederatedDataset
+    dataset: ClientPopulation
     model_factory: Callable[[], object]
     algorithm: FederatedAlgorithm
     local_config: LocalTrainingConfig

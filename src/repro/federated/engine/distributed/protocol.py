@@ -313,10 +313,9 @@ def recv_message(
 # -- execution-context payloads ---------------------------------------------
 
 #: The scenario fields a worker needs to rebuild the benign execution
-#: context (federation or lazy population, model factory, algorithm,
-#: local-training config).  Deliberately excludes attack/defense/round-count
-#: fields so re-running a scenario with a different defense reuses a
-#: standalone worker's cache.
+#: context (federation, model factory, algorithm, local-training config).
+#: Deliberately excludes attack/defense/round-count fields so re-running a
+#: scenario with a different defense reuses a standalone worker's cache.
 CONTEXT_FIELDS = (
     "dataset",
     "dataset_kwargs",

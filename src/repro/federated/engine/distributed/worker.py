@@ -102,8 +102,8 @@ def build_context(payload: dict) -> _WorkerContext:
     if hasattr(algorithm, "set_label_distributions"):
         # Mirrors FederatedServer.__init__; harmless for the benign path but
         # keeps worker-side algorithm state indistinguishable from driver's.
-        # label_distributions() works on eager datasets and lazy populations
-        # alike (the population derives it from metadata, no materialisation).
+        # label_distributions() reads class counts only, so a lazy
+        # population materialises no client for it.
         algorithm.set_label_distributions(dataset.label_distributions())
     engine = EngineContext(
         dataset=dataset,

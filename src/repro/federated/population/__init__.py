@@ -1,12 +1,17 @@
-"""Lazy client populations and participation models.
+"""Client populations and participation models.
 
-See :mod:`repro.federated.population.base` (the ``ClientPopulation``
-abstraction and the ``populations`` registry family) and
+See :mod:`repro.federated.population.base` (``ClientPopulation``, the one
+federation type, its eager and lazy members, and the ``populations``
+registry family) and
 :mod:`repro.federated.population.participation` (the ``ParticipationModel``
 API and the ``participation`` registry family).
 """
 
-from repro.federated.population.base import ClientPopulation, SyntheticPopulation
+from repro.federated.population.base import (
+    ClientPopulation,
+    EagerPopulation,
+    SyntheticPopulation,
+)
 from repro.federated.population.participation import (
     ChurnParticipation,
     ParticipationContext,
@@ -19,6 +24,7 @@ from repro.federated.population.participation import (
 
 __all__ = [
     "ClientPopulation",
+    "EagerPopulation",
     "SyntheticPopulation",
     "ParticipationContext",
     "ParticipationModel",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.data.federated_data import FederatedDataset
 from repro.defenses.base import AggregationContext, Aggregator, MeanAggregator
 from repro.federated.algorithms.base import FederatedAlgorithm
 from repro.federated.client import LocalTrainingConfig
@@ -31,6 +30,7 @@ from repro.federated.engine.hooks import HookPipeline, RoundHook
 from repro.federated.engine.plan import ClientUpdate, build_round_plan
 from repro.federated.engine.sharding import maybe_shard
 from repro.federated.history import RoundRecord, TrainingHistory
+from repro.federated.population.base import ClientPopulation
 from repro.federated.population.participation import (
     ParticipationContext,
     ParticipationModel,
@@ -157,7 +157,7 @@ class FederatedServer:
 
     def __init__(
         self,
-        dataset: FederatedDataset,
+        dataset: ClientPopulation,
         model_factory: Callable[[], object],
         algorithm: FederatedAlgorithm,
         config: ServerConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attacks.triggers import Trigger
-from repro.data.federated_data import FederatedDataset
+from repro.federated.population.base import ClientPopulation
 from repro.nn.serialization import unflatten_params
 from repro.registry import reject_unknown_keys
 
@@ -95,7 +95,7 @@ def _evaluate_params_on_client(
 
 
 def evaluate_clients(
-    dataset: FederatedDataset,
+    dataset: ClientPopulation,
     model,
     params_fn,
     trigger: Trigger | None = None,
@@ -141,7 +141,7 @@ def evaluate_clients(
 
 
 def evaluate_global_model(
-    dataset: FederatedDataset,
+    dataset: ClientPopulation,
     model,
     global_params: np.ndarray,
     trigger: Trigger | None = None,

@@ -3,7 +3,7 @@
 The spans are recorded at explicit instrumentation points (they need to
 wrap code); the *metrics* side mostly reads counters the engine already
 maintains — the coordinator's ``redispatch_count``, the batched runner's
-``batched_task_count``, a lazy population's ``cache_info()``, the
+``batched_task_count``, the population's ``cache_info()``, the
 buffered-async carry bookkeeping on each round record — so one hook at
 ``on_round_end`` is the natural choke point.  The hook does not implement
 ``on_updates_collected``, so registering it never makes the server retain
@@ -35,10 +35,8 @@ class TelemetryHook(RoundHook):
         if batched is not None:
             metrics.gauge("batched.stacked_task_total").set(int(batched))
 
-        cache_info = getattr(server.dataset, "cache_info", None)
-        if callable(cache_info):
-            for key, value in cache_info().items():
-                metrics.gauge(f"population.cache_{key}").set(value)
+        for key, value in server.dataset.cache_info().items():
+            metrics.gauge(f"population.cache_{key}").set(value)
 
         buffered = record.extras.get("buffered_async")
         if buffered:

@@ -15,10 +15,10 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.data.femnist import SyntheticFEMNIST
-from repro.data.federated_data import build_federated_dataset
 from repro.data.sentiment import SyntheticSentiment
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.population import EagerPopulation
 from repro.nn.layers import Flatten
 from repro.nn.model import Sequential, make_mlp
 
@@ -36,7 +36,7 @@ def sentiment_generator():
 @pytest.fixture(scope="session")
 def small_federation(femnist_generator):
     """A small non-IID FEMNIST-like federation shared across tests."""
-    return build_federated_dataset(
+    return EagerPopulation(
         femnist_generator, num_clients=8, samples_per_client=24, alpha=0.3, seed=11
     )
 
@@ -44,7 +44,7 @@ def small_federation(femnist_generator):
 @pytest.fixture(scope="session")
 def iid_federation(femnist_generator):
     """An IID-ish federation (large alpha) for comparison tests."""
-    return build_federated_dataset(
+    return EagerPopulation(
         femnist_generator, num_clients=8, samples_per_client=24, alpha=50.0, seed=11
     )
 

@@ -19,11 +19,13 @@ from repro.experiments.runner import (
     select_compromised_clients,
 )
 from repro.experiments.scenario import Scenario
+from repro.federated.population import EagerPopulation, SyntheticPopulation
 
 
 class TestBuilders:
     def test_build_dataset_femnist(self, tiny_config):
         dataset, generator = build_dataset(tiny_config)
+        assert isinstance(dataset, EagerPopulation)
         assert dataset.num_clients == tiny_config.num_clients
         assert dataset.num_classes == tiny_config.num_classes
 
@@ -31,7 +33,14 @@ class TestBuilders:
         config = Scenario(dataset="sentiment", num_clients=6, samples_per_client=20)
         dataset, generator = build_dataset(config)
         assert dataset.num_classes == 2
-        assert dataset.input_shape == (generator.embedding_dim,)
+        assert dataset.client(0).train.x.shape[1:] == (generator.embedding_dim,)
+
+    def test_build_dataset_population(self):
+        config = Scenario(num_clients=6, samples_per_client=20, population="synthetic")
+        dataset, generator = build_dataset(config)
+        assert isinstance(dataset, SyntheticPopulation)
+        assert dataset.generator is generator
+        assert dataset.materializations == 0
 
     def test_model_factory_produces_identical_models(self, tiny_config):
         _, generator = build_dataset(tiny_config)

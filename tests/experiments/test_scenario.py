@@ -191,6 +191,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario.from_dict({**Scenario().to_dict(), **kwargs})
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"participation_kwargs": {"sample_rate": 0.9}, "sample_rate": 0.3},
+             "participation_kwargs"),
+            ({"population_kwargs": {"cache_size": 2, "bogus": 1}}, "population_kwargs"),
+            ({"attack_kwargs": {"bogus": 1}}, "attack_kwargs"),
+            ({"attack": "none:bogus=1"}, "attack_kwargs"),
+        ],
+        ids=["participation", "population", "attack", "attack_spec"],
+    )
+    def test_kwargs_of_an_unset_component_are_rejected(self, kwargs, field):
+        # Nothing would read them: the run would go ahead without them.
+        with pytest.raises(ValueError, match=field):
+            Scenario(**kwargs)
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict({**Scenario().to_dict(), **kwargs})
+
+    def test_unsetting_a_component_drops_its_kwargs(self):
+        scenario = Scenario(
+            population="synthetic:cache_size=2",
+            participation="churn:availability=0.8",
+            attack="dba:num_parts=2",
+        )
+        unset = scenario.with_overrides(population=None, participation=None, attack="none")
+        assert unset.population_kwargs == unset.participation_kwargs == {}
+        assert unset.attack_kwargs == {}
+
     def test_population_changes_data_signature(self):
         eager = Scenario()
         lazy = Scenario(population="synthetic")

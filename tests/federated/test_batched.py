@@ -21,6 +21,7 @@ from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine import build_round_plan, make_backend
 from repro.federated.engine.batched import BatchedBackend
+from repro.federated.population import ClientPopulation
 from repro.federated.server import FederatedServer, ServerConfig
 from repro.nn.layers import Flatten
 from repro.nn.model import BatchedSequential, Sequential, make_mlp
@@ -206,31 +207,17 @@ class TestBatchedFallbacks:
         assert counted == sampled > 0
 
     def test_empty_client_data_yields_zero_update(self, femnist_generator):
-        from repro.data.federated_data import ClientData, FederatedDataset
+        class OneEmptyClient(ClientPopulation):
+            """Two samples of every class per client, none for client 1."""
 
-        pool = femnist_generator.sample_iid(48, seed=0)
-        empty = pool.subset(np.arange(0))
-        clients = []
-        for i in range(4):
-            train = (
-                empty if i == 1 else pool.subset(np.arange(i * 8, (i + 1) * 8))
-            )
-            test = pool.subset(np.arange(40, 48))
-            clients.append(
-                ClientData(
-                    client_id=i,
-                    train=train,
-                    test=test,
-                    val=test,
-                    class_counts=train.class_counts(femnist_generator.num_classes),
-                )
-            )
-        federation = FederatedDataset(
-            clients=clients,
-            num_classes=femnist_generator.num_classes,
-            alpha=0.5,
-            input_shape=pool.x.shape[1:],
+            def class_counts(self, client_id):
+                return np.full(self.num_classes, 0 if client_id == 1 else 2, dtype=np.int64)
+
+        federation = OneEmptyClient(
+            femnist_generator, num_clients=4, samples_per_client=10, alpha=0.5, seed=0,
+            cache_size=4,
         )
+        assert len(federation.client(1).train) == 0
         size = femnist_generator.image_size
 
         def factory():

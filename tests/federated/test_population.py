@@ -127,13 +127,12 @@ class TestRegistryIntegration:
         assert pop.generator is femnist_generator
         assert pop.num_classes == femnist_generator.num_classes
 
-    def test_duck_types_federated_dataset_surface(self):
+    def test_auxiliary_dataset_pools_lazy_clients(self):
         pop = _pop(num_clients=12)
         aux = pop.auxiliary_dataset([1, 2], source="val")
-        assert len(aux) > 0
+        assert len(aux) == len(pop.client(1).val) + len(pop.client(2).val)
         counts = pop.auxiliary_class_counts([1, 2])
         assert counts.shape == (pop.num_classes,)
-        assert pop.input_shape[-1] == pop.generator.image_size
 
 
 class _MaterializationProbe(RoundHook):
