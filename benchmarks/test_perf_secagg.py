@@ -4,9 +4,12 @@ Runs the same seeded federated workload (full participation, a
 ≥1e5-parameter MLP) with secure aggregation off and on, asserting the
 histories are bit-identical — masking is pure obfuscation, never a numeric
 change — and that masking adds no payload bytes to the communication
-ledger.  Mask derivation is one seeded RNG stream per client pair per
-round, O(participants · param_dim) words, all in NumPy; its wall-clock cost
-is measured by the ``secagg-distributed`` workload in ``perfbench/``.
+ledger.  Each participant expands one seeded RNG stream of param_dim words
+per neighbour on the round's SecAgg+ ring, k = min(n − 1, 2⌈log₂ n⌉) of
+them, and the sealed aggregator expands them again to unmask: 2·n·k
+streams per round, O(n · log n · param_dim) words, all in NumPy (here each
+of the 12 participants masks with k = 8 of the 11 others).  Its wall-clock
+cost is measured by the ``secagg-distributed`` workload in ``perfbench/``.
 """
 
 from __future__ import annotations

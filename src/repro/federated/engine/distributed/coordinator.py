@@ -324,14 +324,18 @@ class DistributedBackend(ExecutionBackend):
             if self.ledger is not None
             else None
         )
-        msg, fields, _arrays = recv_message(sock, meter=meter)
-        if msg is not MessageType.HELLO:
-            raise ProtocolError(f"expected HELLO from worker, got {msg.name}")
-        if fields.get("version") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"worker at {address[0]}:{address[1]} speaks protocol "
-                f"{fields.get('version')}, coordinator speaks {PROTOCOL_VERSION}"
-            )
+        try:
+            msg, fields, _arrays = recv_message(sock, meter=meter)
+            if msg is not MessageType.HELLO:
+                raise ProtocolError(f"expected HELLO from worker, got {msg.name}")
+            if fields.get("version") != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"worker at {address[0]}:{address[1]} speaks protocol "
+                    f"{fields.get('version')}, coordinator speaks {PROTOCOL_VERSION}"
+                )
+        except BaseException:
+            sock.close()  # a refused worker holds no socket of ours
+            raise
         sock.settimeout(None)
         for header, payload in sizes:
             self._record_wire(fields.get("pid"), "up", SETUP_ROUND, header, payload)

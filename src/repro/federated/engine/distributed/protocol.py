@@ -72,7 +72,13 @@ from repro.nn.serialization import vector_from_bytes, vector_to_bytes, wire_dtyp
 #: set size) to ``UPDATE``, so the coordinator builds updates without
 #: reading its own dataset.  The bump is manual: the wire-protocol golden
 #: fingerprints the frame structure, not header field names.
-PROTOCOL_VERSION = 6
+#: Version 7 changed what a masked ``UPDATE``'s words carry: the client's
+#: mask over its ring neighbours on the round's sparse SecAgg+ graph
+#: (:func:`repro.federated.secagg.masking.mask_neighbours`), not over every
+#: other participant.  No frame or header changed, but a v6 peer would mask
+#: or unmask those words with the complete graph and silently corrupt the
+#: fold, so the two refuse each other at ``HELLO``.
+PROTOCOL_VERSION = 7
 
 _MAGIC = b"RW"
 _HEADER = struct.Struct(">2sBBI")

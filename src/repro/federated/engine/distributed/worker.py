@@ -275,9 +275,10 @@ class WorkerServer:
             mask_s = None
             if secagg is not None:
                 # Mask at the source: the plaintext update never leaves this
-                # process.  Masks are pure functions of (seed, round, pair),
-                # so a re-dispatched task after a worker death regenerates
-                # the identical ciphertext on whichever worker picks it up.
+                # process.  Masks are pure functions of (seed, round, pair)
+                # and the ring of (seed, round, participant set), so a
+                # re-dispatched task after a worker death regenerates the
+                # identical ciphertext on whichever worker picks it up.
                 mask_start = time.monotonic()
                 update.update = mask_update(
                     update.update,

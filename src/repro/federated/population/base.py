@@ -56,7 +56,9 @@ class ClientPopulation:
     ``sample_client``); the experiment runner passes the instance it built
     from the scenario's geometry fields.  Subclasses implement
     :meth:`class_counts`, which must be a pure function of the population's
-    configuration and ``cid``; :meth:`client` builds and caches the rest.
+    configuration and ``cid`` and range-check ``cid`` through
+    :meth:`_index`, as :meth:`client` does; :meth:`client` builds and caches
+    the rest.
     """
 
     def __init__(
@@ -91,9 +93,7 @@ class ClientPopulation:
 
     def client(self, client_id: int) -> ClientData:
         """The client's data, served from the LRU cache."""
-        cid = int(client_id)
-        if not 0 <= cid < self.num_clients:
-            raise IndexError(f"client id {cid} outside population [0, {self.num_clients})")
+        cid = self._index(client_id)
         cached = self._cache.get(cid)
         if cached is not None:
             self._cache.move_to_end(cid)
@@ -104,6 +104,18 @@ class ClientPopulation:
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
         return data
+
+    def _index(self, client_id: int) -> int:
+        """``client_id`` as an int; :class:`IndexError` outside the population.
+
+        The one range check: :meth:`client` and every subclass's
+        :meth:`class_counts` go through it, so no id wraps round or reaches
+        a client that does not exist.
+        """
+        cid = int(client_id)
+        if not 0 <= cid < self.num_clients:
+            raise IndexError(f"client id {cid} outside population [0, {self.num_clients})")
+        return cid
 
     def label_distributions(self) -> np.ndarray:
         """Stacked ``(num_clients, num_classes)`` class-count matrix.
@@ -164,7 +176,10 @@ class ClientPopulation:
         }
 
     def class_counts(self, client_id: int) -> np.ndarray:
-        """Length-``num_classes`` label counts of one client (cheap)."""
+        """Length-``num_classes`` label counts of one client (cheap).
+
+        Raises :class:`IndexError` for an id outside the population.
+        """
         raise NotImplementedError
 
     def _materialize(self, cid: int) -> ClientData:
@@ -214,7 +229,7 @@ class EagerPopulation(ClientPopulation):
 
     def class_counts(self, client_id: int) -> np.ndarray:
         """The client's row of the global partition."""
-        return self._counts[client_id]
+        return self._counts[self._index(client_id)]
 
 
 @POPULATIONS.register("synthetic")
@@ -252,7 +267,7 @@ class SyntheticPopulation(ClientPopulation):
         multinomial split) is part of the population's determinism contract:
         reordering it changes every client of every existing seed.
         """
-        rng = population_rng(self.seed, int(client_id))
+        rng = population_rng(self.seed, self._index(client_id))
         spread = rng.lognormal(mean=-0.5 * SIZE_IMBALANCE**2, sigma=SIZE_IMBALANCE)
         size = max(MIN_SAMPLES, int(round(self.samples_per_client * spread)))
         proportions = rng.dirichlet(np.full(self.num_classes, self.alpha))

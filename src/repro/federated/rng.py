@@ -30,6 +30,13 @@ PERSONALIZATION_PRIME = 31
 #: other SeedSequence-derived stream a future subsystem might add.
 SECAGG_PAIR_TAG = 0x5EC466
 
+#: Domain-separation tag of the secure-aggregation ring streams.  Each round
+#: derives one stream from ``(seed, round_idx, SECAGG_RING_TAG)`` and draws
+#: the order in which the round's participants sit on the mask graph's
+#: ring (:func:`repro.federated.secagg.masking.mask_neighbours`); the tag
+#: keeps it disjoint from the pair streams of the same round.
+SECAGG_RING_TAG = 0x5EC419
+
 #: Domain-separation tag of lazy client-population streams: everything a
 #: :class:`~repro.federated.population.ClientPopulation` draws per client —
 #: dataset size, label mix — comes from ``(seed, client_id, POPULATION_TAG)``,
@@ -103,6 +110,13 @@ def pair_mask_rng(
 ) -> np.random.Generator:
     """Fresh generator for one pair's secure-aggregation mask stream."""
     return np.random.default_rng(pair_mask_seed_sequence(seed, round_idx, client_a, client_b))
+
+
+def secagg_ring_rng(seed: int, round_idx: int) -> np.random.Generator:
+    """Fresh generator for one round's secure-aggregation ring order."""
+    return np.random.default_rng(
+        np.random.SeedSequence((int(seed) & _SEED_WORD_MASK, int(round_idx), SECAGG_RING_TAG))
+    )
 
 
 def population_seed_sequence(seed: int, client_id: int) -> np.random.SeedSequence:

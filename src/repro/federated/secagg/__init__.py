@@ -1,7 +1,8 @@
 """Secure aggregation: pairwise additive masking over the update pipeline.
 
 Clients (driver-side backends and remote distributed workers alike) mask
-their updates with pairwise masks derived from seeded per-pair RNG streams
+their updates with pairwise masks derived from seeded per-pair RNG streams,
+one per neighbour on the round's sparse SecAgg+ ring
 (:mod:`repro.federated.secagg.masking`); the server folds behind the sealed
 :class:`~repro.federated.secagg.aggregator.SecureAggregator` layer and only
 ever observes masked bytes or the finished aggregate.  Sum-folding defenses
@@ -21,6 +22,7 @@ from repro.federated.secagg.aggregator import (
 )
 from repro.federated.secagg.masking import (
     client_round_mask,
+    mask_neighbours,
     mask_update,
     mask_words,
     pairwise_mask,
@@ -33,6 +35,7 @@ __all__ = [
     "PlaintextRequiredError",
     "SecureAggregator",
     "client_round_mask",
+    "mask_neighbours",
     "mask_update",
     "mask_words",
     "pairwise_mask",

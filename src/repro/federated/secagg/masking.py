@@ -1,10 +1,11 @@
-"""Pairwise additive masking over IEEE-754 bit patterns.
+"""Pairwise additive masking over IEEE-754 bit patterns, on a sparse graph.
 
 Secure aggregation hides individual client updates from the server: each
-pair of round participants ``(i, j)`` derives a shared mask from a seeded
-per-pair RNG stream (:func:`repro.federated.rng.pair_mask_rng`), client
-``i`` adds it and client ``j`` subtracts it, and the per-pair terms cancel
-in the aggregate — the server only ever learns the sum.
+pair of round participants ``(i, j)`` joined by the round's *mask graph*
+derives a shared mask from a seeded per-pair RNG stream
+(:func:`repro.federated.rng.pair_mask_rng`), client ``i`` adds it and client
+``j`` subtracts it, and the per-pair terms cancel in the aggregate — the
+server only ever learns the sum.
 
 Why bit patterns and not float arithmetic: the repo's core guarantee is
 *bit-identical* histories per seed, and float addition is not associative —
@@ -20,22 +21,54 @@ reinterpretations of those words; every transport in the repo
 memcpy for float64, so the words survive the wire bit-for-bit even when
 they happen to spell NaNs or infinities.
 
-A client's aggregate mask over the round's participant set ``P`` is
+The mask graph is SecAgg+'s (Bell et al., "Secure Single-Server
+Aggregation with (Poly)Logarithmic Overhead", CCS 2020), not the complete
+graph of Bonawitz et al. (CCS 2017).  For a round with participant set
+``P`` of ``n`` clients it is the k-regular Harary graph on a ring, with
 
-    M_i  =  sum_{j in P, j > i} m_ij  -  sum_{j in P, j < i} m_ji   (mod 2**64)
+    k(n)  =  min(n - 1, 2 * ceil(log2 n))  =  min(n - 1, 2 * (n - 1).bit_length())
 
-so ``sum_{i in P} M_i = 0 (mod 2**64)``: summing the masked *words* of all
-participants yields the sum of the plaintext words.  (The defense fold
-itself is float addition, not word addition, so the sealed
+(the integer form holds for every ``n >= 2``; a lone participant has
+``k = 0`` and a zero mask).  ``P`` is sorted and de-duplicated, then put in
+a seeded order drawn from :func:`repro.federated.rng.secagg_ring_rng`
+``(seed, round)``; each participant pairs with the ``k // 2`` participants
+on either side of it in that order, and, when ``k`` is odd, with the one
+opposite it.  ``k`` is odd only as ``n - 1`` for even ``n``, and
+``k = n - 1`` (every ``n <= 7``, and ``n = 9``) is the complete graph.
+Writing ``N(i)`` for ``i``'s neighbours (:func:`mask_neighbours`), a
+client's aggregate mask is
+
+    M_i  =  sum_{j in N(i), j > i} m_ij  -  sum_{j in N(i), j < i} m_ji   (mod 2**64)
+
+and since the graph is symmetric, ``sum_{i in P} M_i = 0 (mod 2**64)``:
+summing the masked *words* of all participants yields the sum of the
+plaintext words.  (The defense fold itself is float addition, not word
+addition, so the sealed
 :class:`~repro.federated.secagg.aggregator.SecureAggregator` removes each
 ``M_i`` exactly — see its docstring for how that maps onto the multi-party
-protocol.)
+protocol.)  The ring depends on the participant *set* only, so the driver's
+:meth:`~repro.federated.engine.backends.ExecutionBackend.seal`, a
+distributed worker and the sealed aggregator, which each hold the set in
+their own order, derive the same graph.
+
+Threat model.  The ring of a round is public, as the graph is in SecAgg+.
+A client's update is therefore exposed to a server that colludes with the
+client's ``k`` ring neighbours — not only, as on the complete graph, with
+all ``n - 1`` other participants.  This simulation models neither the key
+agreement nor the Shamir shares behind that bound; it reproduces the masks
+and their cost.
+
+Cost.  Masking expands one PRG stream of ``d`` words per neighbour: ``k``
+per client, ``n * k`` per round, and the unmasking side expands the same
+``n * k`` again, so a round costs ``2 * n * k`` expansions, at most
+``4 * n * ceil(log2 n)`` — against ``2 * n * (n - 1)`` on the complete graph
+(at ``n = 16``: 256 instead of 480).
 
 Dropout recovery needs no key shares in this simulation: masks are pure
-functions of ``(seed, round, pair)``, so a re-dispatched task — e.g. after
-the distributed backend loses a worker mid-round — re-derives the exact
-masks (and therefore the exact masked bytes) the dead worker would have
-sent.
+functions of ``(seed, round, pair)`` and the ring of ``(seed, round,
+participant set)``, so a re-dispatched task — e.g. after the distributed
+backend loses a worker mid-round — re-derives the exact masks (and
+therefore the exact masked bytes) the dead worker would have sent.
 """
 
 from __future__ import annotations
@@ -44,7 +77,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.federated.rng import pair_mask_rng
+from repro.federated.rng import pair_mask_rng, secagg_ring_rng
 
 #: Exclusive upper bound of the mask words (the full 64-bit word range).
 _WORD_MAX = (1 << 64) - 1
@@ -63,6 +96,34 @@ def pairwise_mask(
     return rng.integers(0, _WORD_MAX, size=int(dim), dtype=np.uint64, endpoint=True)
 
 
+def mask_neighbours(
+    seed: int, round_idx: int, client_id: int, participants: Iterable[int]
+) -> list[int]:
+    """The participants ``client_id`` shares a pair mask with this round.
+
+    Its ``k(n)`` neighbours on the round's ring (see the module docstring),
+    in ascending id order.  A pure function of ``(seed, round_idx,
+    client_id)`` and the participant *set*: order and duplicates in
+    ``participants`` do not matter.  Raises :class:`ValueError` when
+    ``client_id`` is not a participant, whose masks could never cancel.
+    """
+    members = sorted({int(p) for p in participants})
+    client_id = int(client_id)
+    if client_id not in members:
+        raise ValueError(
+            f"client {client_id} is not among the round's participants; "
+            "only a participant's mask cancels in the sum"
+        )
+    n = len(members)
+    k = min(n - 1, 2 * (n - 1).bit_length())
+    ring = [members[i] for i in secagg_ring_rng(seed, round_idx).permutation(n)]
+    position = ring.index(client_id)
+    offsets = [*range(1, k // 2 + 1), *range(-(k // 2), 0)]
+    if k % 2:
+        offsets.append(n // 2)
+    return sorted(ring[(position + offset) % n] for offset in offsets)
+
+
 def client_round_mask(
     seed: int,
     round_idx: int,
@@ -70,17 +131,15 @@ def client_round_mask(
     participants: Iterable[int],
     dim: int,
 ) -> np.ndarray:
-    """One client's aggregate mask ``M_i`` over the round's participants.
+    """One client's aggregate mask ``M_i`` over its ring neighbours.
 
     ``participants`` is the round's full sampled-client set (benign *and*
     compromised — every participant must mask, or the pairwise terms
-    involving the unmasked client would survive in the sum).  Clients absent
-    from ``participants`` contribute no pair; ``client_id`` itself is
-    skipped.  Summing the returned vectors over every participant is
-    identically zero mod 2**64.
+    involving the unmasked client would survive in the sum).  Summing the
+    returned vectors over every participant is identically zero mod 2**64.
     """
     total = np.zeros(int(dim), dtype=np.uint64)
-    for other in sorted({int(p) for p in participants} - {int(client_id)}):
+    for other in mask_neighbours(seed, round_idx, client_id, participants):
         mask = pairwise_mask(seed, round_idx, client_id, other, dim)
         if client_id < other:
             total += mask

@@ -15,17 +15,23 @@ change through committing a reviewed new golden::
 
     PYTHONPATH=src python -m repro.lint.checkers.wire_protocol
 
-regenerates the golden for the current source.
+writes the golden for the current source's version only if none exists
+yet.  A golden that exists is never rewritten: the command exits 0 if it
+matches the source and 1 if it differs, saying to bump
+``PROTOCOL_VERSION`` — so the command cannot bless drift the checker
+exists to catch.  ``--help`` prints usage; any other argument exits 2.
+Neither writes anything.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.lint.base import Checker, Project, SourceFile
+from repro.lint.base import Checker, Project
 from repro.lint.findings import Finding
 from repro.registry import CHECKERS
 
@@ -188,29 +194,61 @@ class WireProtocolChecker(Checker):
         return 1
 
 
-def write_golden(source_path: Path | str, golden_dir: Path | None = None) -> Path:
-    """Regenerate the golden for the protocol source's current version."""
+def write_golden(
+    source_path: Path | str, golden_dir: Path | None = None
+) -> tuple[int, str]:
+    """Write the golden for the protocol source's version if none exists.
+
+    Returns ``(exit status, message)``: 0 after writing the golden or
+    finding an identical one, 1 when the committed golden differs — the
+    structure drifted, so ``PROTOCOL_VERSION`` must be bumped — in which
+    case nothing is written.
+    """
     text = Path(source_path).read_text(encoding="utf-8")
     fingerprint = extract_fingerprint(ast.parse(text))
     version = fingerprint["version"]
     if not isinstance(version, int):
         raise ValueError(f"{source_path} has no integer PROTOCOL_VERSION")
     path = golden_path(version, golden_dir)
+    if path.exists():
+        changes = _diff(json.loads(path.read_text(encoding="utf-8")), fingerprint)
+        if changes:
+            return 1, (
+                f"{path} does not match protocol version {version} "
+                f"({'; '.join(changes)}); wrote nothing — bump "
+                "PROTOCOL_VERSION and run this again"
+            )
+        return 0, f"{path} is up to date"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(fingerprint, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return path
+    return 0, f"wrote {path}"
 
 
-def _main() -> int:
+USAGE = """usage: python -m repro.lint.checkers.wire_protocol [--help]
+
+Write src/repro/lint/goldens/protocol_v<N>.json for the current
+PROTOCOL_VERSION <N> of the wire protocol, if no golden for <N> exists.
+An existing golden is never rewritten: exit 0 if it matches the source,
+1 if it differs (bump PROTOCOL_VERSION)."""
+
+
+def _main(argv: list[str] | None = None) -> int:
     import repro
 
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args == ["--help"]:
+        print(USAGE)
+        return 0
+    if args:
+        print(f"unexpected arguments: {' '.join(args)}\n\n{USAGE}", file=sys.stderr)
+        return 2
     source = Path(repro.__file__).resolve().parent / PROTOCOL_SUFFIX
-    path = write_golden(source)
-    print(f"wrote {path}")
-    return 0
+    status, message = write_golden(source)
+    print(message, file=sys.stderr if status else sys.stdout)
+    return status
 
 
-if __name__ == "__main__":  # pragma: no cover - thin regeneration shim
+if __name__ == "__main__":  # pragma: no cover - thin command shim
     raise SystemExit(_main())

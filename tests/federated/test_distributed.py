@@ -17,6 +17,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from functools import lru_cache
 
@@ -528,6 +529,40 @@ class TestStandaloneWorker:
             backend.close()
             retry.close()
             unbound.close()
+
+
+    def test_previous_protocol_worker_is_refused_at_hello(self):
+        """A v6 worker would mask over the complete graph: it never connects.
+
+        Frames did not change in v7, only the mask graph under a masked
+        UPDATE's words, so the version byte is what keeps such a worker
+        from silently corrupting the fold.
+        """
+        listener = socket.create_server(("127.0.0.1", 0))
+        old = protocol.PROTOCOL_VERSION - 1
+        payload = protocol.encode_message({"version": old, "pid": 0})
+
+        def old_worker():
+            conn, _addr = listener.accept()
+            with conn:
+                conn.sendall(
+                    struct.pack(">2sBBI", b"RW", old, protocol.MessageType.HELLO,
+                                len(payload)) + payload
+                )
+
+        thread = threading.Thread(target=old_worker, daemon=True)
+        thread.start()
+        address = f"127.0.0.1:{listener.getsockname()[1]}"
+        backend = DistributedBackend(connect=address, spawn_timeout=10.0)
+        try:
+            backend.bind(EngineContext(None, None, None, None))
+            with pytest.raises(protocol.ProtocolError, match=f"version {old}"):
+                backend._ensure_started(round_idx=0)
+            assert backend.workers == []
+        finally:
+            backend.close()
+            thread.join(timeout=10)
+            listener.close()
 
 
 class TestWorkerErrorPropagation:

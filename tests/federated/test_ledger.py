@@ -176,6 +176,71 @@ class TestRunLedger:
         assert reloaded.ledger is None
 
 
+class TestPayloadClosedForm:
+    """Payload bytes per channel and round in closed form, against the ledger.
+
+    With n participants, m_r compromised clients sampled in round r, W
+    workers, d parameters and b bytes per element (8 for float64, 4 for
+    float32), every round r >= 0 moves
+
+    * model channel: n·d·b down (the global parameters to every
+      participant) and n·d·b up (one update each);
+    * wire channel: W·d·b down (one ROUND frame per worker; FedAvg TASK
+      frames carry no arrays) and (n − m_r)·d·b up (compromised clients
+      train in the driver);
+
+    and round −1 (worker set-up and shutdown) moves no payload.  Header
+    bytes hold the JSON repr of each loss, whose length varies, so they get
+    bounds only.
+    """
+
+    WORKERS = 2
+    #: 8·8 inputs × 16 hidden + 16 + 16 × 4 classes + 4.
+    DIM = 1_108
+
+    def _run(self, **overrides) -> ExperimentResult:
+        return base_scenario(
+            attack="collapois",
+            compromised_fraction=0.25,
+            trojan_epochs=1,
+            backend="distributed",
+            backend_workers=self.WORKERS,
+            **overrides,
+        ).run()
+
+    def _assert_closed_form(self, result: ExperimentResult, b: int) -> None:
+        d, w = self.DIM, self.WORKERS
+        assert result.extras["server"].global_params.shape == (d,)
+        expected = {}
+        for record in result.history.records:
+            r = record.round_idx
+            n, m = len(record.sampled_clients), len(record.compromised_sampled)
+            assert (n, m) == (8, 2)
+            expected[(r, "model", "down")] = n * d * b
+            expected[(r, "model", "up")] = n * d * b
+            expected[(r, "wire", "down")] = w * d * b
+            expected[(r, "wire", "up")] = (n - m) * d * b
+        rows = result.ledger.round_rows()
+        setup = [row for row in rows if row["round"] == SETUP_ROUND]
+        assert setup and all(row["payload_bytes"] == 0 for row in setup)
+        payload = {
+            (row["round"], row["channel"], row["direction"]): row["payload_bytes"]
+            for row in rows
+            if row["round"] != SETUP_ROUND
+        }
+        assert payload == expected
+        for row in rows:
+            assert 0 < row["header_bytes"] <= 512 * row["frames"], row
+
+    def test_secagg_distributed_run(self):
+        self._assert_closed_form(self._run(secure_aggregation=True), b=8)
+
+    def test_float32_plaintext_distributed_run(self):
+        result = self._run(backend_kwargs={"wire_dtype": "float32"})
+        assert result.ledger.dtypes == {"model": "float32", "wire": "float32"}
+        self._assert_closed_form(result, b=4)
+
+
 class TestLedgerCli:
     def test_ledger_table_of_saved_results(self, tmp_path, capsys):
         from repro.cli import main

@@ -7,7 +7,11 @@ import pytest
 
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import RoundHook
-from repro.federated.population import ClientPopulation, SyntheticPopulation
+from repro.federated.population import (
+    ClientPopulation,
+    EagerPopulation,
+    SyntheticPopulation,
+)
 from repro.registry import POPULATIONS
 
 
@@ -57,6 +61,19 @@ class TestLaziness:
             pop.client(200)
         with pytest.raises(IndexError):
             pop.client(-1)
+
+    @pytest.mark.parametrize("cid", [-1, 5])
+    @pytest.mark.parametrize("kind", ["eager", "synthetic"])
+    def test_out_of_range_class_counts_raises(self, kind, cid):
+        # The same range check as client(): an eager -1 must not wrap round
+        # to the last client, and a synthetic id past the end must not draw
+        # counts for a client that does not exist.
+        if kind == "eager":
+            pop = EagerPopulation("femnist", num_clients=5, samples_per_client=8, alpha=0.5)
+        else:
+            pop = _pop(num_clients=5)
+        with pytest.raises(IndexError, match=r"outside population \[0, 5\)"):
+            pop.class_counts(cid)
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ ever observes a plaintext update.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from functools import lru_cache
@@ -27,13 +28,43 @@ from repro.federated.secagg import (
     PlaintextRequiredError,
     SecureAggregator,
     client_round_mask,
+    mask_neighbours,
     mask_update,
     mask_words,
+    masking,
     pairwise_mask,
     unmask_update,
     unmask_words,
 )
 from repro.federated.secagg.masking import _WORD_MAX
+
+#: Participant counts the mask-graph tests sweep: every n up to 17 and both
+#: sides of three powers of two.
+RING_SIZES = (*range(2, 18), 31, 32, 33, 64, 100, 127, 128)
+
+
+def ring_degree(n: int) -> int:
+    """SecAgg+'s k(n) = min(n - 1, 2 * ceil(log2 n)), in floats on purpose."""
+    return min(n - 1, 2 * math.ceil(math.log2(n)))
+
+
+def participant_ids(n: int) -> tuple[int, ...]:
+    """``n`` sparse, unsorted client ids: ring order must not follow id order."""
+    return tuple(int(c) for c in np.random.default_rng(n).permutation(7 * n)[:n])
+
+
+@pytest.fixture
+def pair_mask_calls(monkeypatch):
+    """Record every ``pairwise_mask`` expansion as its ``(client, other)`` pair."""
+    calls: list[tuple[int, int]] = []
+    real = masking.pairwise_mask
+
+    def counting(seed, round_idx, client_a, client_b, dim):
+        calls.append((client_a, client_b))
+        return real(seed, round_idx, client_a, client_b, dim)
+
+    monkeypatch.setattr(masking, "pairwise_mask", counting)
+    return calls
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -140,6 +171,138 @@ class TestMasking:
 
     def test_word_max_is_full_range(self):
         assert _WORD_MAX == (1 << 64) - 1
+
+
+class TestMaskGraph:
+    """The round's mask graph is SecAgg+'s k-regular Harary ring."""
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_graph_is_symmetric_k_regular_without_self_pairs(self, n):
+        participants = participant_ids(n)
+        k = ring_degree(n)
+        graph = {c: mask_neighbours(4, 2, c, participants) for c in participants}
+        for client, neighbours in graph.items():
+            assert len(neighbours) == len(set(neighbours)) == k
+            assert client not in neighbours
+            assert set(neighbours) <= set(participants)
+            for other in neighbours:
+                assert client in graph[other]
+        # The complete graph survives only as the k = n - 1 case.
+        assert (k == n - 1) == (n <= 7 or n == 9)
+        if k == n - 1:
+            assert all(set(graph[c]) == set(participants) - {c} for c in participants)
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_graph_depends_on_the_participant_set_only(self, n):
+        participants = participant_ids(n)
+        shuffled = [int(c) for c in np.random.default_rng(99).permutation(participants)]
+        duplicated = shuffled + shuffled[: n // 2 + 1]
+        for client in participants:
+            expected = mask_neighbours(4, 2, client, participants)
+            assert expected == sorted(expected)
+            assert mask_neighbours(4, 2, client, shuffled) == expected
+            assert mask_neighbours(4, 2, client, duplicated) == expected
+            assert mask_neighbours(4, 2, client, participants) == expected
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_round_masks_cancel_over_participants(self, n):
+        participants = participant_ids(n)
+        total = np.zeros(3, dtype=np.uint64)
+        for client in participants:
+            total += client_round_mask(6, 1, client, participants, dim=3)
+        assert not total.any()
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_non_participant_raises(self, n):
+        participants = participant_ids(n)
+        outsider = max(participants) + 1
+        with pytest.raises(ValueError, match="participants"):
+            mask_neighbours(4, 2, outsider, participants)
+        with pytest.raises(ValueError, match="participants"):
+            mask_update(np.zeros(2), 4, 2, outsider, participants)
+
+    def test_ring_order_is_drawn_per_round(self):
+        participants = participant_ids(16)
+        rounds = [
+            {c: mask_neighbours(4, r, c, participants) for c in participants}
+            for r in (0, 1)
+        ]
+        assert rounds[0] != rounds[1]
+
+    def test_lone_participant_keeps_a_zero_mask(self, pair_mask_calls):
+        assert mask_neighbours(4, 2, 7, [7]) == []
+        assert not client_round_mask(4, 2, 7, [7], dim=5).any()
+        assert pair_mask_calls == []
+
+
+class TestMaskCount:
+    """PRG expansions per party and per phase, in closed form in n and k."""
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_round_makes_two_n_k_expansions(self, n, pair_mask_calls):
+        from repro.defenses.base import MeanAggregator
+
+        participants = participant_ids(n)
+        k = ring_degree(n)
+        dim = 4
+        rng = np.random.default_rng(n)
+        updates = {c: rng.normal(size=dim) for c in participants}
+        ctx = AggregationContext(
+            rng=np.random.default_rng(0), round_idx=3, sampled_clients=participants
+        )
+        secagg = SecureAggregator(MeanAggregator(), seed=8)
+        state = secagg.begin_round(ctx)
+        for slot, client in enumerate(participants):
+            # Mask phase: one expansion per ring neighbour.
+            before = len(pair_mask_calls)
+            masked = mask_update(updates[client], 8, 3, client, participants)
+            neighbours = mask_neighbours(8, 3, client, participants)
+            assert pair_mask_calls[before:] == [(client, j) for j in neighbours]
+            assert len(neighbours) == k
+            # Unmask phase, in the sealed aggregator: k more.
+            before = len(pair_mask_calls)
+            secagg.accumulate(
+                state,
+                ClientUpdate(client_id=client, slot=slot, update=masked,
+                             metadata={MASKED_KEY: True}),
+            )
+            assert len(pair_mask_calls) - before == k
+        assert len(pair_mask_calls) == 2 * n * k
+        assert 2 * n * k <= 4 * n * math.ceil(math.log2(n))
+
+        plain = MeanAggregator()
+        ref_state = plain.begin_round(ctx)
+        for slot, client in enumerate(participants):
+            plain.accumulate(
+                ref_state, ClientUpdate(client_id=client, slot=slot, update=updates[client])
+            )
+        np.testing.assert_array_equal(
+            secagg.finalize(state, np.zeros(dim), ctx),
+            plain.finalize(ref_state, np.zeros(dim), ctx),
+        )
+
+    def test_secagg_workload_round_count(self, pair_mask_calls):
+        # The perfbench secagg-distributed scenario, run serially and small:
+        # 16 participants, k = 8, so 2 rounds x 2 phases x 16 x 8 = 512
+        # expansions (the complete graph made 2 x 2 x 16 x 15 = 960).
+        scenario = Scenario(
+            dataset="femnist",
+            hidden=(16,),
+            num_clients=16,
+            samples_per_client=16,
+            sample_rate=1.0,
+            attack="collapois",
+            compromised_fraction=0.1,
+            trojan_epochs=1,
+            defense="mean",
+            num_shards=2,
+            secure_aggregation=True,
+            rounds=2,
+            max_test_samples=8,
+        )
+        result = scenario.run()
+        assert [len(r.sampled_clients) for r in result.history.records] == [16, 16]
+        assert len(pair_mask_calls) == 512
 
 
 class TestSecureAggregator:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.lint.base import Project, SourceFile
+from repro.lint.checkers import wire_protocol
 from repro.lint.checkers.fold_determinism import FoldDeterminismChecker
 from repro.lint.checkers.registry_completeness import RegistryCompletenessChecker
 from repro.lint.checkers.rng_discipline import RngDisciplineChecker
@@ -143,6 +149,72 @@ class TestWireProtocol:
     def test_skips_when_protocol_not_in_scope(self):
         project = Project.collect([FIXTURES / "rng_clean.py"])
         assert list(WireProtocolChecker().run(project)) == []
+
+
+class TestGoldenCommand:
+    """``python -m repro.lint.checkers.wire_protocol`` writes only new goldens."""
+
+    @pytest.fixture()
+    def golden_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wire_protocol, "GOLDEN_DIR", tmp_path)
+        return tmp_path
+
+    @pytest.fixture()
+    def golden(self, golden_dir):
+        source = REPO_SRC / "repro" / PROTOCOL_SUFFIX
+        fingerprint = wire_protocol.extract_fingerprint(
+            ast.parse(source.read_text(encoding="utf-8"))
+        )
+        return golden_dir / f"protocol_v{fingerprint['version']}.json", fingerprint
+
+    def test_help_prints_usage_and_writes_nothing(self, golden_dir, capsys):
+        assert wire_protocol._main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+        assert list(golden_dir.iterdir()) == []
+
+    def test_help_through_the_module_entry_writes_nothing(self):
+        goldens = sorted(wire_protocol.GOLDEN_DIR.iterdir())
+        before = {path: path.stat().st_mtime_ns for path in goldens}
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.lint.checkers.wire_protocol", "--help"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")
+        assert "wrote" not in proc.stdout
+        assert sorted(wire_protocol.GOLDEN_DIR.iterdir()) == goldens
+        assert {path: path.stat().st_mtime_ns for path in goldens} == before
+
+    def test_unknown_argument_exits_2_and_writes_nothing(self, golden_dir, capsys):
+        assert wire_protocol._main(["--force"]) == 2
+        assert "--force" in capsys.readouterr().err
+        assert list(golden_dir.iterdir()) == []
+
+    def test_missing_golden_is_written(self, golden, capsys):
+        path, fingerprint = golden
+        assert wire_protocol._main([]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert json.loads(path.read_text(encoding="utf-8")) == fingerprint
+
+    def test_up_to_date_golden_is_left_alone(self, golden, capsys):
+        path, fingerprint = golden
+        text = json.dumps(fingerprint, indent=1)  # equal content, other bytes
+        path.write_text(text, encoding="utf-8")
+        assert wire_protocol._main([]) == 0
+        assert "up to date" in capsys.readouterr().out
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_drifted_golden_exits_1_and_is_left_alone(self, golden, capsys):
+        path, fingerprint = golden
+        drifted = dict(fingerprint, reserved_header_fields=["_arrays"])
+        text = json.dumps(drifted)
+        path.write_text(text, encoding="utf-8")
+        assert wire_protocol._main([]) == 1
+        err = capsys.readouterr().err
+        assert "bump PROTOCOL_VERSION" in err
+        assert "reserved_header_fields" in err
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestRegistryCompleteness:
