@@ -99,10 +99,3 @@ class SyntheticSentiment:
         x = self.embeddings[tokens].sum(axis=1) / k + noise
         y = np.repeat(np.arange(self.num_classes, dtype=np.int64), class_counts)
         return Dataset(x, y)
-
-    def sample_iid(self, num_samples: int, seed: int = 12345) -> Dataset:
-        """Generate an IID dataset — used for global test sets."""
-        rng = np.random.default_rng(seed)
-        counts = np.bincount(rng.integers(0, self.num_classes, size=num_samples),
-                             minlength=self.num_classes)
-        return self.sample_client(counts, client_seed=seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.stealth import StealthConfig
 from repro.experiments.results import ExperimentResult
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import DERIVED_KWARGS, Scenario
 from repro.federated.engine.backends import make_backend
 from repro.federated.engine.hooks import EvaluationHook, RoundHook
 from repro.federated.engine.ledger import CommunicationLedger, LedgerHook
@@ -38,10 +38,12 @@ from repro.registry import (
 def build_dataset(config: Scenario) -> tuple[ClientPopulation, object]:
     """Build the federation and return it with its generator.
 
-    Geometry fields (``num_classes``, ``image_size``, ``data_seed``) are
-    forwarded to the generator when its constructor accepts them, so new
-    registered datasets pick up exactly the fields they understand;
-    ``dataset_kwargs`` overrides win.
+    The geometry fields (``num_classes`` and ``image_size``, the keys of
+    ``DERIVED_KWARGS["dataset_kwargs"]``) and ``data_seed`` are forwarded to
+    the generator when its constructor accepts them, so new registered
+    datasets pick up exactly the fields they understand.  ``dataset_kwargs``
+    adds the rest and may override the seed.  It may not set the geometry,
+    which the model shares: the scenario rejects that.
 
     The federation is a :class:`~repro.federated.population.ClientPopulation`
     over that generator, with the scenario's data geometry (client count,
@@ -52,11 +54,8 @@ def build_dataset(config: Scenario) -> tuple[ClientPopulation, object]:
     partition, every client built here.
     """
     accepted = {p.name for p in DATASETS.describe(config.dataset)}
-    common = {
-        "num_classes": config.num_classes,
-        "image_size": config.image_size,
-        "seed": config.data_seed,
-    }
+    common = {key: getattr(config, key) for key in DERIVED_KWARGS["dataset_kwargs"]}
+    common["seed"] = config.data_seed
     kwargs = {k: v for k, v in common.items() if k in accepted}
     kwargs.update(config.dataset_kwargs)
     generator = DATASETS.create(config.dataset, **kwargs)
@@ -79,7 +78,12 @@ def _is_text_modality(generator) -> bool:
 
 
 def build_model_factory(config: Scenario, generator):
-    """Return a zero-argument callable producing fresh, identically-initialised models."""
+    """Return a zero-argument callable producing fresh, identically-initialised models.
+
+    The model's geometry (the keys of ``DERIVED_KWARGS["model_kwargs"]``)
+    comes from the scenario and the generator, so it matches the data;
+    ``model_kwargs`` adds the rest and may override ``hidden`` and ``seed``.
+    """
     seed = config.seed
     if _is_text_modality(generator):
         kwargs = {

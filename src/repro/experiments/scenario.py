@@ -65,6 +65,24 @@ _COMPONENT_FIELDS: dict[str, tuple[Registry, str]] = {
     "participation": (PARTICIPATION, "participation_kwargs"),
 }
 
+#: Constructor kwargs the runner derives so that data and model share one
+#: geometry, per ``*_kwargs`` field that may not set them, each with what to
+#: do instead.  ``runner.build_dataset`` forwards the dataset's keys from the
+#: scenario fields of the same names; ``runner.build_model_factory`` derives
+#: the model's.
+DERIVED_KWARGS: dict[str, dict[str, str]] = {
+    "dataset_kwargs": {
+        "num_classes": "set the num_classes field instead",
+        "image_size": "set the image_size field instead",
+    },
+    "model_kwargs": {
+        "num_classes": "set the num_classes field instead",
+        "image_size": "set the image_size field instead",
+        "in_features": "it is derived as image_size ** 2",
+        "embedding_dim": "it is derived from the dataset",
+    },
+}
+
 
 @dataclass
 class Scenario:
@@ -210,6 +228,13 @@ class Scenario:
                     )
                 continue
             registry.validate(value)
+        for kwargs_field, derived in DERIVED_KWARGS.items():
+            clashes = sorted(derived.keys() & getattr(self, kwargs_field).keys())
+            if clashes:
+                raise ValueError(
+                    f"{kwargs_field} may not set {clashes[0]!r}: data and model "
+                    f"must agree on it, so {derived[clashes[0]]}"
+                )
         BACKENDS.validate(self.backend)
         if self.model == "text" and self.dataset != "sentiment":
             raise ValueError(

@@ -34,6 +34,7 @@ from repro.telemetry.hook import TelemetryHook
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.render import (
     clock_offset_rows,
+    context_build_rows,
     metric_rows,
     phase_rows,
     phase_totals,
@@ -49,6 +50,7 @@ __all__ = [
     "SpanTracer",
     "TelemetryHook",
     "clock_offset_rows",
+    "context_build_rows",
     "maybe_span",
     "metric_rows",
     "phase_rows",

@@ -114,6 +114,23 @@ def clock_offset_rows(telemetry: dict) -> list[dict]:
     ]
 
 
+def context_build_rows(telemetry: dict) -> list[dict]:
+    """Each distributed worker's own context-build time, in trace order.
+
+    A worker reports it on the first update after a build, as the
+    ``context_build_s`` attribute of that task's ``client_train`` span.
+    """
+    return [
+        {
+            "where": _where(span["attrs"]),
+            "round": span["attrs"].get("round", ""),
+            "context_build_s": span["attrs"]["context_build_s"],
+        }
+        for span in _finished_spans(telemetry)
+        if span["name"] == _TASK_PHASE and "context_build_s" in span.get("attrs", {})
+    ]
+
+
 def render_trace(telemetry: dict, top: int = 10) -> str:
     """The full plain-text report ``repro trace`` prints."""
     sections = ["Per-round phase breakdown:", format_table(phase_rows(telemetry))]
@@ -121,6 +138,9 @@ def render_trace(telemetry: dict, top: int = 10) -> str:
     if tasks:
         sections += [f"\nSlowest {len(tasks)} client-training task(s):",
                      format_table(tasks)]
+    builds = context_build_rows(telemetry)
+    if builds:
+        sections += ["\nWorker context builds (worker-measured):", format_table(builds)]
     metrics = metric_rows(telemetry)
     if metrics:
         sections += ["\nMetrics:", format_table(metrics)]

@@ -5,6 +5,10 @@ are the per-sample loops they replaced; the ``Matches`` tests pin the two byte
 for byte.  A numpy change that breaks an equivalence the samplers rely on
 (``choice(p=...)`` as ``searchsorted`` on its CDF, one bulk ``normal`` call as
 many small ones, ``.mean`` as ``.sum / n``) fails here.
+
+The FEMNIST generator does scipy.ndimage's image arithmetic in NumPy, so
+that building a federation imports no scipy; ``TestMatchesNdimage`` keeps
+scipy as the reference for the glyph filter and the writer resample.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from repro.data import femnist
 from repro.data.dataset import Dataset
 from repro.data.femnist import SyntheticFEMNIST
 from repro.data.sentiment import SyntheticSentiment
@@ -57,6 +62,43 @@ def reference_femnist(gen: SyntheticFEMNIST, class_counts, client_seed: int) -> 
     if not images:
         return Dataset(np.zeros((0, 1, size, size)), np.zeros(0, dtype=np.int64))
     return Dataset(np.stack(images)[:, None, :, :], np.asarray(labels, dtype=np.int64))
+
+
+def reference_prototypes(gen: SyntheticFEMNIST) -> np.ndarray:
+    """Every class's blobs, ``ndimage.gaussian_filter``, then min-max scaling."""
+    size = gen.image_size
+    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    protos = []
+    for cls in range(gen.num_classes):
+        cls_rng = np.random.default_rng(gen.seed * 1000 + cls)
+        canvas = np.zeros((size, size))
+        for _ in range(4):
+            cy, cx = cls_rng.uniform(2, size - 2, size=2)
+            sigma = cls_rng.uniform(1.2, 2.5)
+            canvas += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
+        canvas = ndimage.gaussian_filter(canvas, sigma=0.6)
+        canvas -= canvas.min()
+        peak = canvas.max()
+        if peak > 0:
+            canvas /= peak
+        protos.append(canvas)
+    return np.stack(protos)
+
+
+def numpy_resample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The generator's order-1 resample of one image on the grid ``rows × cols``."""
+    n = len(image)
+    row_taps = femnist._linear_taps(rows[None], n)
+    col_taps = femnist._linear_taps(cols[None], n)
+    return femnist._resample(image[None], row_taps, col_taps)[0]
+
+
+def signed_image(n: int, seed: int) -> np.ndarray:
+    """Signed pixels, some of them ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    image = rng.normal(size=(n, n))
+    image[rng.random((n, n)) < 0.2] = -0.0
+    return image
 
 
 def count_vectors(rng: np.random.Generator, num_classes: int) -> list[np.ndarray]:
@@ -107,6 +149,64 @@ class TestMatchesPerSampleLoop:
             client_seed = int(rng.integers(2**40))
             assert_same_bytes(gen.sample_client(counts, client_seed),
                               reference_femnist(gen, counts, client_seed))
+
+
+def assert_same_image(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestMatchesNdimage:
+    @pytest.mark.parametrize("geometry", FEMNIST_GEOMETRIES, ids=str)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_prototypes_are_gaussian_filtered_blobs(self, geometry, seed):
+        gen = SyntheticFEMNIST(**geometry, seed=seed)
+        assert_same_image(gen.prototypes, reference_prototypes(gen))
+
+    @pytest.mark.parametrize("n", [8, 13, 16, 28])
+    def test_gaussian_filter(self, n):
+        image = signed_image(n, seed=n)
+        assert_same_image(femnist._gaussian_filter(image[None], 0.6)[0],
+                          ndimage.gaussian_filter(image, sigma=0.6))
+
+    @pytest.mark.parametrize("n", [8, 13, 16])
+    def test_coordinates_at_and_one_ulp_around_the_edges(self, n):
+        edges = np.array([0.0, n - 1.0])
+        coords = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-0.0, 0.5, n / 2 + 0.25, n - 1.5, -1.0, float(n)],
+        ])
+        image = signed_image(n, seed=n)
+        for rows, cols in [(coords, coords), (coords, coords[::-1]), (coords[3:], coords)]:
+            grid = np.stack(np.meshgrid(rows, cols, indexing="ij"))
+            want = ndimage.map_coordinates(image, grid, order=1, mode="constant", cval=0.0)
+            assert_same_image(numpy_resample(image, rows, cols), want)
+
+    @pytest.mark.parametrize("shift", [
+        (0.0, 0.0), (1.0, -3.0), (-2.0, 5.0), (0.25, -0.75),
+        (np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0)), (17.0, 0.5), (-0.5, -40.0),
+    ], ids=["none", "integer", "integer-2", "fraction", "one-ulp", "past-rows", "past-cols"])
+    def test_shift(self, shift):
+        n = 16
+        image = signed_image(n, seed=3)
+        pixels = np.arange(n)
+        got = numpy_resample(image, pixels - shift[0], pixels - shift[1])
+        assert_same_image(got, ndimage.shift(image, shift, order=1, mode="constant", cval=0.0))
+        if max(abs(s) for s in shift) >= n:
+            assert not got.any(), "a shift past the image leaves nothing"
+
+    @pytest.mark.parametrize("style_jitter", [0.0, 0.12, 0.3])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("n", [12, 16, 28])
+    def test_zoom(self, style_jitter, sign, n):
+        zoom = 1.0 + sign * style_jitter
+        center = (n - 1) / 2.0
+        image = signed_image(n, seed=n)
+        offsets = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij")) - center
+        want = ndimage.map_coordinates(image, offsets / zoom + center, order=1,
+                                       mode="constant", cval=0.0)
+        coords = (np.arange(n) - center) / zoom + center
+        assert_same_image(numpy_resample(image, coords, coords), want)
 
 
 class TestRejectsBadInput:
@@ -160,7 +260,7 @@ class TestSyntheticFEMNIST:
 
     def test_classes_are_learnable(self, femnist_generator):
         """A nearest-prototype classifier should beat chance by a wide margin."""
-        data = femnist_generator.sample_iid(100, seed=5)
+        data = femnist_generator.sample_client(np.full(5, 20), client_seed=5)
         protos = femnist_generator.prototypes.reshape(5, -1)
         flat = data.x.reshape(len(data), -1)
         distances = ((flat[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
@@ -182,7 +282,7 @@ class TestSyntheticSentiment:
         np.testing.assert_array_equal(np.bincount(data.y, minlength=2), counts)
 
     def test_classes_are_separable(self, sentiment_generator):
-        data = sentiment_generator.sample_iid(200, seed=3)
+        data = sentiment_generator.sample_client(np.full(2, 100), client_seed=3)
         mean_pos = data.x[data.y == 1].mean(axis=0)
         mean_neg = data.x[data.y == 0].mean(axis=0)
         assert np.linalg.norm(mean_pos - mean_neg) > 0.1

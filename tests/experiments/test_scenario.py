@@ -209,6 +209,33 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             Scenario.from_dict({**Scenario().to_dict(), **kwargs})
 
+    @pytest.mark.parametrize(
+        "kwargs, field, key, hint",
+        [
+            ({"dataset_kwargs": {"num_classes": 6}}, "dataset_kwargs", "num_classes",
+             "set the num_classes field"),
+            ({"dataset": "femnist:image_size=8"}, "dataset_kwargs", "image_size",
+             "set the image_size field"),
+            ({"model_kwargs": {"num_classes": 3}}, "model_kwargs", "num_classes",
+             "set the num_classes field"),
+            ({"model": "lenet", "model_kwargs": {"image_size": 16}}, "model_kwargs",
+             "image_size", "set the image_size field"),
+            ({"model_kwargs": {"in_features": 64}}, "model_kwargs", "in_features",
+             "derived as image_size"),
+            ({"dataset": "sentiment", "model": "text", "model_kwargs": {"embedding_dim": 8}},
+             "model_kwargs", "embedding_dim", "derived from the dataset"),
+        ],
+        ids=["dataset-num_classes", "dataset-image_size", "model-num_classes",
+             "model-image_size", "model-in_features", "model-embedding_dim"],
+    )
+    def test_kwargs_may_not_override_the_geometry_data_and_model_share(
+        self, kwargs, field, key, hint
+    ):
+        # Overriding one side built mismatched data and model: the run failed
+        # mid-way or trained a head of the wrong width without a word.
+        with pytest.raises(ValueError, match=rf"{field} may not set '{key}'.*{hint}"):
+            tiny_scenario(**kwargs)
+
     def test_unsetting_a_component_drops_its_kwargs(self):
         scenario = Scenario(
             population="synthetic:cache_size=2",

@@ -145,6 +145,18 @@ class TestDistributedWireTelemetry:
             assert span["attrs"] == {"round": 0, "workers": 2}
             assert round_zero["start"] <= span["start"] <= span["end"] <= round_zero["end"]
 
+    def test_each_worker_reports_its_context_build_once(self, distributed_result):
+        """A worker's own build time rides on its first UPDATE, and only there."""
+        wire_spans = {}
+        for span in distributed_result.telemetry["spans"]:
+            if span["name"] == "client_train" and span["attrs"].get("wire"):
+                wire_spans.setdefault(span["attrs"]["worker"], []).append(span)
+        assert len(wire_spans) == 2
+        for first, *later in wire_spans.values():
+            assert first["attrs"]["round"] == 0
+            assert first["attrs"]["context_build_s"] >= 0.0
+            assert not [s for s in later if "context_build_s" in s["attrs"]]
+
     def test_per_link_clock_offsets_are_recorded(self, distributed_result):
         offsets = distributed_result.telemetry["clock_offsets"]
         assert offsets, "no clock offsets recorded"

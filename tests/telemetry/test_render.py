@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.telemetry import (
     clock_offset_rows,
+    context_build_rows,
     metric_rows,
     phase_rows,
     phase_totals,
@@ -28,7 +29,7 @@ def _sample_telemetry() -> dict:
             _span("client_train", 0.1, 0.3, round=0, client=5),
             _span(
                 "client_train", 0.2, 0.9, round=0, client=1,
-                worker=1234, wire=True,
+                worker=1234, wire=True, context_build_s=0.042,
             ),
             _span("client_train", 0.1, 0.2, round=1, clients=8, batched=True),
             _span("aggregate", 0.9, 1.0, round=0),
@@ -108,6 +109,12 @@ class TestMetricAndOffsetRows:
         assert row["offset_s"] == round(-13294.123456789, 6)
 
 
+    def test_context_build_rows_list_each_worker_reported_build(self):
+        assert context_build_rows(_sample_telemetry()) == [
+            {"where": "worker:1234", "round": 0, "context_build_s": 0.042}
+        ]
+
+
 class TestRenderTrace:
     def test_report_contains_every_section(self):
         report = render_trace(_sample_telemetry(), top=3)
@@ -115,6 +122,7 @@ class TestRenderTrace:
         assert "Slowest 3 client-training task(s):" in report
         assert "Metrics:" in report
         assert "Worker clock offsets" in report
+        assert "Worker context builds" in report
         assert "client_train" in report
 
     def test_sections_without_data_are_omitted(self):
@@ -126,3 +134,4 @@ class TestRenderTrace:
         assert "Slowest" not in report
         assert "Metrics:" not in report
         assert "clock offsets" not in report
+        assert "context builds" not in report

@@ -1,11 +1,12 @@
-"""Cold start: importing the package's entry points never loads scipy.
+"""Cold start: neither importing the package nor building a FEMNIST federation loads scipy.
 
-scipy is imported inside the functions that call it (the statistical tests,
-the FEMNIST glyph filters, the warping trigger), and ``repro`` imports a
-subpackage only when one of its names is first read.  The coordinating
-process and every distributed worker therefore start without scipy.  Each
-check runs in a fresh interpreter, because this test process has long
-since imported everything.
+scipy is imported inside the functions that call it (the statistical tests
+and the warping trigger), and ``repro`` imports a subpackage only when one of
+its names is first read.  The FEMNIST generator does its image arithmetic in
+NumPy, so the driver's dataset build and a distributed worker's context
+build load no scipy either: no worker pays the scipy import.  Each check
+runs in a fresh interpreter, because this test process has long since
+imported everything.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import pytest
 import repro
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+_SMOKE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "scenarios", "smoke.json",
+)
 
 _PRINT_SCIPY_MODULES = (
     "import json, sys\n"
@@ -57,6 +62,35 @@ def test_loading_every_registry_family_loads_no_scipy():
         "from repro.registry import Registry\n"
         "for family in Registry.families():\n"
         "    assert Registry.family(family).names(), family\n"
+    )
+    assert run_fresh(code + _PRINT_SCIPY_MODULES) == []
+
+
+_SMOKE_SCENARIO = f"Scenario.load({_SMOKE!r})"
+# The secagg-distributed benchmark workload's federation and model.
+_SECAGG_DISTRIBUTED_SCENARIO = (
+    "Scenario(num_clients=16, samples_per_client=16, num_classes=10, image_size=16,"
+    " hidden=(384,), sample_rate=1.0, attack='collapois', secure_aggregation=True,"
+    " backend='distributed', backend_workers=2)"
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        f"build_dataset({_SMOKE_SCENARIO})",
+        f"build_context(context_payload({_SMOKE_SCENARIO}.to_dict()))",
+        f"build_context(context_payload({_SECAGG_DISTRIBUTED_SCENARIO}.to_dict()))",
+    ],
+    ids=["driver-smoke", "worker-smoke", "worker-secagg-distributed"],
+)
+def test_building_a_femnist_federation_loads_no_scipy(build):
+    code = (
+        "from repro.experiments.runner import build_dataset\n"
+        "from repro.experiments.scenario import Scenario\n"
+        "from repro.federated.engine.distributed.protocol import context_payload\n"
+        "from repro.federated.engine.distributed.worker import build_context\n"
+        f"built = {build}\n"
     )
     assert run_fresh(code + _PRINT_SCIPY_MODULES) == []
 
