@@ -13,7 +13,7 @@ Seven subcommands::
 ``run`` accepts ``--set key=value`` overrides of any scenario field (values
 parsed as literals, component fields accept spec strings like
 ``--set defense=krum:multi=3``; e.g. ``--set backend=batched``,
-``--set num_shards=4``, ``--set secure_aggregation=true``,
+``--set rounds=4``, ``--set secure_aggregation=true``,
 ``--set telemetry=true``) and ``--out results.json`` to write the full
 :class:`~repro.experiments.results.ExperimentResult` as JSON — the file
 reloads losslessly via ``ExperimentResult.load()`` and re-running the
@@ -27,6 +27,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.defenses.base import Aggregator
 from repro.experiments.results import format_table
 from repro.experiments.scenario import Scenario
 from repro.experiments.suite import Suite
@@ -60,12 +61,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
         params = ", ".join(str(p) for p in registry.describe(name))
         row = {registry.family: name, "params": params or "(none)"}
         if registry is DEFENSES:
-            # Aggregation capabilities: whether the defense folds in
-            # O(param_dim) state across a sharded worker pool or buffers the
+            # Aggregation capabilities: whether the defense folds each update
+            # into O(param_dim) state (it overrides _fold) or buffers the
             # round, and whether it runs under secure aggregation
             # (server-blind = its math never inspects an individual update).
             component = registry.get(name)
-            caps = ["shardable" if getattr(component, "shardable", False) else "buffered"]
+            streaming = component._fold is not Aggregator._fold
+            caps = ["streaming" if streaming else "buffered"]
             if not getattr(component, "requires_plaintext_updates", False):
                 caps.append("server-blind")
             row["caps"] = ", ".join(caps)

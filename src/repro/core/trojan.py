@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.nn.losses import SoftmaxCrossEntropy
+from repro.federated.client import train_epochs
 from repro.nn.optim import SGD
-from repro.nn.serialization import flatten_params
+from repro.nn.serialization import flatten_params, unflatten_params
 
 
 def train_trojan_model(
@@ -49,7 +49,8 @@ def train_trojan_model(
     Returns
     -------
     numpy.ndarray
-        Flat parameter vector of the trained Trojaned model X.
+        Flat parameter vector of the trained Trojaned model X — the trained
+        parameters themselves, not ``init + Δθ``, which is not bit-exact.
     """
     if len(poisoned_data) == 0:
         raise ValueError("cannot train a Trojaned model on an empty dataset")
@@ -57,19 +58,12 @@ def train_trojan_model(
         raise ValueError("epochs must be positive")
     model = model_factory()
     if init_params is not None:
-        from repro.nn.serialization import unflatten_params
-
         unflatten_params(model, init_params)
-    rng = np.random.default_rng(seed)
     optimiser = SGD(model, lr=lr, momentum=momentum)
-    criterion = SoftmaxCrossEntropy()
-    for _ in range(epochs):
-        for batch_x, batch_y in poisoned_data.batches(batch_size, rng=rng):
-            optimiser.zero_grad()
-            logits = model.forward(batch_x, training=True)
-            criterion.forward(logits, batch_y)
-            model.backward(criterion.backward())
-            optimiser.step()
+    train_epochs(
+        model, poisoned_data, optimiser, epochs, batch_size,
+        np.random.default_rng(seed),
+    )
     return flatten_params(model)
 
 
@@ -85,8 +79,6 @@ def trojan_model_quality(
     legitimate inputs while predicting the target class on triggered inputs —
     the defining property of a backdoored model.
     """
-    from repro.nn.serialization import unflatten_params
-
     model = model_factory()
     unflatten_params(model, trojan_params)
     metrics: dict[str, float] = {}

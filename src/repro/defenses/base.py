@@ -12,21 +12,11 @@ Two equivalent protocols are exposed:
   complete.  The base class provides an automatic buffering fallback (updates
   are collected and handed to :meth:`Aggregator.aggregate` at finalize), so
   every registered defense supports the fold unchanged; defenses whose math
-  is a per-update fold (mean, weighted mean, norm bounding, DP, SignSGD) opt
-  into true O(param_dim) state by implementing the *slice fold* extension
-  points (:meth:`Aggregator.prepare_update` / :meth:`Aggregator.fold_aux` /
-  :meth:`Aggregator.fold_slice` / :meth:`Aggregator.finalize_vector`) and
-  setting ``shardable = True``.
-
-Shardable defenses decompose their fold *elementwise* over contiguous
-parameter slices: any whole-vector work (e.g. the clipping norm) happens in
-:meth:`Aggregator.prepare_update`, and :meth:`Aggregator.fold_slice` then
-folds a slice of the update using only that precomputed value.  Because the
-fold is elementwise, splitting the parameter vector into contiguous shards
-and folding each shard independently (still in slot order) is bit-identical
-to the single-fold path — which is what lets
-:class:`~repro.federated.engine.sharding.ShardedAggregator` fan the hot
-accumulate loop out over a shard-worker pool without changing results.
+  is a per-update fold (mean, weighted mean, norm bounding, DP, SignSGD)
+  keep O(param_dim) state instead by overriding :meth:`Aggregator._begin` /
+  :meth:`Aggregator._fold` / :meth:`Aggregator._finalize`, and compute any
+  per-update factor (the clipping scale, the example weight) inside
+  ``_fold``.  The fold runs on the caller's thread, one update at a time.
 
 Determinism: floating-point accumulation is order-sensitive, so
 :meth:`Aggregator.accumulate` never folds an update the moment it arrives.
@@ -63,9 +53,9 @@ class AggregationContext:
 
     ``telemetry`` is the run's :class:`~repro.telemetry.core.RunTelemetry`
     bundle when tracing is enabled (``None`` otherwise) — the path on which
-    aggregation-side instrumentation points (the sharded fold, the secagg
-    unmask) reach the tracer.  Strictly observational: nothing here may
-    read it to change a numeric result.
+    aggregation-side instrumentation points (the secagg unmask) reach the
+    tracer.  Strictly observational: nothing here may read it to change a
+    numeric result.
     """
 
     rng: np.random.Generator
@@ -80,20 +70,15 @@ class AggregationState:
     """Mutable per-round state of one fold-protocol aggregation.
 
     ``data`` is the defense-specific accumulator (a list of updates for the
-    buffering fallback, an O(param_dim) running vector for shardable
-    defenses).  ``aux`` is the slot-order fold of per-update auxiliary
-    values (:meth:`Aggregator.fold_aux` — e.g. the weighted mean's total
-    example weight); it lives on the state rather than in ``data`` so the
-    sharded fold, whose per-shard accumulators only ever see slices, still
-    has the round-level scalars at finalize.  ``pending`` parks updates that
-    arrived ahead of their sampled-slot predecessors; ``cursor`` is the next
-    slot to fold and ``count`` the number of updates accumulated so far
-    (folded + pending).
+    buffering fallback, an O(param_dim) running vector — plus the total
+    weight, for the weighted mean — for the streaming defenses).
+    ``pending`` parks updates that arrived ahead of their sampled-slot
+    predecessors; ``cursor`` is the next slot to fold and ``count`` the
+    number of updates accumulated so far (folded + pending).
     """
 
     ctx: AggregationContext
     data: Any = None
-    aux: Any = None
     pending: dict = field(default_factory=dict)
     cursor: int = 0
     count: int = 0
@@ -111,14 +96,13 @@ class Aggregator:
     The fold protocol (:meth:`begin_round` / :meth:`accumulate` /
     :meth:`finalize`) works for every defense: the default implementation
     buffers updates and delegates to :meth:`aggregate` at finalize time.
-    O(param_dim) defenses implement the slice-fold extension points
-    (:meth:`prepare_update` / :meth:`fold_aux` / :meth:`fold_slice` /
-    :meth:`finalize_vector`) and set ``shardable = True`` — never the
-    protocol methods themselves — so the deterministic slot-order fold rule
-    lives in exactly one place and the sharded worker-pool fold comes for
-    free.  (``_begin`` / ``_fold`` / ``_finalize`` remain
-    overridable for folds that genuinely cannot decompose over slices, at
-    the cost of staying single-fold.)
+    O(param_dim) defenses override :meth:`_begin` / :meth:`_fold` /
+    :meth:`_finalize` — never the protocol methods themselves — so the
+    deterministic slot-order fold rule lives in exactly one place.  A
+    defense that overrides ``_fold`` streams (``repro list defenses`` says
+    ``streaming``); one that does not buffers.  A subclass of a streaming
+    defense that overrides ``aggregate`` must override the three fold
+    methods too, or the server keeps folding with the parent's math.
 
     Buffered-async rounds additionally route carried updates through
     :meth:`discount_stale` before folding, so defenses can choose how a
@@ -126,13 +110,6 @@ class Aggregator:
     """
 
     name = "aggregator"
-
-    #: True when the fold runs in O(param_dim) state and decomposes
-    #: elementwise over contiguous parameter slices (see the module
-    #: docstring).  Shardable defenses can be wrapped in
-    #: :class:`~repro.federated.engine.sharding.ShardedAggregator`; the
-    #: others buffer the round and keep the single-fold path.
-    shardable = False
 
     #: True when the defense's math inspects individual updates *across*
     #: clients — pairwise distances (Krum), coordinate statistics (median,
@@ -230,17 +207,6 @@ class Aggregator:
             )
         return self._finalize(state, global_params, ctx)
 
-    def abort(self, state: AggregationState) -> None:
-        """Discard an in-flight round's state without finalizing it.
-
-        The server calls this when something raises mid-round — a hook
-        failing in ``on_update``, a fold error — so aggregators holding
-        live resources (the sharded fold's worker threads) release them
-        instead of leaking a half-folded round.  The base implementation is
-        a no-op: plain buffered or folded state is garbage-collected with
-        the abandoned :class:`AggregationState`.
-        """
-
     # -- staleness (buffered-async aggregation) ----------------------------
 
     def discount_stale(
@@ -274,16 +240,11 @@ class Aggregator:
 
     def _begin(self, ctx: AggregationContext):
         """Fresh defense-specific accumulator (fallback: a buffer list)."""
-        return None if self.shardable else []
+        return []
 
     def _fold(self, state: AggregationState, update: "ClientUpdate") -> None:
         """Fold one update, called in slot order (fallback: buffer it)."""
-        if self.shardable:
-            aux = self.prepare_update(update)
-            state.aux = self.fold_aux(state.aux, aux)
-            state.data = self.fold_slice(state.data, update.update, aux)
-        else:
-            state.data.append(update)
+        state.data.append(update)
 
     def _finalize(
         self,
@@ -292,55 +253,8 @@ class Aggregator:
         ctx: AggregationContext,
     ) -> np.ndarray:
         """Produce the aggregated update (fallback: stack + delegate)."""
-        if self.shardable:
-            return self.finalize_vector(state.data, state, global_params, ctx)
         stacked = np.stack([u.update for u in state.data])
         return self.aggregate(stacked, global_params, ctx)
-
-    # -- slice-fold extension points (shardable defenses) ------------------
-
-    def prepare_update(self, update: "ClientUpdate"):
-        """Whole-vector per-update precompute, run once in the coordinator.
-
-        Anything the fold needs that reduces over the *full* update vector
-        (the clipping norm, the aggregation weight) is computed here so
-        :meth:`fold_slice` stays strictly elementwise — that property is
-        what makes the sharded fold bit-identical to the single fold.
-        """
-        return None
-
-    def fold_aux(self, carry, aux):
-        """Slot-order fold of per-update aux values (coordinator-side).
-
-        Round-level scalars (e.g. the weighted mean's total weight) are
-        accumulated here rather than in the per-shard state, so they are
-        computed exactly once regardless of the shard count.
-        """
-        return carry
-
-    def fold_slice(self, acc, segment: np.ndarray, aux) -> np.ndarray:
-        """Fold one contiguous slice of an update into a slice accumulator.
-
-        ``acc`` is ``None`` on the first fold; ``segment`` is a view of the
-        update restricted to this shard's slice (the full vector when
-        unsharded).  Must be elementwise in ``segment`` given ``aux``.
-        """
-        raise NotImplementedError
-
-    def finalize_vector(
-        self,
-        folded: np.ndarray,
-        state: AggregationState,
-        global_params: np.ndarray,
-        ctx: AggregationContext,
-    ) -> np.ndarray:
-        """Aggregated update from the slot-order-folded parameter vector.
-
-        ``folded`` is the full-length fold result (shard accumulators are
-        concatenated back before this is called); ``state`` carries the
-        round's ``count`` and ``aux``.
-        """
-        raise NotImplementedError
 
 
 @DEFENSES.register("mean")
@@ -348,7 +262,6 @@ class MeanAggregator(Aggregator):
     """Plain FedAvg mean of client updates (no defense)."""
 
     name = "mean"
-    shardable = True
 
     def aggregate(
         self,
@@ -358,26 +271,27 @@ class MeanAggregator(Aggregator):
     ) -> np.ndarray:
         return updates.mean(axis=0)
 
-    def fold_slice(self, acc, segment, aux):
-        if acc is None:
-            return np.array(segment, dtype=np.float64)
-        acc += segment
-        return acc
+    def _begin(self, ctx):
+        return None
 
-    def finalize_vector(self, folded, state, global_params, ctx):
-        return folded / state.count
+    def _fold(self, state, update):
+        if state.data is None:
+            state.data = np.array(update.update, dtype=np.float64)
+        else:
+            state.data += update.update
+
+    def _finalize(self, state, global_params, ctx):
+        return state.data / state.count
 
 
 def clip_scale(update: np.ndarray, max_norm: float) -> np.ndarray:
     """Shape-``(1,)`` factor scaling ``update`` to at most ``max_norm`` (l2).
 
-    Shared by the norm-bounding and DP slice folds.  The norm is computed
-    through the same ``axis=1`` reduction the matrix implementations use on
-    the stacked array — ``np.linalg.norm(v)`` on a 1-D vector takes a BLAS
-    path with different rounding, which would break the bit-identity
-    guarantee between the fold and matrix protocols.  The factor is
-    whole-vector work, so clip-style defenses compute it in
-    :meth:`Aggregator.prepare_update` and their slice folds stay elementwise.
+    Shared by the norm-bounding and DP folds.  The norm is computed through
+    the same ``axis=1`` reduction the matrix implementations use on the
+    stacked array — ``np.linalg.norm(v)`` on a 1-D vector takes a BLAS path
+    with different rounding, which would break the bit-identity guarantee
+    between the fold and matrix protocols.
     """
     norm = np.linalg.norm(update[None, :], axis=1)
     return np.minimum(1.0, max_norm / np.clip(norm, 1e-12, None))
@@ -388,14 +302,14 @@ def clip_to_norm(update: np.ndarray, max_norm: float) -> np.ndarray:
     return update * clip_scale(update, max_norm)
 
 
-def fold_scaled_sum(acc, segment: np.ndarray, scale) -> np.ndarray:
-    """Fold ``segment * scale`` into a running-sum slice accumulator.
+def fold_scaled_sum(acc, update: np.ndarray, scale) -> np.ndarray:
+    """Fold ``update * scale`` into a running sum (``acc`` is ``None`` at first).
 
-    The shared :meth:`Aggregator.fold_slice` body of the scale-then-average
+    The shared :meth:`Aggregator._fold` body of the scale-then-average
     defenses (norm bounding, DP, weighted mean); their finalize
     steps differ only in the noise/normalisation term.
     """
-    scaled = segment * scale
+    scaled = update * scale
     if acc is None:
         return scaled.astype(np.float64)
     acc += scaled

@@ -19,13 +19,12 @@ from repro.registry import DEFENSES
 class DPAggregator(Aggregator):
     """Clip-and-noise aggregation (DP-optimizer style).
 
-    Streams (and shards) like :class:`~repro.defenses.norm_bound.NormBound`:
-    per-update clipping folds into one running vector, and the
-    count-calibrated noise is drawn once at finalize.
+    Streams like :class:`~repro.defenses.norm_bound.NormBound`: per-update
+    clipping folds into one running vector, and the count-calibrated noise
+    is drawn once at finalize.
     """
 
     name = "dp"
-    shardable = True
 
     def __init__(self, clip_norm: float = 1.0, noise_multiplier: float = 0.1) -> None:
         if clip_norm <= 0:
@@ -46,14 +45,15 @@ class DPAggregator(Aggregator):
             aggregated = aggregated + ctx.rng.normal(0.0, sigma, size=aggregated.shape)
         return aggregated
 
-    def prepare_update(self, update):
-        return clip_scale(update.update, self.clip_norm)
+    def _begin(self, ctx):
+        return None
 
-    def fold_slice(self, acc, segment, aux):
-        return fold_scaled_sum(acc, segment, aux)
+    def _fold(self, state, update):
+        scale = clip_scale(update.update, self.clip_norm)
+        state.data = fold_scaled_sum(state.data, update.update, scale)
 
-    def finalize_vector(self, folded, state, global_params, ctx):
-        aggregated = folded / state.count
+    def _finalize(self, state, global_params, ctx):
+        aggregated = state.data / state.count
         if self.noise_multiplier > 0:
             sigma = self.noise_multiplier * self.clip_norm / state.count
             aggregated = aggregated + ctx.rng.normal(0.0, sigma, size=aggregated.shape)

@@ -21,13 +21,10 @@ class NormBound(Aggregator):
 
     Clipping is per-update and the average is a slot-ordered sum, so the
     defense streams: the round state is one running ``param_dim`` vector and
-    noise is drawn once at finalize, exactly as in the matrix path.  The
-    clipping norm is whole-vector work done in :meth:`prepare_update`; the
-    fold itself is an elementwise scaled sum, so the defense also shards.
+    noise is drawn once at finalize, exactly as in the matrix path.
     """
 
     name = "norm_bound"
-    shardable = True
 
     def __init__(self, max_norm: float = 1.0, noise_std: float = 0.0) -> None:
         if max_norm <= 0:
@@ -46,14 +43,15 @@ class NormBound(Aggregator):
             aggregated = aggregated + ctx.rng.normal(0.0, self.noise_std, size=aggregated.shape)
         return aggregated
 
-    def prepare_update(self, update):
-        return clip_scale(update.update, self.max_norm)
+    def _begin(self, ctx):
+        return None
 
-    def fold_slice(self, acc, segment, aux):
-        return fold_scaled_sum(acc, segment, aux)
+    def _fold(self, state, update):
+        scale = clip_scale(update.update, self.max_norm)
+        state.data = fold_scaled_sum(state.data, update.update, scale)
 
-    def finalize_vector(self, folded, state, global_params, ctx):
-        aggregated = folded / state.count
+    def _finalize(self, state, global_params, ctx):
+        aggregated = state.data / state.count
         if self.noise_std > 0:
             aggregated = aggregated + ctx.rng.normal(0.0, self.noise_std, size=aggregated.shape)
         return aggregated

@@ -20,11 +20,9 @@ class SignSGDAggregator(Aggregator):
     The vote is a coordinate-wise sum of per-update signs, so the round
     state streams as a single running tally vector (sign sums are exact
     small integers in float64, so fold order cannot even change rounding).
-    The tally is strictly elementwise, so the defense also shards.
     """
 
     name = "signsgd"
-    shardable = True
 
     def __init__(self, step_size: float = 0.01) -> None:
         if step_size <= 0:
@@ -35,11 +33,14 @@ class SignSGDAggregator(Aggregator):
         vote = np.sign(np.sign(updates).sum(axis=0))
         return self.step_size * vote
 
-    def fold_slice(self, acc, segment, aux):
-        if acc is None:
-            return np.sign(segment)
-        acc += np.sign(segment)
-        return acc
+    def _begin(self, ctx):
+        return None
 
-    def finalize_vector(self, folded, state, global_params, ctx):
-        return self.step_size * np.sign(folded)
+    def _fold(self, state, update):
+        if state.data is None:
+            state.data = np.sign(update.update)
+        else:
+            state.data += np.sign(update.update)
+
+    def _finalize(self, state, global_params, ctx):
+        return self.step_size * np.sign(state.data)

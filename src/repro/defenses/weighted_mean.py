@@ -26,12 +26,11 @@ class WeightedMeanAggregator(Aggregator):
 
     An update with an unknown example count (``num_examples == 0``)
     contributes weight 1.0, so synthetic rounds without dataset sizes
-    degrade to the uniform mean.  The fold is an elementwise scaled sum with
-    the total weight accumulated coordinator-side, so the defense shards.
+    degrade to the uniform mean.  The round state is the running weighted
+    sum and the total weight.
     """
 
     name = "weighted_mean"
-    shardable = True
 
     def aggregate(
         self,
@@ -45,14 +44,14 @@ class WeightedMeanAggregator(Aggregator):
             "finalize see"
         )
 
-    def prepare_update(self, update):
-        return update.weight or 1.0
+    def _begin(self, ctx):
+        return None, 0.0
 
-    def fold_aux(self, carry, aux):
-        return (carry or 0.0) + aux
+    def _fold(self, state, update):
+        weight = update.weight or 1.0
+        acc, total = state.data
+        state.data = fold_scaled_sum(acc, update.update, weight), total + weight
 
-    def fold_slice(self, acc, segment, aux):
-        return fold_scaled_sum(acc, segment, aux)
-
-    def finalize_vector(self, folded, state, global_params, ctx):
-        return folded / state.aux
+    def _finalize(self, state, global_params, ctx):
+        acc, total = state.data
+        return acc / total

@@ -285,8 +285,8 @@ def run_experiment(
         hooks=[*eval_hooks, ledger_hook, *(hooks or ())],
     )
 
-    # Context manager: worker processes and shard pools are released even
-    # when a round raises; driver-side helpers stay usable afterwards.
+    # Context manager: worker processes are released even when a round
+    # raises; driver-side helpers stay usable afterwards.
     with server:
         server.run()
     evaluation = evaluate_clients(

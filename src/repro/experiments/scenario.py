@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.server import ServerConfig
+from repro.federated.server import ServerConfig, is_count
 from repro.registry import (
     ALGORITHMS,
     ATTACKS,
@@ -129,7 +129,10 @@ class Scenario:
     backend_kwargs: dict = field(default_factory=dict)  # extra backend ctor kwargs
     #   (e.g. distributed's connect="host:port,..."); max_workers stays on
     #   backend_workers so every backend shares one worker-cap field.
-    num_shards: int = 1                 # split the update fold across shards
+    # Accepted and ignored: the fold runs in the driver, one update at a
+    # time.  Results JSON written so far and perfbench's secagg-distributed
+    # workload carry the key, so it stays loadable.
+    num_shards: int = 1
     secure_aggregation: bool = False    # pairwise-masked updates (server-blind)
     telemetry: bool = False             # out-of-band span/metric tracing
 
@@ -247,9 +250,13 @@ class Scenario:
             raise ValueError("an attack requires a positive compromised_fraction")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not is_count(self.num_shards):
+            raise ValueError("num_shards must be a positive integer")
+        for name in ("backend_workers", "max_test_samples"):  # None: unset
+            value = getattr(self, name)
+            if value is not None and not is_count(value):
+                raise ValueError(f"{name} must be a positive integer")
         accepted = {p.name for p in BACKENDS.describe(self.backend)}
-        if self.backend_workers is not None and self.backend_workers <= 0:
-            raise ValueError("backend_workers must be positive")
         if self.backend_workers is not None and "max_workers" not in accepted:
             raise ValueError(
                 f"backend {self.backend!r} takes no worker cap, so "
@@ -264,7 +271,7 @@ class Scenario:
                 f"{unknown} (max_workers belongs on backend_workers); "
                 f"accepted: {sorted(accepted - {'max_workers'}) or 'none'}"
             )
-        self.server_config()  # rounds, aggregation mode, shards, telemetry
+        self.server_config()  # rounds, participation, aggregation mode, telemetry
         if self.secure_aggregation:
             from repro.federated.secagg import PlaintextRequiredError
 
@@ -301,7 +308,6 @@ class Scenario:
             server_lr=self.server_lr,
             seed=self.seed,
             local=self.local,
-            num_shards=self.num_shards,
             secure_aggregation=self.secure_aggregation,
             telemetry=self.telemetry,
         )

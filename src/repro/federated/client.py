@@ -3,7 +3,9 @@
 ``local_train`` is the single routine every benign client (and the DPois
 baseline attack) uses to turn a global parameter vector into a local update
 ``Δθ = θ_local − θ_global`` after ``K`` epochs of mini-batch SGD — exactly
-lines 6–11 of Algorithm 1 in the paper.
+lines 6–11 of Algorithm 1 in the paper.  Its epoch loop,
+:func:`train_epochs`, also trains the attacker's Trojaned model X
+(:func:`repro.core.trojan.train_trojan_model`).
 
 The ``model`` argument is a *scratch* instance: its parameters are
 overwritten with ``global_params`` before training, so execution backends
@@ -55,6 +57,38 @@ class LocalTrainingConfig:
             raise ValueError("proximal_mu must be non-negative")
 
 
+def train_epochs(
+    model,
+    data: Dataset,
+    optimiser: SGD,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    proximal_mu: float = 0.0,
+    anchor: np.ndarray | None = None,
+) -> list[float]:
+    """Train ``model`` in place for ``epochs`` shuffled passes over ``data``.
+
+    Every mini-batch takes one ``optimiser`` step on the softmax
+    cross-entropy loss; a positive ``proximal_mu`` first adds
+    ``proximal_mu * (params - anchor)`` to the gradient.  Each epoch draws
+    its shuffle from ``rng``.  Returns the final epoch's per-batch losses.
+    """
+    criterion = SoftmaxCrossEntropy()
+    losses: list[float] = []
+    for _epoch in range(epochs):
+        losses = []
+        for batch_x, batch_y in data.batches(batch_size, rng=rng):
+            optimiser.zero_grad()
+            logits = model.forward(batch_x, training=True)
+            losses.append(criterion.forward(logits, batch_y))
+            model.backward(criterion.backward())
+            if proximal_mu > 0.0:
+                model.grads += proximal_mu * (model.params - anchor)
+            optimiser.step()
+    return losses
+
+
 def local_train(
     model,
     global_params: np.ndarray,
@@ -95,23 +129,12 @@ def local_train(
     unflatten_params(model, global_params)
     optimiser = SGD(model, lr=config.lr, momentum=config.momentum,
                     weight_decay=config.weight_decay)
-    criterion = SoftmaxCrossEntropy()
     anchor = global_params if drift_correction is None else global_params - drift_correction
-    last_epoch_losses: list[float] = []
-    for _epoch in range(config.epochs):
-        epoch_losses: list[float] = []
-        for batch_x, batch_y in data.batches(config.batch_size, rng=rng):
-            optimiser.zero_grad()
-            logits = model.forward(batch_x, training=True)
-            loss = criterion.forward(logits, batch_y)
-            grad = criterion.backward()
-            model.backward(grad)
-            if config.proximal_mu > 0.0:
-                model.grads += config.proximal_mu * (model.params - anchor)
-            optimiser.step()
-            epoch_losses.append(loss)
-        last_epoch_losses = epoch_losses
-    mean_loss = float(np.mean(last_epoch_losses)) if last_epoch_losses else 0.0
+    losses = train_epochs(
+        model, data, optimiser, config.epochs, config.batch_size, rng,
+        proximal_mu=config.proximal_mu, anchor=anchor,
+    )
+    mean_loss = float(np.mean(losses)) if losses else 0.0
     return model.params - global_params, mean_loss
 
 

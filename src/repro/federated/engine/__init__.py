@@ -43,16 +43,8 @@ from repro.federated.engine.plan import (
     RoundPlan,
     build_round_plan,
 )
-from repro.federated.engine.sharding import (
-    ShardedAggregator,
-    maybe_shard,
-    plan_shards,
-)
 
 __all__ = [
-    "ShardedAggregator",
-    "maybe_shard",
-    "plan_shards",
     "EngineContext",
     "ExecutionBackend",
     "BatchedBackend",

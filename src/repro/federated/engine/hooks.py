@@ -14,7 +14,7 @@ server's round loop, the server dispatches five typed events per round:
     after every client update for the round is folded, before aggregation
     is finalized.  ``updates`` is the round's :class:`ClientUpdate` list in
     fold-slot order — and it is only materialised if some hook (or the
-    training algorithm) actually consumes it, so rounds of a shardable
+    training algorithm) actually consumes it, so rounds of a streaming
     defense otherwise keep O(param_dim) memory.
 ``on_aggregated``
     after the aggregated update was applied to the global model.
@@ -26,10 +26,9 @@ server's round loop, the server dispatches five typed events per round:
 Hooks run in registration order; exceptions propagate (a broken hook should
 fail the run loudly, not corrupt a result silently).  When a hook raises
 mid-round — notably in ``on_update``, while an aggregation fold is in
-flight — the server calls :meth:`~repro.defenses.base.Aggregator.abort`
-on the half-folded round state before re-raising, so sharded fold workers
-are released and the aggregator can begin a fresh round afterwards
-(pinned in ``tests/federated/test_hooks.py``).
+flight — the half-folded round state is dropped with the exception, and
+the next round begins a fresh one (pinned in
+``tests/federated/test_hooks.py``).
 """
 
 from __future__ import annotations

@@ -68,23 +68,17 @@ class PlaintextRequiredError(ValueError):
 class SecureAggregator(Aggregator):
     """Wrap a server-blind defense so it folds behind the masking boundary.
 
-    ``inner`` is the configured defense (possibly already wrapped in
-    :class:`~repro.federated.engine.sharding.ShardedAggregator` — sharding
-    concerns how the plaintext fold is parallelised and composes cleanly
-    inside the sealed layer).  ``check`` is the *unwrapped* defense whose
-    capability flag gates construction; it defaults to ``inner``.
+    ``inner`` is the configured defense; its capability flag gates
+    construction.
 
     Fold protocol only, by design: a matrix call would hand the defense a
     stacked plaintext matrix, which is exactly the server-side view secure
     aggregation removes.
     """
 
-    shardable = False  # the sealed layer wraps the sharded fold, not vice versa
-
-    def __init__(self, inner: Aggregator, seed: int, check: Aggregator | None = None):
-        check = check if check is not None else inner
-        if getattr(check, "requires_plaintext_updates", False):
-            raise PlaintextRequiredError(getattr(check, "name", type(check).__name__))
+    def __init__(self, inner: Aggregator, seed: int):
+        if getattr(inner, "requires_plaintext_updates", False):
+            raise PlaintextRequiredError(getattr(inner, "name", type(inner).__name__))
         self.inner = inner
         self.seed = int(seed)
         self.name = f"secagg({getattr(inner, 'name', type(inner).__name__)})"
@@ -120,11 +114,3 @@ class SecureAggregator(Aggregator):
         ctx: AggregationContext | None = None,
     ) -> np.ndarray:
         return self.inner.finalize(state, global_params, ctx)
-
-    def abort(self, state: AggregationState) -> None:
-        self.inner.abort(state)
-
-    def close(self) -> None:
-        closer = getattr(self.inner, "close", None)
-        if closer is not None:
-            closer()

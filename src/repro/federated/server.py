@@ -28,7 +28,6 @@ from repro.federated.engine.backends import (
 )
 from repro.federated.engine.hooks import HookPipeline, RoundHook
 from repro.federated.engine.plan import ClientUpdate, build_round_plan
-from repro.federated.engine.sharding import maybe_shard
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.population.base import ClientPopulation
 from repro.federated.population.participation import (
@@ -42,6 +41,11 @@ from repro.registry import PARTICIPATION, parse_spec
 
 #: Aggregation-mode spec kwargs accepted by ``buffered_async``.
 _BUFFERED_ASYNC_KWARGS = {"buffer_size", "staleness_discount"}
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is a positive ``int``; a ``bool`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -63,13 +67,6 @@ class ServerConfig:
     run the server's one fold loop and are bit-identical per seed on every
     backend; buffered rounds reject secure aggregation (pairwise masks only
     cancel within one round's full cohort).
-
-    ``num_shards`` splits the fold across that many contiguous
-    parameter-vector shards folded by a concurrent worker pool
-    (:mod:`repro.federated.engine.sharding`) when the aggregator supports it
-    (``aggregator.shardable``); other defenses keep the single-fold path.
-    ``shards=N`` is bit-identical to ``shards=1`` for the same seed on every
-    backend.
 
     ``secure_aggregation`` runs the round under pairwise additive masking
     (:mod:`repro.federated.secagg`): every update leaving the execution
@@ -94,20 +91,19 @@ class ServerConfig:
     server_lr: float = 1.0
     seed: int = 0
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    num_shards: int = 1
     secure_aggregation: bool = False
     participation: object | None = None
     aggregation_mode: object = "sync"
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
-        self.participation_spec()  # fail fast on malformed specs
+        if not is_count(self.rounds):
+            raise ValueError("rounds must be a positive integer")
+        # Building the model runs its constructor's argument checks, so a
+        # bad spec fails here rather than when the server is built.
+        PARTICIPATION.create(self.participation_spec())
         if self.server_lr <= 0:
             raise ValueError("server_lr must be positive")
-        if not isinstance(self.num_shards, int) or self.num_shards < 1:
-            raise ValueError("num_shards must be a positive integer")
         if not isinstance(self.telemetry, bool):
             raise ValueError("telemetry must be a bool")
         mode, mode_kwargs = self.aggregation_spec()
@@ -124,9 +120,7 @@ class ServerConfig:
                 f"accepted: {sorted(_BUFFERED_ASYNC_KWARGS)}"
             )
         buffer_size = mode_kwargs.get("buffer_size")
-        if buffer_size is not None and (
-            not isinstance(buffer_size, int) or buffer_size < 1
-        ):
+        if buffer_size is not None and not is_count(buffer_size):
             raise ValueError("buffer_size must be a positive integer")
         discount = mode_kwargs.get("staleness_discount", 0.5)
         if not 0.0 < float(discount) <= 1.0:
@@ -194,10 +188,7 @@ class FederatedServer:
         self._staleness_discount = float(mode_kwargs.get("staleness_discount", 0.5))
         #: Updates that missed their round's buffer, folding next round.
         self._carry: list[ClientUpdate] = []
-        # Shard-capable defenses fold across a worker pool when the config
-        # asks for it; everything else keeps the single-fold path unchanged.
-        defense = aggregator or MeanAggregator()
-        self.aggregator = maybe_shard(defense, config.num_shards)
+        self.aggregator = aggregator or MeanAggregator()
         if config.secure_aggregation:
             # Imported lazily to keep the server importable without the
             # secagg package in the hot path of plaintext runs.
@@ -211,11 +202,8 @@ class FederatedServer:
                     "secure_aggregation or use an algorithm that only reads "
                     "the aggregate (e.g. fedavg)"
                 )
-            # The capability check runs against the configured defense, not
-            # the shard wrapper around it (raises PlaintextRequiredError).
-            self.aggregator = SecureAggregator(
-                self.aggregator, seed=config.seed, check=defense
-            )
+            # Raises PlaintextRequiredError for an update-inspecting defense.
+            self.aggregator = SecureAggregator(self.aggregator, seed=config.seed)
         self.attack = attack
         self.compromised_ids = set(compromised_ids or [])
         if self.attack is not None and not self.compromised_ids:
@@ -302,8 +290,10 @@ class FederatedServer:
         hooks until the round they actually arrive in — which is what gives
         the communication ledger correct per-round attribution.  The full
         update list is only retained when a hook or the training algorithm
-        consumes it; otherwise a shardable defense keeps the round at
-        O(param_dim).
+        consumes it; otherwise a streaming defense keeps the round at
+        O(param_dim).  If a hook or the backend raises, the exception
+        propagates and the round's state goes with it; the next round
+        begins a fresh one.
         """
         round_idx = plan.round_idx
         arrival = list(range(len(plan)))
@@ -342,43 +332,36 @@ class FederatedServer:
             if retain:
                 retained.append(update)
 
-        try:
-            # Carried updates arrive first: they were already computed and
-            # only waited for this round's buffer to open.
-            for fold_slot, update in enumerate(carried):
-                staleness = round_idx - update.metadata["origin_round"]
-                discounted = self.aggregator.discount_stale(
-                    update, staleness, self._staleness_discount
-                )
-                fold(replace(discounted, slot=fold_slot))
+        # Carried updates arrive first: they were already computed and only
+        # waited for this round's buffer to open.
+        for fold_slot, update in enumerate(carried):
+            staleness = round_idx - update.metadata["origin_round"]
+            discounted = self.aggregator.discount_stale(
+                update, staleness, self._staleness_discount
+            )
+            fold(replace(discounted, slot=fold_slot))
 
-            fold_slot_of = {
-                plan_slot: len(carried) + rank for rank, plan_slot in enumerate(on_time)
-            }
-            for update in self.backend.iter_updates(plan, self.global_params):
-                fold_slot = fold_slot_of.get(update.slot)
-                if fold_slot is None:
-                    # A straggler: carry it (in arrival-rank order) to next round.
-                    self._carry.append(
-                        replace(
-                            update, metadata={**update.metadata, "origin_round": round_idx}
-                        )
+        fold_slot_of = {
+            plan_slot: len(carried) + rank for rank, plan_slot in enumerate(on_time)
+        }
+        for update in self.backend.iter_updates(plan, self.global_params):
+            fold_slot = fold_slot_of.get(update.slot)
+            if fold_slot is None:
+                # A straggler: carry it (in arrival-rank order) to next round.
+                self._carry.append(
+                    replace(
+                        update, metadata={**update.metadata, "origin_round": round_idx}
                     )
-                    continue
-                fold(replace(update, slot=fold_slot))
-            # Carried updates queue in arrival-rank (latency) order, not in the
-            # backend's completion order, so next round's fold is deterministic.
-            late_rank = {plan.sampled_clients[s]: rank for rank, s in enumerate(late)}
-            self._carry.sort(key=lambda u: late_rank[u.client_id])
+                )
+                continue
+            fold(replace(update, slot=fold_slot))
+        # Carried updates queue in arrival-rank (latency) order, not in the
+        # backend's completion order, so next round's fold is deterministic.
+        late_rank = {plan.sampled_clients[s]: rank for rank, s in enumerate(late)}
+        self._carry.sort(key=lambda u: late_rank[u.client_id])
 
-            retained.sort(key=lambda u: u.slot)
-            self.hooks.updates_collected(self, plan, retained)
-        except BaseException:
-            # A hook (or the backend) failed mid-round: release the
-            # half-folded aggregation state — sharded folds hold worker
-            # threads — so the aggregator can begin a fresh round later.
-            self.aggregator.abort(state)
-            raise
+        retained.sort(key=lambda u: u.slot)
+        self.hooks.updates_collected(self, plan, retained)
         with maybe_span(self.telemetry, "aggregate", round=round_idx):
             aggregated = self.aggregator.finalize(state, self.global_params, ctx)
         benign_losses = [benign_losses_by_slot[s] for s in sorted(benign_losses_by_slot)]
@@ -453,24 +436,21 @@ class FederatedServer:
         )
 
     def close(self) -> None:
-        """Release backend and shard-pool worker resources (idempotent).
+        """Release the backend's worker resources (idempotent).
 
         Closes the execution backend — including a distributed coordinator's
-        worker processes — and any shard worker pool the aggregator holds.
-        Safe to call repeatedly; the server remains usable for driver-side
-        helpers (``personalized_params``, history access) after closing.
+        worker processes.  Safe to call repeatedly; the server remains
+        usable for driver-side helpers (``personalized_params``, history
+        access) after closing.
         """
         if self._closed:
             return
         self._closed = True
         self.backend.close()
-        closer = getattr(self.aggregator, "close", None)
-        if closer is not None:
-            closer()
 
     def __enter__(self) -> "FederatedServer":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: workers and shard pools never leak."""
+        """Context-manager exit: worker processes never leak."""
         self.close()

@@ -1,9 +1,9 @@
 """fold-determinism: aggregator folds must stay elementwise.
 
 The aggregation fold contract fixes the *fold order*: every
-aggregator folds client slices slot-by-slot in slot order, so serial,
-sharded and distributed execution produce bit-identical sums.  That only
-holds if the per-slice work is elementwise — the moment a ``fold_slice`` or
+aggregator folds client updates one at a time in slot order, so serial,
+batched and distributed execution produce bit-identical sums.  That only
+holds if the per-update work is elementwise — the moment an ``_fold`` or
 ``accumulate`` body reaches for a flattened reduction (``np.sum`` over the
 whole array, 1-D BLAS ``np.linalg.norm``, ``np.dot``), the result depends
 on numpy's internal pairwise/BLAS reduction tree, which varies with array
@@ -11,12 +11,12 @@ layout and build — and the bit-identity promise silently breaks.  This is
 exactly why ``clip_scale`` computes norms with ``axis=1`` (a fixed-shape
 row reduction) instead of ``np.linalg.norm`` on a flattened view.
 
-The checker walks the bodies of ``fold_slice``/``accumulate``/``_fold``
-methods — transitively through helpers, including cross-module ones such
-as :func:`repro.defenses.base.fold_scaled_sum` — and flags axis-free numpy
+The checker walks the bodies of ``accumulate``/``_fold`` methods —
+transitively through helpers, including cross-module ones such as
+:func:`repro.defenses.base.fold_scaled_sum` — and flags axis-free numpy
 reductions, BLAS-backed products and Python-level ``sum`` accumulation.
 Axis-pinned reductions (``axis=...``) stay allowed: their reduction shape
-is fixed by the slice layout, not chosen by the backend.
+is fixed by the array layout, not chosen by the backend.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.lint.findings import Finding
 from repro.registry import CHECKERS
 
 #: Method names whose bodies form the deterministic fold path.
-_FOLD_METHODS = frozenset({"fold_slice", "accumulate", "_fold"})
+_FOLD_METHODS = frozenset({"accumulate", "_fold"})
 
 #: numpy reductions that flatten by default; allowed only with ``axis=``.
 _AXIS_REDUCTIONS = frozenset(
@@ -97,7 +97,7 @@ class FoldDeterminismChecker(Checker):
 
     name = "fold-determinism"
     description = (
-        "fold_slice/accumulate bodies (and their helpers) must be "
+        "_fold/accumulate bodies (and their helpers) must be "
         "elementwise; no flattened numpy reductions, BLAS products or "
         "Python sum() in the fold path"
     )

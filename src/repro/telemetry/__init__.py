@@ -11,7 +11,7 @@ Three layers:
 
 * :class:`~repro.telemetry.trace.SpanTracer` — nested monotonic-clock spans
   (``round``, ``dispatch``, ``client_train``, ``secagg_mask``/``unmask``,
-  ``shard_fold``, ``aggregate``, ``evaluate``) recorded at explicit
+  ``aggregate``, ``evaluate``) recorded at explicit
   instrumentation points in the server and every backend, each guarded by
   :func:`maybe_span` (defined in the engine, re-exported here);
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges and

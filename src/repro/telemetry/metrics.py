@@ -1,15 +1,13 @@
 """A small metrics registry: counters, gauges and histograms.
 
 Instruments are created on first use (``registry.counter("rounds_total")``)
-and updated from any thread — shard workers record their busy time, the
-coordinator records queue depths while the driver thread folds — so every
-mutation runs under one registry lock.  The fold/train work between
-observations is milliseconds-to-seconds; a lock around a float add is
-noise.
+and may be updated from any thread, so every mutation runs under one
+registry lock.  The fold/train work between observations is
+milliseconds-to-seconds; a lock around a float add is noise.
 
 Histograms keep summary statistics (count/total/min/max), not buckets:
 the questions the engine asks ("how deep did the coordinator queue get",
-"how busy were the shard workers") are answered by the extremes and the
+"how many tasks did a worker hold") are answered by the extremes and the
 mean, and summaries serialise to a handful of numbers per instrument.
 """
 

@@ -201,10 +201,10 @@ class TestWeightedMean:
         with pytest.raises(ValueError, match="no matrix path"):
             WeightedMeanAggregator()(benign_updates, GLOBAL, _ctx())
 
-    def test_registered_as_shardable(self):
+    def test_registered_as_streaming(self):
         agg = DEFENSES.create("weighted_mean")
         assert isinstance(agg, WeightedMeanAggregator)
-        assert agg.shardable
+        assert type(agg)._fold is not Aggregator._fold
 
 
 class TestFLARE:
@@ -254,14 +254,47 @@ class TestLegacyGeneratorShim:
             MeanAggregator()(benign_updates, GLOBAL, np.random.default_rng(0))
 
 
+#: Example counts riding on the streamed updates; only weighted_mean reads them.
+WEIGHTS = (3, 1, 4, 1, 5, 9, 2)
+
+
+def _update(updates, slot):
+    return ClientUpdate(
+        client_id=100 + slot, slot=slot, update=updates[slot], num_examples=WEIGHTS[slot]
+    )
+
+
 def _stream(aggregator, updates, global_params, ctx, order=None):
     """Push a matrix through the streaming protocol in the given slot order."""
     state = aggregator.begin_round(ctx)
     for slot in order if order is not None else range(updates.shape[0]):
-        aggregator.accumulate(
-            state,
-            ClientUpdate(client_id=100 + slot, slot=slot, update=updates[slot]),
-        )
+        aggregator.accumulate(state, _update(updates, slot))
+    return aggregator.finalize(state, global_params, ctx)
+
+
+def _fold_on_schedule(aggregator, updates, global_params, schedule):
+    """Fold ``updates`` as one round of ``aggregator`` under ``schedule``.
+
+    ``shuffled`` and ``reversed`` permute the arrival order; ``consecutive``
+    folds another round on the same aggregator first; ``interleaved`` keeps
+    another round in flight on it, alternating updates between the two.
+    """
+    n = updates.shape[0]
+    if schedule == "shuffled":
+        return _stream(aggregator, updates, global_params, _ctx(), order=[5, 2, 0, 4, 1, 3])
+    if schedule == "reversed":
+        return _stream(aggregator, updates, global_params, _ctx(), order=range(n - 1, -1, -1))
+    other = updates[::-1] * 2.0
+    if schedule == "consecutive":
+        _stream(aggregator, other, global_params, _ctx())
+        return _stream(aggregator, updates, global_params, _ctx())
+    ctx, other_ctx = _ctx(), _ctx()
+    state = aggregator.begin_round(ctx)
+    other_state = aggregator.begin_round(other_ctx)
+    for slot in range(n):
+        aggregator.accumulate(other_state, _update(other, slot))
+        aggregator.accumulate(state, _update(updates, slot))
+    aggregator.finalize(other_state, global_params, other_ctx)
     return aggregator.finalize(state, global_params, ctx)
 
 
@@ -270,15 +303,14 @@ class TestStreamingProtocol:
     bit-identically to its matrix ``aggregate`` — with no per-defense code
     beyond the opt-in streaming implementations."""
 
-    SHARDABLE = {"mean", "weighted_mean", "norm_bound", "dp", "signsgd"}
+    STREAMING = {"mean", "weighted_mean", "norm_bound", "dp", "signsgd"}
 
-    def test_shardable_flags(self):
-        # These folds are all elementwise given their prepare_update
-        # precompute, so each one supports the sharded worker-pool fold.
-        shardable = {
-            name for name in DEFENSES.names() if DEFENSES.create(name).shardable
+    def test_streaming_defenses_override_fold(self):
+        streaming = {
+            name for name in DEFENSES.names()
+            if DEFENSES.get(name)._fold is not Aggregator._fold
         }
-        assert shardable == self.SHARDABLE
+        assert streaming == self.STREAMING
 
     # weighted_mean has no matrix path (example counts only travel on
     # ClientUpdate); its streaming equivalences are pinned separately below.
@@ -292,16 +324,18 @@ class TestStreamingProtocol:
         streamed = _stream(DEFENSES.create(name), updates, global_params, _ctx())
         np.testing.assert_array_equal(streamed, matrix)
 
+    @pytest.mark.parametrize(
+        "schedule", ["shuffled", "reversed", "consecutive", "interleaved"]
+    )
     @pytest.mark.parametrize("name", sorted(DEFENSES.names()))
-    def test_out_of_order_accumulation_is_reordered(self, name, rng):
-        updates = rng.normal(size=(6, 16))
+    def test_fold_schedule_does_not_change_the_result(self, name, schedule, rng):
+        updates = rng.normal(size=(6, 16)) * rng.uniform(0.1, 30.0, size=(6, 1))
         global_params = rng.normal(size=16)
         in_order = _stream(DEFENSES.create(name), updates, global_params, _ctx())
-        shuffled = _stream(
-            DEFENSES.create(name), updates, global_params, _ctx(),
-            order=[5, 2, 0, 4, 1, 3],
+        scheduled = _fold_on_schedule(
+            DEFENSES.create(name), updates, global_params, schedule
         )
-        np.testing.assert_array_equal(shuffled, in_order)
+        np.testing.assert_array_equal(scheduled, in_order)
 
     def test_streaming_defenses_keep_o_param_dim_state(self, rng):
         # In-order accumulation must fold immediately: nothing pending, and

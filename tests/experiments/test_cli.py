@@ -103,7 +103,10 @@ class TestRun:
     def test_list_defenses_shows_capabilities(self, capsys):
         assert main(["list", "defenses"]) == 0
         out = capsys.readouterr().out
-        assert "caps" in out and "shardable" in out and "buffered" in out
+        assert "caps" in out and "streaming" in out and "buffered" in out
+        lines = {line.split()[0]: line for line in out.splitlines() if line.strip()}
+        streaming = {name for name, line in lines.items() if "streaming" in line}
+        assert streaming == {"mean", "weighted_mean", "norm_bound", "dp", "signsgd"}
 
     def test_list_defenses_shows_server_blind_capability(self, capsys):
         assert main(["list", "defenses"]) == 0

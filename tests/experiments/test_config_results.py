@@ -27,6 +27,11 @@ class TestScenarioConfig:
             {"compromised_fraction": -0.1},
             {"alpha": 0.0},
             {"attack": "collapois", "compromised_fraction": 0.0},
+            {"max_test_samples": 0},
+            {"max_test_samples": 2.5},
+            {"max_test_samples": True},
+            {"backend": "distributed", "backend_workers": 2.5},
+            {"backend": "distributed", "backend_workers": True},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -105,6 +110,12 @@ class TestExperimentResult:
         data["histori"] = data.pop("history")
         with pytest.raises(ValueError, match="histori"):
             ExperimentResult.from_dict(data)
+
+    def test_results_written_with_num_shards_still_load(self):
+        # Results JSON written while num_shards split the fold carries it.
+        data = json.loads(self._result().to_json())
+        data["scenario"]["num_shards"] = 2
+        assert ExperimentResult.from_dict(data).config.num_shards == 2
 
     def test_from_dict_requires_scenario(self):
         data = self._result().to_dict()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.experiments.runner import run_experiment
@@ -144,6 +146,8 @@ class TestValidation:
             Scenario(num_shards=0)
         with pytest.raises(ValueError, match="num_shards"):
             Scenario(num_shards=2.5)
+        with pytest.raises(ValueError, match="num_shards"):
+            Scenario(num_shards=True)
 
     def test_num_shards_round_trips(self):
         scenario = Scenario(num_shards=4)
@@ -176,16 +180,24 @@ class TestValidation:
         "kwargs",
         [
             {"rounds": 0},
+            {"rounds": 2.5},
+            {"rounds": True},
             {"server_lr": 0.0},
             {"aggregation_mode": "buffered_async:buffer_size=0"},
             {"aggregation_mode": "buffered_async:buffer_size=1.5"},
             {"aggregation_mode": "buffered_async:staleness_discount=2.0"},
+            {"sample_rate": 1.5},
+            {"participation": "uniform:sample_rate=2.0"},
+            {"participation": "churn:bogus=1"},
         ],
-        ids=["rounds", "server_lr", "buffer_size_0", "buffer_size_float", "discount"],
+        ids=["rounds", "rounds_float", "rounds_bool", "server_lr",
+             "buffer_size_0", "buffer_size_float", "discount", "sample_rate",
+             "uniform_sample_rate", "churn_unknown_kwarg"],
     )
     def test_round_config_the_server_rejects_fails_at_construction(self, kwargs):
-        # The scenario builds its ServerConfig while validating, so these
-        # fail here, not after the dataset build and trojan training.
+        # The scenario builds its ServerConfig, and the participation model
+        # from it, while validating, so these fail here, not after the
+        # dataset build and trojan training.
         with pytest.raises(ValueError):
             Scenario(**kwargs)
         with pytest.raises(ValueError):
@@ -328,6 +340,32 @@ class TestJsonRoundTrip:
     def test_history_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown round-record key"):
             TrainingHistory.from_dict({"records": [{"bogus": 1}]})
+
+
+class TestNumShardsIsIgnored:
+    """``num_shards`` is accepted, for old specs and results, and ignored."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"secure_aggregation": True, "telemetry": True},
+            {"backend": "distributed", "backend_workers": 2},
+        ],
+        ids=["serial-secagg-telemetry", "distributed"],
+    )
+    def test_starts_no_thread_and_changes_no_history(self, overrides, monkeypatch):
+        started: list[str] = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        sharded = tiny_scenario(num_shards=2, **overrides).run()
+        assert started == []
+        plain = tiny_scenario(num_shards=1, **overrides).run()
+        assert sharded.history.to_dict() == plain.history.to_dict()
 
 
 class TestRun:

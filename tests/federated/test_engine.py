@@ -7,7 +7,7 @@ import pytest
 
 from repro.attacks.triggers import PixelPatchTrigger
 from repro.core.collapois import CollaPoisAttack
-from repro.defenses.base import AggregationContext, MeanAggregator
+from repro.defenses.base import AggregationContext, Aggregator, MeanAggregator
 from repro.experiments.runner import run_experiment
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
@@ -247,12 +247,11 @@ class TestAggregationContext:
     ):
         contexts = []
 
-        class RecordingAggregator(MeanAggregator):
-            shardable = False  # buffer the round so aggregate() runs
-
+        class RecordingAggregator(Aggregator):
+            # No _fold override: the round buffers, so aggregate() runs.
             def aggregate(self, updates, global_params, ctx):
                 contexts.append(ctx)
-                return super().aggregate(updates, global_params, ctx)
+                return updates.mean(axis=0)
 
         config = ServerConfig(rounds=2, participation="uniform:sample_rate=0.5", seed=2)
         server = FederatedServer(

@@ -30,7 +30,7 @@ def _make_server(small_federation, image_model_factory, rounds=3, **kwargs):
 
 class TestServerConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"rounds": 0}, {"num_shards": 0}, {"server_lr": 0.0}]
+        "kwargs", [{"rounds": 0}, {"rounds": 2.5}, {"server_lr": 0.0}]
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestServerLifecycle:
     ):
         closes = []
 
-        class ClosingAggregator(MeanAggregator):
+        class ClosingBackend(SerialBackend):
             def close(self):
                 closes.append(True)
 
@@ -172,7 +172,7 @@ class TestServerLifecycle:
         )
         server = FederatedServer(
             small_federation, image_model_factory, FedAvg(), config,
-            aggregator=ClosingAggregator(),
+            backend=ClosingBackend(),
         )
         server.run()
         server.close()

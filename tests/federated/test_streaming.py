@@ -3,7 +3,7 @@ incremental Aggregator protocol and the server's fold loop.
 
 The acceptance bar: for the same seed, updates arriving *out of slot
 order* reproduce the serial ``TrainingHistory`` bit for bit, for both a
-shardable defense (``mean``) and a buffering one (``krum``).
+streaming defense (``mean``) and a buffering one (``krum``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.defenses.base import MeanAggregator
+from repro.defenses.base import Aggregator, MeanAggregator
 from repro.defenses.krum import Krum
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import LocalTrainingConfig
@@ -83,7 +83,7 @@ class TestClientUpdate:
 
 
 class TestServerFold:
-    def test_shardable_defense_never_stacks_the_round(
+    def test_streaming_defense_never_stacks_the_round(
         self, small_federation, image_model_factory, monkeypatch
     ):
         # mean folds in O(param_dim) state: its matrix aggregate() must
@@ -95,18 +95,17 @@ class TestServerFold:
         server = _make_server(small_federation, image_model_factory, "serial", rounds=1)
         server.run()
 
-    def test_subclass_overriding_aggregate_falls_back_to_buffering(
+    def test_buffering_defense_aggregates_once_per_round(
         self, small_federation, image_model_factory
     ):
-        # A buffering defense's matrix aggregate() runs once per round.
+        # A defense that does not override _fold buffers the round, and its
+        # matrix aggregate() runs once per round.
         calls = []
 
-        class Recording(MeanAggregator):
-            shardable = False
-
+        class Recording(Aggregator):
             def aggregate(self, updates, global_params, ctx):
                 calls.append(updates.shape)
-                return super().aggregate(updates, global_params, ctx)
+                return updates.mean(axis=0)
 
         server = _make_server(
             small_federation, image_model_factory, "serial",

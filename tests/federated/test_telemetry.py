@@ -4,7 +4,7 @@ The acceptance bar: per seed, ``telemetry=True`` produces a
 ``TrainingHistory`` bit-identical to the uninstrumented run on every
 backend — telemetry is strictly out-of-band observation — while the trace
 carries the expected spans per feature (dispatch, client training, secagg
-masking, shard folds, aggregation, evaluation), distributed runs merge
+masking, aggregation, evaluation), distributed runs merge
 worker-measured spans over the wire with per-link clock offsets, and the
 whole bundle survives the results-JSON round trip.
 """
@@ -86,16 +86,6 @@ class TestFeatureSpans:
         # One mask per client per round, each tagged with round and client.
         assert len(masks) == 16
         assert all({"round", "client"} <= set(s["attrs"]) for s in masks)
-
-    def test_sharded_run_records_fold_spans_and_worker_busy_histogram(self):
-        result = base_scenario(telemetry=True, num_shards=2).run()
-        telemetry = result.telemetry
-        folds = [s for s in telemetry["spans"] if s["name"] == "shard_fold"]
-        assert len(folds) == 2
-        assert all(s["attrs"]["shards"] == 2 for s in folds)
-        busy = telemetry["metrics"]["shard.fold_busy_s"]
-        assert busy["type"] == "histogram"
-        assert busy["count"] == 4  # 2 shards x 2 rounds
 
     def test_evaluation_runs_inside_an_evaluate_span(self):
         result = base_scenario(telemetry=True, eval_every=1).run()

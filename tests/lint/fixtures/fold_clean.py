@@ -4,7 +4,7 @@ import numpy as np
 
 
 class GoodAggregator:
-    def fold_slice(self, acc, update):
+    def _fold(self, acc, update):
         acc += np.clip(update, -1.0, 1.0)
         return acc
 

@@ -4,7 +4,7 @@ import numpy as np
 
 
 class BadAggregator:
-    def fold_slice(self, acc, update):
+    def _fold(self, acc, update):
         weight = np.linalg.norm(update)  # FOLD001: flattened 1-D BLAS norm
         acc += update * weight
         return acc

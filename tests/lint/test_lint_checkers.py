@@ -90,7 +90,7 @@ class TestFoldDeterminism:
         aggregator = SourceFile.from_source(
             "from repro.defenses.demo_helpers import fold_helper\n"
             "class Agg:\n"
-            "    def fold_slice(self, acc, update):\n"
+            "    def _fold(self, acc, update):\n"
             "        return fold_helper(acc, update)\n",
             rel="src/repro/defenses/demo_agg.py",
         )

@@ -38,7 +38,7 @@ def _sample_telemetry() -> dict:
         ],
         "metrics": {
             "rounds_total": {"type": "counter", "value": 2},
-            "shard.fold_busy_s": {
+            "distributed.pending_depth": {
                 "type": "histogram", "count": 4, "total": 2.0,
                 "min": 0.25, "max": 1.0, "mean": 0.5,
             },
@@ -99,8 +99,8 @@ class TestMetricAndOffsetRows:
     def test_metric_rows_flatten_histograms(self):
         rows = {r["metric"]: r for r in metric_rows(_sample_telemetry())}
         assert rows["rounds_total"]["value"] == "2"
-        assert "count=4" in rows["shard.fold_busy_s"]["value"]
-        assert "mean=0.5000" in rows["shard.fold_busy_s"]["value"]
+        assert "count=4" in rows["distributed.pending_depth"]["value"]
+        assert "mean=0.5000" in rows["distributed.pending_depth"]["value"]
         assert rows["empty_hist"]["value"] == "count=0"
 
     def test_clock_offset_rows(self):
