@@ -201,11 +201,9 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     ]
     print(format_table(rows))
     totals = ledger.totals()
-    dtypes = ", ".join(f"{ch}={dt}" for ch, dt in sorted(ledger.dtypes.items()))
     print(
         f"total: {totals['frames']} frames, {totals['bytes']} bytes "
         f"({totals['header_bytes']} header + {totals['payload_bytes']} payload)"
-        + (f"; wire dtypes: {dtypes}" if dtypes else "")
     )
     # Known channels a ledger may carry; a results file without one (e.g. a
     # serial run has no 'wire' frames) renders fine — note the absence so

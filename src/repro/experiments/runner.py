@@ -270,9 +270,7 @@ def run_experiment(
     # into the same ledger.
     ledger = CommunicationLedger()
     backend.ledger = ledger
-    ledger_hook = LedgerHook(
-        ledger, wire_dtype=getattr(backend, "wire_dtype", "float64")
-    )
+    ledger_hook = LedgerHook(ledger)
     server = FederatedServer(
         dataset,
         model_factory,

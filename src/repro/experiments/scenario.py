@@ -6,9 +6,11 @@ backend.  It adds:
 
 * **registry validation** — component names are checked against the unified
   registries (:mod:`repro.registry`), so error messages list what is
-  actually available instead of hard-coding string sets, and the round
-  settings are checked by building the scenario's
-  :class:`~repro.federated.server.ServerConfig` (:meth:`server_config`);
+  actually available instead of hard-coding string sets; each ``*_kwargs``
+  field is checked against the constructor of the component the runner
+  builds; and the round settings and backend arguments are checked by
+  building the scenario's :class:`~repro.federated.server.ServerConfig`
+  (:meth:`server_config`) and its backend;
 * **component specs** — every component field accepts a spec carrying
   constructor kwargs (``defense="krum:num_malicious=2"``,
   ``defense=("krum", {"num_malicious": 2})``), normalised into the bare
@@ -31,7 +33,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.server import ServerConfig, is_count
+from repro.federated.engine.backends import make_backend
+from repro.federated.server import ServerConfig
 from repro.registry import (
     ALGORITHMS,
     ATTACKS,
@@ -43,6 +46,7 @@ from repro.registry import (
     POPULATIONS,
     TRIGGERS,
     Registry,
+    is_count,
     parse_spec,
     reject_unknown_keys,
 )
@@ -64,6 +68,12 @@ _COMPONENT_FIELDS: dict[str, tuple[Registry, str]] = {
     "population": (POPULATIONS, "population_kwargs"),
     "participation": (PARTICIPATION, "participation_kwargs"),
 }
+
+#: On the text dataset the runner builds the token trigger and the text head
+#: whatever ``trigger`` and ``model`` name (``runner.build_trigger``,
+#: ``runner.build_model_factory``), so their ``*_kwargs`` are checked
+#: against these constructors.
+_TEXT_COMPONENTS = {"trigger": "token", "model": "text"}
 
 #: Constructor kwargs the runner derives so that data and model share one
 #: geometry, per ``*_kwargs`` field that may not set them, each with what to
@@ -231,6 +241,9 @@ class Scenario:
                     )
                 continue
             registry.validate(value)
+            if self.dataset == "sentiment":
+                value = _TEXT_COMPONENTS.get(component, value)
+            registry.check_kwargs(value, getattr(self, kwargs_field))
         for kwargs_field, derived in DERIVED_KWARGS.items():
             clashes = sorted(derived.keys() & getattr(self, kwargs_field).keys())
             if clashes:
@@ -250,9 +263,10 @@ class Scenario:
             raise ValueError("an attack requires a positive compromised_fraction")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not is_count(self.num_shards):
-            raise ValueError("num_shards must be a positive integer")
-        for name in ("backend_workers", "max_test_samples"):  # None: unset
+        for name in ("num_shards", "trojan_epochs"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
+        for name in ("backend_workers", "max_test_samples", "eval_every"):  # None: unset
             value = getattr(self, name)
             if value is not None and not is_count(value):
                 raise ValueError(f"{name} must be a positive integer")
@@ -271,6 +285,10 @@ class Scenario:
                 f"{unknown} (max_workers belongs on backend_workers); "
                 f"accepted: {sorted(accepted - {'max_workers'}) or 'none'}"
             )
+        # Backend constructors only check their arguments, so building one
+        # reports a bad value (a malformed connect address, a wire_dtype
+        # other than float64) before any dataset build.
+        make_backend(self.backend, max_workers=self.backend_workers, **self.backend_kwargs)
         self.server_config()  # rounds, participation, aggregation mode, telemetry
         if self.secure_aggregation:
             from repro.federated.secagg import PlaintextRequiredError
@@ -278,15 +296,6 @@ class Scenario:
             defense = DEFENSES.get(self.defense)
             if getattr(defense, "requires_plaintext_updates", False):
                 raise PlaintextRequiredError(self.defense)
-            wire_dtype = self.backend_kwargs.get("wire_dtype", "float64")
-            if wire_dtype != "float64":
-                raise ValueError(
-                    "secure aggregation is incompatible with wire_dtype="
-                    f"{wire_dtype!r}: masked updates are IEEE-754 float64 words "
-                    "plus a pairwise mask mod 2**64, and any narrowing round-trip "
-                    "corrupts the ciphertext so the masks no longer cancel; use "
-                    "the bit-exact float64 wire format"
-                )
 
     def server_config(self) -> ServerConfig:
         """The server-side round configuration this scenario runs with.

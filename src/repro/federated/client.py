@@ -29,6 +29,7 @@ from repro.data.dataset import Dataset
 from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.optim import SGD, BatchedSGD
 from repro.nn.serialization import unflatten_params
+from repro.registry import is_count
 
 
 @dataclass
@@ -47,10 +48,9 @@ class LocalTrainingConfig:
     proximal_mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        for name in ("epochs", "batch_size"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.proximal_mu < 0:

@@ -6,9 +6,8 @@ standalone (``python -m repro worker``) on any reachable host — speaking a
 small versioned, length-prefixed binary protocol:
 
 * :mod:`~repro.federated.engine.distributed.protocol` — message framing and
-  (de)serialization; parameter vectors and client updates travel as the raw
-  float64 bytes of :mod:`repro.nn.serialization`, so remote execution is
-  bit-identical to local execution.
+  (de)serialization; parameter vectors and client updates travel as raw
+  float64 bytes, so remote execution is bit-identical to local execution.
 * :mod:`~repro.federated.engine.distributed.worker` — the long-lived worker
   process: announces itself, rebuilds the execution context from a scenario
   payload (cached across rounds by fingerprint), executes benign

@@ -61,7 +61,6 @@ from repro.federated.engine.distributed.protocol import (
 )
 from repro.federated.engine.ledger import SETUP_ROUND
 from repro.federated.engine.plan import ClientTask, RoundPlan
-from repro.nn import serialization
 from repro.registry import BACKENDS
 
 #: Outstanding tasks per worker.  1 would be pure work-stealing but leaves a
@@ -106,6 +105,11 @@ class DistributedBackend(ExecutionBackend):
     execution context to its workers — the experiment runner plumbs it
     automatically; direct :class:`~repro.federated.server.FederatedServer`
     users call :meth:`configure_scenario` once before running.
+
+    Every vector crosses the wire as float64, bit for bit.  ``wire_dtype``
+    accepts ``"float64"`` and rejects any other value; it stays only so that
+    perfbench's ``secagg-distributed`` workload and results JSON that pass
+    it keep loading.
     """
 
     name = "distributed"
@@ -129,11 +133,11 @@ class DistributedBackend(ExecutionBackend):
         self.max_workers = max_workers or min(4, cpus)
         self.connect = _parse_addresses(connect)
         self.spawn_timeout = spawn_timeout
-        # Validate at construction so a typo fails before workers spawn.
-        serialization.wire_dtype(wire_dtype)
-        #: Wire encoding of every parameter/update vector this backend ships
-        #: ("float64" = bit-exact default, "float32" = lossy, half traffic).
-        self.wire_dtype = wire_dtype
+        if wire_dtype != "float64":
+            raise ValueError(
+                f"wire_dtype={wire_dtype!r} is not supported: every vector "
+                "crosses the wire as float64"
+            )
         self._links: list[_WorkerLink] = []
         self._started = False
         self._scenario_payload: dict | None = None
@@ -182,7 +186,6 @@ class DistributedBackend(ExecutionBackend):
             direction=direction,
             header_bytes=header_bytes,
             payload_bytes=payload_bytes,
-            dtype=self.wire_dtype,
         )
 
     def _send(
@@ -191,7 +194,6 @@ class DistributedBackend(ExecutionBackend):
         msg_type: MessageType,
         fields: dict,
         arrays: dict[str, np.ndarray] | None = None,
-        dtype: str = "float64",
         round_idx: int = SETUP_ROUND,
     ) -> None:
         """Send one frame to a worker, metering it into the wire ledger.
@@ -200,10 +202,10 @@ class DistributedBackend(ExecutionBackend):
         exact, because it runs the same canonical ``json.dumps`` the encoder
         does — so metering copies no vector bytes.
         """
-        send_message(link.sock, msg_type, fields, arrays, dtype=dtype)
+        send_message(link.sock, msg_type, fields, arrays)
         if self.ledger is not None:
             lengths = {name: int(a.shape[0]) for name, a in (arrays or {}).items()}
-            header, payload = message_size(fields, lengths, dtype=dtype)
+            header, payload = message_size(fields, lengths)
             self._record_wire(link.pid, "down", round_idx, header, payload)
 
     def _recv(self, link: _WorkerLink, round_idx: int = SETUP_ROUND):
@@ -360,18 +362,10 @@ class DistributedBackend(ExecutionBackend):
                         workers=len(stale)):
             for link in stale:
                 try:
-                    # ``wire_dtype`` rides next to the context but stays out
-                    # of the fingerprint: the rebuilt context is
-                    # dtype-independent, so switching encodings must not
-                    # invalidate worker caches.
                     self._send(
                         link,
                         MessageType.CONFIGURE,
-                        {
-                            "fingerprint": self._fingerprint,
-                            "scenario": self._scenario_payload,
-                            "wire_dtype": self.wire_dtype,
-                        },
+                        {"fingerprint": self._fingerprint, "scenario": self._scenario_payload},
                     )
                 except OSError:
                     link.close()
@@ -403,15 +397,6 @@ class DistributedBackend(ExecutionBackend):
         remaining: dict[int, ClientTask] = {t.slot: t for t in benign}
         live: list[_WorkerLink] = []
         secagg_seed = ctx.secagg_seed
-        if secagg_seed is not None and self.wire_dtype != "float64":
-            # Scenario construction rejects this pairing; a direct
-            # FederatedServer user reaches it only here, before any worker
-            # spawns.
-            raise RuntimeError(
-                "secure aggregation is active but this coordinator ships "
-                f"wire_dtype={self.wire_dtype!r}; masked updates survive only "
-                "the bit-exact float64 wire format"
-            )
         if benign:
             if self._scenario_payload is None:
                 raise RuntimeError(
@@ -448,7 +433,6 @@ class DistributedBackend(ExecutionBackend):
                             MessageType.ROUND,
                             round_fields,
                             {"params": global_params},
-                            dtype=self.wire_dtype,
                             round_idx=plan.round_idx,
                         )
                     except OSError:
@@ -560,8 +544,7 @@ class DistributedBackend(ExecutionBackend):
             state = self.ctx.algorithm.client_benign_state(task.client_id)
             arrays = {"state": state} if state is not None else None
             try:
-                self._send(link, MessageType.TASK, fields, arrays,
-                           dtype=self.wire_dtype, round_idx=round_idx)
+                self._send(link, MessageType.TASK, fields, arrays, round_idx=round_idx)
             except OSError:
                 pending.appendleft(task)
                 return False

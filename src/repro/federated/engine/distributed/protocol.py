@@ -8,14 +8,12 @@ Everything crossing a coordinator↔worker socket is a *frame*::
     +-------+---------+------+----------------+---------+
 
 and every payload is a *message*: a 4-byte length-prefixed JSON header
-followed by zero or more named float vectors, concatenated in the order the
-header's ``_arrays`` list declares them.  Vectors use the canonical encoding
-of :func:`repro.nn.serialization.vector_to_bytes`; the header's ``_dtype``
-field names the wire dtype of every vector in the message.  The default —
-raw little-endian float64 — round-trips bit-for-bit, which is what lets
-``backend="distributed"`` equal ``backend="serial"`` per seed; ``float32``
-is a lossy opt-in that halves wire traffic (see
-:data:`repro.nn.serialization.WIRE_DTYPES`).
+followed by zero or more named flat vectors, concatenated in the order the
+header's ``_arrays`` list declares them.  Every vector crosses the wire as
+raw little-endian float64, the dtype models compute in, so it round-trips
+bit for bit: that is what lets ``backend="distributed"`` equal
+``backend="serial"`` per seed, and what lets secure aggregation ship masked
+IEEE-754 words intact.
 
 The message types mirror a round's life cycle: a worker announces itself
 with ``HELLO``; the coordinator installs the execution context with
@@ -32,9 +30,9 @@ JSON object, a malformed ``_arrays`` layout or trailing bytes raises
 :class:`ProtocolError` (a peer gone mid-frame raises its subclass
 :class:`ConnectionClosed`), never another exception type.
 
-The module depends only on the standard library plus the vector codec, so
-both sides of the wire — and any future non-Python tooling reading the
-frames — share one small surface.
+The module depends only on the standard library plus NumPy, so both sides
+of the wire — and any future non-Python tooling reading the frames — share
+one small surface.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ import socket
 import struct
 
 import numpy as np
-
-from repro.nn.serialization import vector_from_bytes, vector_to_bytes, wire_dtype
 
 #: Bumped on any incompatible change to framing or message layout; both
 #: sides refuse to talk across versions instead of mis-parsing frames.
@@ -78,7 +74,11 @@ from repro.nn.serialization import vector_from_bytes, vector_to_bytes, wire_dtyp
 #: other participant.  No frame or header changed, but a v6 peer would mask
 #: or unmask those words with the complete graph and silently corrupt the
 #: fold, so the two refuse each other at ``HELLO``.
-PROTOCOL_VERSION = 7
+#: Version 8 removed the ``_dtype`` header field and the ``CONFIGURE``
+#: frame's wire-encoding field with the fp32 format: every vector is
+#: float64, eight bytes per declared element.  A v7 peer could still send
+#: fp32 bytes under ``_dtype``, so the two refuse each other at ``HELLO``.
+PROTOCOL_VERSION = 8
 
 _MAGIC = b"RW"
 _HEADER = struct.Struct(">2sBBI")
@@ -87,6 +87,9 @@ _JSON_LEN = struct.Struct(">I")
 #: Upper bound on a single frame's payload (guards against garbage length
 #: prefixes allocating unbounded buffers): 1 GiB ≈ a 134M-parameter update.
 MAX_PAYLOAD = 1 << 30
+
+#: The one wire encoding of a vector: raw little-endian float64.
+_FLOAT64 = np.dtype("<f8")
 
 
 class MessageType(enum.IntEnum):
@@ -113,38 +116,30 @@ class ConnectionClosed(ProtocolError):
 # -- message codec ----------------------------------------------------------
 
 
-def encode_message(
-    fields: dict,
-    arrays: dict[str, np.ndarray] | None = None,
-    dtype: str = "float64",
-) -> bytes:
-    """Serialise a JSON-able field dict plus named float vectors.
+def encode_message(fields: dict, arrays: dict[str, np.ndarray] | None = None) -> bytes:
+    """Serialise a JSON-able field dict plus named flat float64 vectors.
 
-    ``dtype`` picks the wire encoding of every vector in the message (see
-    :data:`repro.nn.serialization.WIRE_DTYPES`); it is recorded in the
-    header's reserved ``_dtype`` field whenever arrays are present, so the
-    decoder never guesses element sizes.
+    Raises ``ValueError`` when a field claims the codec's reserved
+    ``_arrays`` key or a vector is not flat.
     """
-    arrays = arrays or {}
+    if "_arrays" in fields:
+        raise ValueError("'_arrays' is reserved for the codec")
+    vectors = {
+        name: np.ascontiguousarray(array, dtype=_FLOAT64)
+        for name, array in (arrays or {}).items()
+    }
+    for name, vector in vectors.items():
+        if vector.ndim != 1:
+            raise ValueError(f"array {name!r} is not a flat vector: shape {vector.shape}")
     header = dict(fields)
-    for reserved in ("_arrays", "_dtype"):
-        if reserved in header:
-            raise ValueError(f"{reserved!r} is reserved for the codec")
-    wire_dtype(dtype)  # fail fast on unknown tags, before any bytes move
-    header["_arrays"] = [[name, int(arrays[name].shape[0])] for name in arrays]
-    if arrays:
-        header["_dtype"] = dtype
+    header["_arrays"] = [[name, vector.shape[0]] for name, vector in vectors.items()]
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     chunks = [_JSON_LEN.pack(len(header_bytes)), header_bytes]
-    chunks.extend(vector_to_bytes(arrays[name], dtype=dtype) for name in arrays)
+    chunks.extend(vector.tobytes() for vector in vectors.values())
     return b"".join(chunks)
 
 
-def message_size(
-    fields: dict,
-    arrays: dict[str, int] | None = None,
-    dtype: str = "float64",
-) -> tuple[int, int]:
+def message_size(fields: dict, arrays: dict[str, int] | None = None) -> tuple[int, int]:
     """Frame-size accounting without materialising the frame.
 
     ``arrays`` maps vector names to their *lengths* (element counts), so no
@@ -152,26 +147,22 @@ def message_size(
     overhead is the frame header plus the length-prefixed JSON envelope —
     computed through the same canonical ``json.dumps`` as
     :func:`encode_message`, so the split is exact — and vector_bytes is the
-    raw payload of the declared vectors at the given wire dtype.  This is
-    what the communication ledger records per frame.
+    raw float64 payload of the declared vectors.  This is what the
+    communication ledger records per frame.
     """
     arrays = arrays or {}
     header = dict(fields)
     header["_arrays"] = [[name, int(length)] for name, length in arrays.items()]
-    if arrays:
-        header["_dtype"] = dtype
     header_bytes = len(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-    itemsize = wire_dtype(dtype).itemsize
-    vector_bytes = sum(int(length) for length in arrays.values()) * itemsize
+    vector_bytes = sum(int(length) for length in arrays.values()) * _FLOAT64.itemsize
     return _HEADER.size + _JSON_LEN.size + header_bytes, vector_bytes
 
 
 def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """Inverse of :func:`encode_message`; malformed input raises :class:`ProtocolError`.
 
-    Array payload slices are zero-copy ``memoryview``s into ``payload``;
-    the one copy per vector happens inside :func:`vector_from_bytes` when it
-    converts to a writable float64 array.
+    Each vector is read in place from ``payload`` and copied once, into a
+    writable native float64 array that does not keep the frame alive.
     """
     if len(payload) < _JSON_LEN.size:
         raise ProtocolError("message payload shorter than its header prefix")
@@ -179,10 +170,9 @@ def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     offset = _JSON_LEN.size
     if len(payload) < offset + header_len:
         raise ProtocolError("message payload shorter than its declared header")
-    view = memoryview(payload)
     try:
         # UnicodeDecodeError and JSONDecodeError are both ValueErrors.
-        fields = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
+        fields = json.loads(bytes(payload[offset : offset + header_len]).decode("utf-8"))
     except ValueError as exc:
         raise ProtocolError(f"message header is not UTF-8 JSON: {exc}") from exc
     if not isinstance(fields, dict):
@@ -190,13 +180,6 @@ def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             f"message header is a JSON {type(fields).__name__}, not an object"
         )
     offset += header_len
-    dtype = fields.pop("_dtype", "float64")
-    if not isinstance(dtype, str):
-        raise ProtocolError(f"wire dtype tag {dtype!r} is not a string")
-    try:
-        itemsize = wire_dtype(dtype).itemsize
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
     layout = fields.pop("_arrays", [])
     if not isinstance(layout, list):
         raise ProtocolError(f"array layout {layout!r} is not a list")
@@ -214,10 +197,12 @@ def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         name, length = entry
         if name in arrays:
             raise ProtocolError(f"array {name!r} declared twice in message header")
-        nbytes = length * itemsize
+        nbytes = length * _FLOAT64.itemsize
         if offset + nbytes > len(payload):
             raise ProtocolError(f"array {name!r} truncated in message payload")
-        arrays[name] = vector_from_bytes(view[offset : offset + nbytes], dtype=dtype)
+        arrays[name] = np.frombuffer(
+            payload, dtype=_FLOAT64, count=length, offset=offset
+        ).astype(np.float64)
         offset += nbytes
     if offset != len(payload):
         raise ProtocolError(f"{len(payload) - offset} trailing bytes in message")
@@ -271,10 +256,9 @@ def send_message(
     msg_type: MessageType,
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
-    dtype: str = "float64",
 ) -> None:
     """Frame and send one message (blocking, atomic via ``sendall``)."""
-    payload = encode_message(fields, arrays, dtype=dtype)
+    payload = encode_message(fields, arrays)
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD")
     header = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, int(msg_type), len(payload))

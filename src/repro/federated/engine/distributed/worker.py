@@ -58,7 +58,6 @@ from repro.federated.engine.distributed.protocol import (
 )
 from repro.federated.engine.plan import ClientTask
 from repro.federated.secagg.masking import mask_update
-from repro.nn import serialization
 from repro.nn.serialization import flatten_params
 
 #: Built contexts a worker keeps warm; small because each holds a federation.
@@ -185,7 +184,6 @@ class WorkerServer:
         )
         active: _WorkerContext | None = None
         global_params: np.ndarray | None = None
-        wire_dtype = "float64"
         secagg: dict | None = None
         telemetry = False
         while True:
@@ -197,17 +195,12 @@ class WorkerServer:
                 return
             if msg is MessageType.CONFIGURE:
                 try:
-                    # Mirror the coordinator's encoding on our UPDATE sends;
-                    # an unknown tag is reported as ERROR, not a worker death.
-                    requested = fields.get("wire_dtype", "float64")
-                    serialization.wire_dtype(requested)
                     active = self._context_for(fields["fingerprint"], fields["scenario"])
                 except Exception:
                     send_message(
                         conn, MessageType.ERROR, {"traceback": traceback.format_exc()}
                     )
                     continue
-                wire_dtype = requested
                 send_message(
                     conn, MessageType.CONFIGURED, {"fingerprint": active.fingerprint}
                 )
@@ -215,25 +208,9 @@ class WorkerServer:
                 global_params = arrays["params"]
                 secagg = fields.get("secagg")
                 telemetry = bool(fields.get("telemetry"))
-                if secagg is not None and wire_dtype != "float64":
-                    # Masked words only survive a bit-exact transport; report
-                    # the misconfiguration instead of shipping corrupt masks.
-                    send_message(
-                        conn,
-                        MessageType.ERROR,
-                        {
-                            "traceback": (
-                                "secure aggregation requires the float64 wire "
-                                f"format; this session was configured with "
-                                f"wire_dtype={wire_dtype!r}"
-                            )
-                        },
-                    )
-                    secagg = None
             elif msg is MessageType.TASK:
                 self._run_task(
-                    conn, active, global_params, fields, arrays, wire_dtype,
-                    secagg, telemetry,
+                    conn, active, global_params, fields, arrays, secagg, telemetry
                 )
             else:
                 send_message(
@@ -249,7 +226,6 @@ class WorkerServer:
         global_params: np.ndarray | None,
         fields: dict,
         arrays: dict[str, np.ndarray],
-        wire_dtype: str = "float64",
         secagg: dict | None = None,
         telemetry: bool = False,
     ) -> None:
@@ -315,13 +291,7 @@ class WorkerServer:
             time.sleep(self._test_delay / (1.0 + task.slot))
         if telemetry:
             update_fields["telemetry"]["mono"] = time.monotonic()
-        send_message(
-            conn,
-            MessageType.UPDATE,
-            update_fields,
-            {"update": update.update},
-            dtype=wire_dtype,
-        )
+        send_message(conn, MessageType.UPDATE, update_fields, {"update": update.update})
 
 
 def parse_listen_address(listen: str) -> tuple[str, int]:

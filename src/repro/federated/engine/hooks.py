@@ -40,6 +40,7 @@ import numpy as np
 from repro.federated.engine.backends import maybe_span
 from repro.federated.engine.plan import ClientUpdate, RoundPlan
 from repro.federated.history import RoundRecord
+from repro.registry import is_count
 
 
 class RoundHook:
@@ -130,8 +131,8 @@ class EvaluationHook(RoundHook):
         eval_fn: Callable[[np.ndarray, int], dict],
         every: int = 1,
     ) -> None:
-        if every <= 0:
-            raise ValueError("every must be positive")
+        if not is_count(every):
+            raise ValueError("every must be a positive integer")
         self.eval_fn = eval_fn
         self.every = every
 

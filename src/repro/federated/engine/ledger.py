@@ -57,12 +57,10 @@ class CommunicationLedger:
 
     ``link`` identifies the peer (``client:<id>`` on the model channel,
     ``worker:<pid>`` on the wire channel); ``direction`` is ``"down"``
-    (server/coordinator → peer) or ``"up"``.  ``dtypes`` records the wire
-    dtype each channel's vectors were accounted at.
+    (server/coordinator → peer) or ``"up"``.
     """
 
     _entries: dict = field(default_factory=dict)
-    dtypes: dict = field(default_factory=dict)
 
     def record(
         self,
@@ -74,7 +72,6 @@ class CommunicationLedger:
         frames: int = 1,
         header_bytes: int = 0,
         payload_bytes: int = 0,
-        dtype: str | None = None,
     ) -> None:
         """Add one observation; counters aggregate per key."""
         if direction not in ("down", "up"):
@@ -86,8 +83,6 @@ class CommunicationLedger:
         entry.frames += int(frames)
         entry.header_bytes += int(header_bytes)
         entry.payload_bytes += int(payload_bytes)
-        if dtype is not None:
-            self.dtypes[str(channel)] = dtype
 
     # -- queries -------------------------------------------------------------
 
@@ -157,13 +152,16 @@ class CommunicationLedger:
                 self._entries.items()
             )
         ]
-        return {"dtypes": dict(self.dtypes), "entries": entries, "totals": self.totals()}
+        return {"entries": entries, "totals": self.totals()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CommunicationLedger":
-        """Rebuild from :meth:`to_dict` output (``totals`` are re-derived)."""
+        """Rebuild from :meth:`to_dict` output (``totals`` are re-derived).
+
+        Keys other than ``entries`` are ignored, so a ledger written by an
+        older version, with keys this one no longer records, loads too.
+        """
         ledger = cls()
-        ledger.dtypes = dict(data.get("dtypes", {}))
         for entry in data.get("entries", []):
             ledger.record(
                 round_idx=entry["round"],
@@ -184,20 +182,15 @@ class LedgerHook(RoundHook):
     distributed protocol *would* use for each logical transfer — the
     parameter broadcast to every sampled client at round start, one update
     frame back per client — so a serial run and a distributed run of the
-    same scenario report the same model-channel ledger.  ``wire_dtype``
-    follows the backend's configured encoding when it has one, so an fp32
-    distributed run's halved model traffic is visible in the ledger.
+    same scenario report the same model-channel ledger.
     """
 
-    def __init__(self, ledger: CommunicationLedger, wire_dtype: str = "float64"):
+    def __init__(self, ledger: CommunicationLedger):
         self.ledger = ledger
-        self.wire_dtype = wire_dtype
 
     def on_round_start(self, server, plan: RoundPlan) -> None:
         dim = int(server.global_params.shape[0])
-        header, payload = message_size(
-            {"round": plan.round_idx}, {"params": dim}, dtype=self.wire_dtype
-        )
+        header, payload = message_size({"round": plan.round_idx}, {"params": dim})
         for client_id in plan.sampled_clients:
             self.ledger.record(
                 round_idx=plan.round_idx,
@@ -206,7 +199,6 @@ class LedgerHook(RoundHook):
                 direction="down",
                 header_bytes=header,
                 payload_bytes=payload,
-                dtype=self.wire_dtype,
             )
 
     def on_update(self, server, plan: RoundPlan, update: ClientUpdate) -> None:
@@ -219,9 +211,7 @@ class LedgerHook(RoundHook):
         origin = update.metadata.get("origin_round")
         if origin is not None and origin != plan.round_idx:
             fields["origin_round"] = origin
-        header, payload = message_size(
-            fields, {"update": int(update.update.shape[0])}, dtype=self.wire_dtype
-        )
+        header, payload = message_size(fields, {"update": int(update.update.shape[0])})
         self.ledger.record(
             round_idx=plan.round_idx,
             channel="model",
@@ -229,5 +219,4 @@ class LedgerHook(RoundHook):
             direction="up",
             header_bytes=header,
             payload_bytes=payload,
-            dtype=self.wire_dtype,
         )

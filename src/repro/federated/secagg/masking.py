@@ -16,10 +16,10 @@ of the update in the ring ``Z_2^64``: add a uniformly random 64-bit word to
 each parameter's bit pattern (wrapping), and the masked word is a one-time
 pad — perfectly hiding, with *exact* cancellation because integer addition
 mod 2**64 is associative and invertible.  Masked vectors travel as float64
-reinterpretations of those words; every transport in the repo
-(:func:`repro.nn.serialization.vector_to_bytes` and same-dtype copies) is a
-memcpy for float64, so the words survive the wire bit-for-bit even when
-they happen to spell NaNs or infinities.
+reinterpretations of those words; every transport in the repo (the
+distributed protocol's float64 codec and same-dtype copies) is a memcpy for
+float64, so the words survive the wire bit-for-bit even when they happen to
+spell NaNs or infinities.
 
 The mask graph is SecAgg+'s (Bell et al., "Secure Single-Server
 Aggregation with (Poly)Logarithmic Overhead", CCS 2020), not the complete

@@ -36,16 +36,11 @@ from repro.federated.population.participation import (
 )
 from repro.federated.rng import personalization_seed
 from repro.nn.serialization import flatten_params
-from repro.registry import PARTICIPATION, parse_spec
+from repro.registry import PARTICIPATION, is_count, parse_spec
 
 
 #: Aggregation-mode spec kwargs accepted by ``buffered_async``.
 _BUFFERED_ASYNC_KWARGS = {"buffer_size", "staleness_discount"}
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is a positive ``int``; a ``bool`` is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass

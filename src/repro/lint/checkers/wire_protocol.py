@@ -92,8 +92,8 @@ def extract_fingerprint(tree: ast.Module) -> dict:
                 ):
                     fingerprint["message_types"][item.targets[0].id] = item.value.value
     # Reserved codec keys: every underscore-prefixed string literal in the
-    # module (``"_arrays"``, ``"_dtype"``) is part of the header namespace
-    # the codec claims for itself.
+    # module (``"_arrays"``) is part of the header namespace the codec
+    # claims for itself.
     reserved = {
         node.value
         for node in ast.walk(tree)

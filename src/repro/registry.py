@@ -162,6 +162,11 @@ def reject_unknown_keys(data: dict, known: Iterable[str], what: str) -> None:
         )
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is a positive ``int``; a ``bool`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class Registry:
     """A named family of constructable components.
 
@@ -276,12 +281,17 @@ class Registry:
         may still override it).
         """
         name, kwargs = parse_spec(spec)
-        target = self.get(name)
         merged = {**common_kwargs, **kwargs}
-        self._check_kwargs(name, target, merged)
-        return target(**merged)
+        self.check_kwargs(name, merged)
+        return self.get(name)(**merged)
 
-    def _check_kwargs(self, name: str, target: Callable, kwargs: dict) -> None:
+    def check_kwargs(self, name: str, kwargs: dict) -> None:
+        """Raise ``ValueError`` unless ``name``'s constructor accepts every key.
+
+        The signature check :meth:`create` runs before it constructs; the
+        scenario runs it too, so a misspelled kwarg fails before any build.
+        """
+        target = self.get(name)
         try:
             signature = inspect.signature(target)
         except (TypeError, ValueError):  # builtins without introspectable sigs
@@ -430,6 +440,7 @@ __all__ = [
     "parse_literal",
     "suggest",
     "reject_unknown_keys",
+    "is_count",
     "DATASETS",
     "MODELS",
     "ALGORITHMS",

@@ -204,6 +204,67 @@ class TestValidation:
             Scenario.from_dict({**Scenario().to_dict(), **kwargs})
 
     @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"local": {"epochs": 2.5}}, "epochs"),
+            ({"local": {"epochs": True}}, "epochs"),
+            ({"local": {"batch_size": 2.5}}, "batch_size"),
+            ({"local": {"batch_size": True}}, "batch_size"),
+            ({"eval_every": 0}, "eval_every"),
+            ({"eval_every": 1.5}, "eval_every"),
+            ({"eval_every": True}, "eval_every"),
+            ({"trojan_epochs": 0}, "trojan_epochs"),
+            ({"trojan_epochs": 1.5}, "trojan_epochs"),
+            ({"attack": "mrepl", "trojan_epochs": 0}, "trojan_epochs"),
+        ],
+        ids=["epochs_float", "epochs_bool", "batch_size_float", "batch_size_bool",
+             "eval_every_0", "eval_every_float", "eval_every_bool",
+             "trojan_epochs_0", "trojan_epochs_float", "mrepl_trojan_epochs_0"],
+    )
+    def test_counts_fail_at_construction(self, kwargs, name):
+        # Each of these used to construct, then fail or misbehave only after
+        # the dataset build (eval_every=1.5 evaluated every third round).
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            tiny_scenario(**kwargs)
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            Scenario.from_dict({**Scenario().to_dict(), **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, built",
+        [
+            ({"defense": "krum:bogus=1"}, "defense 'krum'"),
+            ({"trigger": "patch:bogus=1"}, "trigger 'patch'"),
+            ({"algorithm": "fedavg:bogus=1"}, "algorithm 'fedavg'"),
+            ({"population": "synthetic:bogus=1"}, "population 'synthetic'"),
+            ({"attack_kwargs": {"bogus": 1}}, "attack 'collapois'"),
+            ({"dataset_kwargs": {"bogus": 1}}, "dataset 'femnist'"),
+            ({"model_kwargs": {"bogus": 1}}, "model 'mlp'"),
+            # The runner builds the token trigger and the text head on
+            # sentiment, whatever trigger and model name.
+            ({"dataset": "sentiment", "trigger_kwargs": {"patch_size": 3}},
+             "trigger 'token'"),
+            ({"dataset": "sentiment", "model": "mlp", "model_kwargs": {"dropout": 0.1}},
+             "model 'text'"),
+        ],
+        ids=["defense", "trigger", "algorithm", "population", "attack", "dataset",
+             "model", "sentiment_trigger", "sentiment_model"],
+    )
+    def test_unknown_component_kwargs_fail_at_construction(self, kwargs, built):
+        with pytest.raises(ValueError, match=f"{built} got unexpected argument"):
+            tiny_scenario(**kwargs)
+
+    def test_component_kwargs_are_checked_against_what_the_runner_builds(self):
+        # The token trigger takes ``scale``; the warping trigger does not.
+        assert tiny_scenario(dataset="sentiment", trigger_kwargs={"scale": 2.0})
+        with pytest.raises(ValueError, match="trigger 'warping' got unexpected"):
+            tiny_scenario(trigger_kwargs={"scale": 2.0})
+
+    def test_backend_arguments_fail_at_construction(self):
+        # Building the backend checks its arguments; it starts no worker.
+        with pytest.raises(ValueError, match="malformed worker address"):
+            Scenario(backend="distributed:connect='no-port'")
+
+    @pytest.mark.parametrize(
         "kwargs,field",
         [
             ({"participation_kwargs": {"sample_rate": 0.9}, "sample_rate": 0.3},

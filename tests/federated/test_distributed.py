@@ -32,7 +32,6 @@ from repro.federated.engine.distributed.coordinator import (
     DistributedBackend,
     _parse_addresses,
 )
-from repro.nn.serialization import vector_from_bytes, vector_to_bytes
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -79,11 +78,20 @@ class TestProtocol:
         for name, original in arrays.items():
             assert decoded[name].tobytes() == original.tobytes()
 
-    def test_vector_codec_rejects_matrices_and_misalignment(self):
-        with pytest.raises(ValueError, match="flat vector"):
-            vector_to_bytes(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="aligned"):
-            vector_from_bytes(b"\x00" * 7)
+    def test_encode_rejects_a_vector_that_is_not_flat(self):
+        with pytest.raises(ValueError, match="'m' is not a flat vector"):
+            protocol.encode_message({}, {"v": np.zeros(3), "m": np.zeros((2, 2))})
+
+    def test_reserved_header_field_rejected(self):
+        with pytest.raises(ValueError, match="reserved"):
+            protocol.encode_message({"_arrays": 1})
+
+    def test_vectors_cross_as_raw_little_endian_float64(self):
+        vector = np.arange(3, dtype=np.float32)  # widened on encode
+        payload = protocol.encode_message({}, {"v": vector})
+        assert payload.endswith(np.arange(3, dtype="<f8").tobytes())
+        # message_size's split: 8 B frame header + envelope, then 8 B/element.
+        assert protocol.message_size({}, {"v": 3}) == (8 + len(payload) - 24, 24)
 
     def test_frame_roundtrip_over_socketpair(self):
         left, right = socket.socketpair()
@@ -184,12 +192,11 @@ MALFORMED_FRAMES = {
     "corrupt JSON header": _frame(_message(b'{"slot": 1,')),
     "non-UTF-8 header": _frame(_message(b'{"client": "\xff"}')),
     "JSON list header": _frame(_message(b"[1, 2]")),
-    "non-string dtype": _frame(_message(b'{"_dtype": [1]}')),
     "arrays not a list": _frame(_message(b'{"_arrays": {"x": 1}}')),
     "array entry without length": _frame(_message(b'{"_arrays": [["x"]]}')),
-    "negative array length": _frame(_message(
-        b'{"_arrays": [["x", -1], ["y", 2]], "_dtype": "float64"}', ONE_FLOAT
-    )),
+    "negative array length": _frame(
+        _message(b'{"_arrays": [["x", -1], ["y", 2]]}', ONE_FLOAT)
+    ),
     "boolean array length": _frame(_message(b'{"_arrays": [["x", true]]}', ONE_FLOAT)),
     "array declared twice": _frame(
         _message(b'{"_arrays": [["x", 1], ["x", 1]]}', ONE_FLOAT * 2)
@@ -222,83 +229,19 @@ class TestFrameFaults:
         assert arrays["x"].tolist() == [1.0]
 
 
-class TestWireDtype:
-    """fp32 wire format: protocol plumbing plus the end-to-end opt-in."""
+class TestFloat64Only:
+    """float64 is the one wire format; ``wire_dtype`` accepts nothing else."""
 
-    def test_float32_message_roundtrip_halves_bytes(self):
-        rng = np.random.default_rng(1)
-        vector = rng.normal(size=257)
-        full = protocol.encode_message({"k": 1}, {"v": vector})
-        half = protocol.encode_message({"k": 1}, {"v": vector}, dtype="float32")
-        # Same header modulo the _dtype tag; the array section halves.
-        assert len(full) - len(half) == 257 * 4
-        fields, arrays = protocol.decode_message(half)
-        assert fields == {"k": 1}
-        np.testing.assert_array_equal(
-            arrays["v"], vector.astype(np.float32).astype(np.float64)
-        )
-        assert arrays["v"].dtype == np.float64  # always rehydrated to f64
+    def test_backend_rejects_any_other_wire_dtype(self):
+        with pytest.raises(ValueError, match="float64"):
+            DistributedBackend(max_workers=1, wire_dtype="float32")
+        DistributedBackend(max_workers=1, wire_dtype="float64").close()
 
-    def test_dtype_header_only_present_with_arrays(self):
-        fields, _arrays = protocol.decode_message(
-            protocol.encode_message({"k": 1}, None, dtype="float32")
-        )
-        assert fields == {"k": 1}  # no arrays -> no _dtype leaks through
-
-    def test_unknown_dtype_rejected_on_encode_and_decode(self):
-        with pytest.raises(ValueError, match="unknown wire dtype"):
-            protocol.encode_message({}, {"v": np.zeros(3)}, dtype="float16")
-        # A peer declaring an unknown dtype is a protocol violation.
-        payload = bytearray(
-            protocol.encode_message({}, {"v": np.zeros(3)}, dtype="float32")
-        )
-        corrupt = bytes(payload).replace(b'"_dtype":"float32"', b'"_dtype":"flort32"')
-        with pytest.raises(protocol.ProtocolError, match="unknown wire dtype"):
-            protocol.decode_message(corrupt)
-
-    def test_reserved_header_fields_rejected(self):
-        for reserved in ("_arrays", "_dtype"):
-            with pytest.raises(ValueError, match="reserved"):
-                protocol.encode_message({reserved: 1})
-
-    def test_backend_validates_wire_dtype_at_construction(self):
-        with pytest.raises(ValueError, match="unknown wire dtype"):
-            DistributedBackend(max_workers=1, wire_dtype="float16")
-        backend = DistributedBackend(max_workers=1, wire_dtype="float32")
-        assert backend.wire_dtype == "float32"
-        backend.close()
-
-    def test_float32_run_tracks_serial_within_tolerance(self):
-        """The lossy opt-in: not bit-identical, but numerically close."""
-        records, _server = distributed_history(
-            backend_kwargs={"wire_dtype": "float32"}
-        )
-        reference = serial_history("mean")
-        assert [r["round_idx"] for r in records] == [
-            r["round_idx"] for r in reference
-        ]
-        # Sampling draws on the driver, so client choice is unaffected; only
-        # the shipped float payloads are quantised.
-        assert [r["sampled_clients"] for r in records] == [
-            r["sampled_clients"] for r in reference
-        ]
-        for got, want in zip(records, reference, strict=True):
-            np.testing.assert_allclose(
-                got["mean_benign_loss"], want["mean_benign_loss"], rtol=1e-4
-            )
-            np.testing.assert_allclose(
-                got["update_norm"], want["update_norm"], rtol=1e-4
-            )
-        # fp32 really was lossy somewhere (guards against silently running f64).
-        assert any(
-            got["update_norm"] != want["update_norm"]
-            for got, want in zip(records, reference, strict=True)
-        )
-
-    def test_scenario_spec_routes_wire_dtype(self):
-        scenario = base_scenario(backend="distributed:wire_dtype='float32'")
-        assert scenario.backend == "distributed"
-        assert scenario.backend_kwargs == {"wire_dtype": "float32"}
+    def test_scenario_rejects_any_other_wire_dtype_before_any_build(self):
+        with pytest.raises(ValueError, match="float64"):
+            base_scenario(backend="distributed:wire_dtype='float32'")
+        scenario = base_scenario(backend="distributed:wire_dtype='float64'")
+        assert scenario.backend_kwargs == {"wire_dtype": "float64"}
 
 
 class TestCoordinatorConfig:

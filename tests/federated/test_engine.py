@@ -193,9 +193,11 @@ class TestHookPipeline:
             hook.on_round_end(FakeServer(), None, record)
         assert calls == [1, 3]
 
-    def test_evaluation_hook_rejects_bad_every(self):
-        with pytest.raises(ValueError):
-            EvaluationHook(lambda p, i: {}, every=0)
+    @pytest.mark.parametrize("every", [0, 1.5, True])
+    def test_evaluation_hook_rejects_bad_every(self, every):
+        # 1.5 used to evaluate after every third round: (r + 1) % 1.5 == 0.
+        with pytest.raises(ValueError, match="every must be a positive integer"):
+            EvaluationHook(lambda p, i: {}, every=every)
 
     def test_constructor_eval_fn_registers_single_hook(
         self, small_federation, image_model_factory

@@ -48,7 +48,7 @@ class TestCommunicationLedger:
         ledger = CommunicationLedger()
         ledger.record(
             round_idx=0, channel="model", link="client:1", direction="down",
-            header_bytes=10, payload_bytes=100, dtype="float64",
+            header_bytes=10, payload_bytes=100,
         )
         ledger.record(
             round_idx=0, channel="model", link="client:1", direction="up",
@@ -56,7 +56,7 @@ class TestCommunicationLedger:
         )
         ledger.record(
             round_idx=SETUP_ROUND, channel="wire", link="worker:42",
-            direction="up", header_bytes=5, dtype="float32",
+            direction="up", header_bytes=5,
         )
         return ledger
 
@@ -83,7 +83,6 @@ class TestCommunicationLedger:
         assert len(ledger) == 3
         assert ledger.channels() == ["model", "wire"]
         assert ledger.rounds() == [SETUP_ROUND, 0]
-        assert ledger.dtypes == {"model": "float64", "wire": "float32"}
         assert ledger.totals() == {
             "frames": 3, "header_bytes": 27, "payload_bytes": 200, "bytes": 227,
         }
@@ -119,7 +118,6 @@ class TestRunLedger:
         assert ledger is not None
         assert ledger.channels() == ["model"]
         assert ledger.rounds() == [0, 1]
-        assert ledger.dtypes == {"model": "float64"}
         totals = ledger.totals()
         # 8 clients × 2 rounds × (params down + update up).
         assert totals["frames"] == 32
@@ -145,23 +143,11 @@ class TestRunLedger:
         wire_rows = [r for r in ledger.round_rows() if r["channel"] == "wire"]
         directions = {r["direction"] for r in wire_rows}
         assert directions == {"down", "up"}
-        assert ledger.dtypes["wire"] == "float64"
         # The model channel still matches the serial run exactly.
         model_entries = [
             e for e in ledger.to_dict()["entries"] if e["channel"] == "model"
         ]
         assert model_entries == run_result().ledger.to_dict()["entries"]
-
-    def test_fp32_wire_dtype_shows_in_ledger(self):
-        # backend_kwargs is a dict (unhashable), so this cell skips the cache.
-        ledger = base_scenario(
-            backend="distributed",
-            backend_workers=2,
-            backend_kwargs={"wire_dtype": "float32"},
-        ).run().ledger
-        assert ledger.dtypes == {"model": "float32", "wire": "float32"}
-        fp64_payload = run_result().ledger.totals()["payload_bytes"]
-        assert ledger.totals()["payload_bytes"] < fp64_payload
 
     def test_result_json_roundtrip_keeps_ledger(self):
         result = run_result()
@@ -180,8 +166,8 @@ class TestPayloadClosedForm:
     """Payload bytes per channel and round in closed form, against the ledger.
 
     With n participants, m_r compromised clients sampled in round r, W
-    workers, d parameters and b bytes per element (8 for float64, 4 for
-    float32), every round r >= 0 moves
+    workers, d parameters and b = 8 bytes per float64 element, every round
+    r >= 0 moves
 
     * model channel: n·d·b down (the global parameters to every
       participant) and n·d·b up (one update each);
@@ -235,10 +221,8 @@ class TestPayloadClosedForm:
     def test_secagg_distributed_run(self):
         self._assert_closed_form(self._run(secure_aggregation=True), b=8)
 
-    def test_float32_plaintext_distributed_run(self):
-        result = self._run(backend_kwargs={"wire_dtype": "float32"})
-        assert result.ledger.dtypes == {"model": "float32", "wire": "float32"}
-        self._assert_closed_form(result, b=4)
+    def test_plaintext_distributed_run(self):
+        self._assert_closed_form(self._run(), b=8)
 
 
 class TestLedgerCli:
@@ -251,7 +235,30 @@ class TestLedgerCli:
         printed = capsys.readouterr().out
         assert "model" in printed
         assert "down" in printed and "up" in printed
-        assert "float64" in printed
+        assert "total:" in printed
+
+    def test_results_written_before_protocol_v8_load_and_render(
+        self, tmp_path, capsys
+    ):
+        """The older shape: a ``dtypes`` key in the ledger, ``wire_dtype`` in
+        the scenario's ``backend_kwargs``."""
+        from repro.cli import main
+
+        data = json.loads(
+            run_result(backend="distributed", backend_workers=2).to_json()
+        )
+        data["ledger"]["dtypes"] = {"model": "float64", "wire": "float64"}
+        data["scenario"]["backend_kwargs"] = {"wire_dtype": "float64"}
+        out = tmp_path / "results.json"
+        out.write_text(json.dumps(data))
+        reloaded = ExperimentResult.load(out)
+        assert reloaded.config.backend_kwargs == {"wire_dtype": "float64"}
+        assert reloaded.ledger.to_dict() == {
+            key: value for key, value in data["ledger"].items() if key != "dtypes"
+        }
+        assert main(["ledger", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "wire" in printed and "absent" not in printed
 
     def test_ledger_accepts_bare_ledger_dict(self, tmp_path, capsys):
         from repro.cli import main

@@ -400,40 +400,15 @@ class TestCapabilityFlags:
 
 
 class TestDistributedConstruction:
-    def test_float32_wire_format_rejected_with_secagg(
-        self, small_federation, image_model_factory
-    ):
-        # A server built directly on a lossy coordinator skips the Scenario
-        # check; the coordinator's round-time guard fires before any spawn.
-        from repro.federated.algorithms.fedavg import FedAvg
-        from repro.federated.client import LocalTrainingConfig
+    def test_float64_wire_dtype_with_secagg_constructs(self):
         from repro.federated.engine.distributed.coordinator import DistributedBackend
-        from repro.federated.server import FederatedServer, ServerConfig
 
-        config = ServerConfig(
-            rounds=1, participation="uniform:sample_rate=0.5", seed=2,
+        scenario = base_scenario(
+            backend="distributed",
+            backend_kwargs={"wire_dtype": "float64"},
             secure_aggregation=True,
-            local=LocalTrainingConfig(epochs=1, batch_size=8),
         )
-        backend = DistributedBackend(wire_dtype="float32")
-        with FederatedServer(
-            small_federation, image_model_factory, FedAvg(), config, backend=backend,
-        ) as server:
-            with pytest.raises(RuntimeError, match="float64"):
-                server.run_round()
-            assert backend.worker_pids == []
-
-    def test_float32_scenario_with_secagg_fails_at_construction(self):
-        with pytest.raises(ValueError, match="float64"):
-            base_scenario(
-                backend="distributed",
-                backend_kwargs={"wire_dtype": "float32"},
-                secure_aggregation=True,
-            )
-
-    def test_float64_with_secagg_constructs(self):
-        scenario = base_scenario(backend="distributed", secure_aggregation=True)
-        assert runner.build_backend(scenario).wire_dtype == "float64"
+        assert isinstance(runner.build_backend(scenario), DistributedBackend)
 
 
 class TestBitIdentity:

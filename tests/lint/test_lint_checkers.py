@@ -207,7 +207,8 @@ class TestGoldenCommand:
 
     def test_drifted_golden_exits_1_and_is_left_alone(self, golden, capsys):
         path, fingerprint = golden
-        drifted = dict(fingerprint, reserved_header_fields=["_arrays"])
+        # Protocol v7's reserved fields, before v8 dropped "_dtype".
+        drifted = dict(fingerprint, reserved_header_fields=["_arrays", "_dtype"])
         text = json.dumps(drifted)
         path.write_text(text, encoding="utf-8")
         assert wire_protocol._main([]) == 1

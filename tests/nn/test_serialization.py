@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.model import make_lenet, make_mlp
-from repro.nn.serialization import (
-    flatten_params,
-    parameter_count,
-    unflatten_params,
-    vector_from_bytes,
-    vector_to_bytes,
-    wire_dtype,
-)
+from repro.nn.serialization import flatten_params, parameter_count, unflatten_params
 
 
 class TestFlattenUnflatten:
@@ -63,51 +56,3 @@ class TestFlattenUnflatten:
         unflatten_params(model, vector)
         np.testing.assert_allclose(flatten_params(model), vector)
 
-
-class TestWireDtypes:
-    def test_float64_roundtrip_is_bitwise(self, rng):
-        vector = rng.normal(size=257)
-        data = vector_to_bytes(vector)
-        assert len(data) == 257 * 8
-        restored = vector_from_bytes(data)
-        assert restored.dtype == np.float64
-        np.testing.assert_array_equal(restored, vector)
-
-    def test_float64_is_the_default_tag(self, rng):
-        vector = rng.normal(size=16)
-        assert vector_to_bytes(vector) == vector_to_bytes(vector, dtype="float64")
-
-    def test_float32_roundtrip_halves_bytes_within_tolerance(self, rng):
-        vector = rng.normal(size=257)
-        data = vector_to_bytes(vector, dtype="float32")
-        assert len(data) == 257 * 4
-        restored = vector_from_bytes(data, dtype="float32")
-        # The decoder always hands back float64 (the compute dtype)...
-        assert restored.dtype == np.float64
-        # ...carrying exactly the float32 rounding of the original values.
-        np.testing.assert_array_equal(restored, vector.astype(np.float32).astype(np.float64))
-        np.testing.assert_allclose(restored, vector, rtol=1e-6, atol=1e-7)
-
-    def test_decoder_accepts_memoryview(self, rng):
-        vector = rng.normal(size=32)
-        view = memoryview(vector_to_bytes(vector, dtype="float32"))
-        np.testing.assert_array_equal(
-            vector_from_bytes(view, dtype="float32"),
-            vector_from_bytes(bytes(view), dtype="float32"),
-        )
-
-    @pytest.mark.parametrize("tag", ["float16", "f8", "int64", ""])
-    def test_unknown_dtype_tag_rejected(self, tag, rng):
-        vector = rng.normal(size=4)
-        with pytest.raises(ValueError, match="unknown wire dtype"):
-            vector_to_bytes(vector, dtype=tag)
-        with pytest.raises(ValueError, match="unknown wire dtype"):
-            vector_from_bytes(vector.tobytes(), dtype=tag)
-        with pytest.raises(ValueError, match="unknown wire dtype"):
-            wire_dtype(tag)
-
-    def test_misaligned_payload_rejected(self):
-        with pytest.raises(ValueError, match="aligned"):
-            vector_from_bytes(b"\x00" * 12)  # not a multiple of 8
-        with pytest.raises(ValueError, match="aligned"):
-            vector_from_bytes(b"\x00" * 6, dtype="float32")
