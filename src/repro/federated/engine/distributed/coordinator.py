@@ -34,6 +34,7 @@ worker survives.
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import selectors
@@ -132,6 +133,15 @@ class DistributedBackend(ExecutionBackend):
             cpus = os.cpu_count() or 1
         self.max_workers = max_workers or min(4, cpus)
         self.connect = _parse_addresses(connect)
+        if (
+            isinstance(spawn_timeout, bool)
+            or not isinstance(spawn_timeout, (int, float))
+            or not 0 < spawn_timeout < math.inf
+        ):
+            raise ValueError(
+                f"spawn_timeout must be a positive, finite number of seconds, "
+                f"not {spawn_timeout!r}"
+            )
         self.spawn_timeout = spawn_timeout
         if wire_dtype != "float64":
             raise ValueError(
@@ -626,7 +636,8 @@ def _parse_addresses(connect) -> tuple[tuple[str, int], ...]:
 
     Accepts a list of ``"host:port"`` strings or one comma-separated string
     (the form a ``backend="distributed:connect='h1:p1,h2:p2'"`` spec or a
-    scenario's ``backend_kwargs`` carries through JSON).
+    scenario's ``backend_kwargs`` carries through JSON).  A port outside
+    1-65535 is rejected: the socket layer would dial it modulo 2**16.
     """
     if connect is None:
         return ()
@@ -640,9 +651,12 @@ def _parse_addresses(connect) -> tuple[tuple[str, int], ...]:
                 f"malformed worker address {item!r}; expected 'host:port'"
             )
         try:
-            addresses.append((host, int(port_text)))
+            port = int(port_text)
         except ValueError as exc:
             raise ValueError(
                 f"malformed worker address {item!r}; expected 'host:port'"
             ) from exc
+        if not 1 <= port <= 65535:
+            raise ValueError(f"worker address {item!r} has port {port}; expected 1-65535")
+        addresses.append((host, port))
     return tuple(addresses)

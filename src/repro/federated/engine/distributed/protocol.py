@@ -13,7 +13,10 @@ header's ``_arrays`` list declares them.  Every vector crosses the wire as
 raw little-endian float64, the dtype models compute in, so it round-trips
 bit for bit: that is what lets ``backend="distributed"`` equal
 ``backend="serial"`` per seed, and what lets secure aggregation ship masked
-IEEE-754 words intact.
+IEEE-754 words intact.  :func:`send_message` sends a frame gathered from
+its vectors' own buffers (header and envelope, then each vector's memory,
+in ``sendmsg`` calls), and :func:`recv_message` receives it into one
+preallocated buffer, from which each vector is copied out once.
 
 The message types mirror a round's life cycle: a worker announces itself
 with ``HELLO``; the coordinator installs the execution context with
@@ -116,14 +119,23 @@ class ConnectionClosed(ProtocolError):
 # -- message codec ----------------------------------------------------------
 
 
-def encode_message(fields: dict, arrays: dict[str, np.ndarray] | None = None) -> bytes:
-    """Serialise a JSON-able field dict plus named flat float64 vectors.
-
-    Raises ``ValueError`` when a field claims the codec's reserved
-    ``_arrays`` key or a vector is not flat.
-    """
+def _envelope(fields: dict, lengths: dict[str, int]) -> bytes:
+    """The length-prefixed JSON header of a message whose vectors have ``lengths``."""
     if "_arrays" in fields:
         raise ValueError("'_arrays' is reserved for the codec")
+    header = dict(fields)
+    header["_arrays"] = [[name, int(length)] for name, length in lengths.items()]
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return _JSON_LEN.pack(len(header_bytes)) + header_bytes
+
+
+def _message_parts(
+    fields: dict, arrays: dict[str, np.ndarray] | None
+) -> tuple[bytes, list[np.ndarray]]:
+    """A message's envelope and its vectors as flat little-endian float64.
+
+    A vector that already is one is passed through, not copied.
+    """
     vectors = {
         name: np.ascontiguousarray(array, dtype=_FLOAT64)
         for name, array in (arrays or {}).items()
@@ -131,12 +143,18 @@ def encode_message(fields: dict, arrays: dict[str, np.ndarray] | None = None) ->
     for name, vector in vectors.items():
         if vector.ndim != 1:
             raise ValueError(f"array {name!r} is not a flat vector: shape {vector.shape}")
-    header = dict(fields)
-    header["_arrays"] = [[name, vector.shape[0]] for name, vector in vectors.items()]
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    chunks = [_JSON_LEN.pack(len(header_bytes)), header_bytes]
-    chunks.extend(vector.tobytes() for vector in vectors.values())
-    return b"".join(chunks)
+    envelope = _envelope(fields, {name: len(v) for name, v in vectors.items()})
+    return envelope, list(vectors.values())
+
+
+def encode_message(fields: dict, arrays: dict[str, np.ndarray] | None = None) -> bytes:
+    """Serialise a JSON-able field dict plus named flat float64 vectors.
+
+    Raises ``ValueError`` when a field claims the codec's reserved
+    ``_arrays`` key or a vector is not flat.
+    """
+    envelope, vectors = _message_parts(fields, arrays)
+    return b"".join([envelope, *vectors])
 
 
 def message_size(fields: dict, arrays: dict[str, int] | None = None) -> tuple[int, int]:
@@ -145,20 +163,16 @@ def message_size(fields: dict, arrays: dict[str, int] | None = None) -> tuple[in
     ``arrays`` maps vector names to their *lengths* (element counts), so no
     array bytes are copied.  Returns ``(overhead_bytes, vector_bytes)``:
     overhead is the frame header plus the length-prefixed JSON envelope —
-    computed through the same canonical ``json.dumps`` as
-    :func:`encode_message`, so the split is exact — and vector_bytes is the
-    raw float64 payload of the declared vectors.  This is what the
-    communication ledger records per frame.
+    built by the same helper as :func:`encode_message`'s, so the split is
+    exact — and vector_bytes is the raw float64 payload of the declared
+    vectors.  This is what the communication ledger records per frame.
     """
     arrays = arrays or {}
-    header = dict(fields)
-    header["_arrays"] = [[name, int(length)] for name, length in arrays.items()]
-    header_bytes = len(json.dumps(header, separators=(",", ":")).encode("utf-8"))
     vector_bytes = sum(int(length) for length in arrays.values()) * _FLOAT64.itemsize
-    return _HEADER.size + _JSON_LEN.size + header_bytes, vector_bytes
+    return _HEADER.size + len(_envelope(fields, arrays)), vector_bytes
 
 
-def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def decode_message(payload: bytes | bytearray) -> tuple[dict, dict[str, np.ndarray]]:
     """Inverse of :func:`encode_message`; malformed input raises :class:`ProtocolError`.
 
     Each vector is read in place from ``payload`` and copied once, into a
@@ -232,23 +246,23 @@ def update_header(update) -> dict:
 # -- frame I/O --------------------------------------------------------------
 
 
-def recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes or raise :class:`ConnectionClosed`."""
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except ConnectionError as exc:
-            # A killed peer surfaces as RST, not EOF; same meaning here.
-            raise ConnectionClosed(f"peer connection lost: {exc}") from exc
-        if not chunk:
-            raise ConnectionClosed(
-                f"peer closed the connection ({count - remaining}/{count} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def recv_exact(sock: socket.socket, count: int) -> bytearray:
+    """Read exactly ``count`` bytes into one buffer or raise :class:`ConnectionClosed`."""
+    buffer = bytearray(count)
+    received = 0
+    with memoryview(buffer) as view:
+        while received < count:
+            try:
+                got = sock.recv_into(view[received:])
+            except ConnectionError as exc:
+                # A killed peer surfaces as RST, not EOF; same meaning here.
+                raise ConnectionClosed(f"peer connection lost: {exc}") from exc
+            if not got:
+                raise ConnectionClosed(
+                    f"peer closed the connection ({received}/{count} bytes read)"
+                )
+            received += got
+    return buffer
 
 
 def send_message(
@@ -257,12 +271,25 @@ def send_message(
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Frame and send one message (blocking, atomic via ``sendall``)."""
-    payload = encode_message(fields, arrays)
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD")
-    header = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, int(msg_type), len(payload))
-    sock.sendall(header + payload)
+    """Frame and send one message, gathered from the vectors' own buffers.
+
+    The frame header, the JSON envelope and each vector's memory go out in
+    gathered ``sendmsg`` calls, looping on partial sends, so no vector is
+    copied into a frame.  Blocking; the frame is complete when it returns.
+    """
+    envelope, vectors = _message_parts(fields, arrays)
+    length = len(envelope) + sum(v.nbytes for v in vectors)
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"payload of {length} bytes exceeds MAX_PAYLOAD")
+    header = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, int(msg_type), length)
+    buffers = [memoryview(header + envelope)]
+    buffers.extend(memoryview(v).cast("B") for v in vectors if v.nbytes)
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if sent:
+            buffers[0] = buffers[0][sent:]
 
 
 def recv_message(

@@ -298,8 +298,8 @@ def parse_listen_address(listen: str) -> tuple[str, int]:
     """Parse a ``--listen`` value into ``(host, port)``.
 
     Accepts ``host:port``, ``:port`` (all interfaces) and a bare port
-    (loopback).  ``port`` 0 means an ephemeral port — the announce line
-    reports what was actually bound.
+    (loopback), with ``port`` in 0-65535.  ``port`` 0 means an ephemeral
+    port — the announce line reports what was actually bound.
     """
     if ":" in listen:
         host, _, port_text = listen.rpartition(":")
@@ -311,6 +311,11 @@ def parse_listen_address(listen: str) -> tuple[str, int]:
         raise ValueError(
             f"malformed --listen address {listen!r}; expected host:port"
         ) from exc
+    if not 0 <= port <= 65535:
+        raise ValueError(
+            f"--listen address {listen!r} has port {port}; expected 0-65535 "
+            "(0: ephemeral)"
+        )
     return host, port
 
 

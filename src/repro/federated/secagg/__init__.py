@@ -24,10 +24,8 @@ from repro.federated.secagg.masking import (
     client_round_mask,
     mask_neighbours,
     mask_update,
-    mask_words,
     pairwise_mask,
     unmask_update,
-    unmask_words,
 )
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "client_round_mask",
     "mask_neighbours",
     "mask_update",
-    "mask_words",
     "pairwise_mask",
     "unmask_update",
-    "unmask_words",
 ]

@@ -62,7 +62,11 @@ Cost.  Masking expands one PRG stream of ``d`` words per neighbour: ``k``
 per client, ``n * k`` per round, and the unmasking side expands the same
 ``n * k`` again, so a round costs ``2 * n * k`` expansions, at most
 ``4 * n * ceil(log2 n)`` — against ``2 * n * (n - 1)`` on the complete graph
-(at ``n = 16``: 256 instead of 480).
+(at ``n = 16``: 256 instead of 480).  Each stream is PCG64's raw output,
+and :func:`mask_update` / :func:`unmask_update` copy their input once, into
+the vector they return, then add or subtract each neighbour's stream into
+its words in place: one output vector and one stream are live at a time, a
+peak of ``2 * d`` words.
 
 Dropout recovery needs no key shares in this simulation: masks are pure
 functions of ``(seed, round, pair)`` and the ring of ``(seed, round,
@@ -79,9 +83,6 @@ import numpy as np
 
 from repro.federated.rng import pair_mask_rng, secagg_ring_rng
 
-#: Exclusive upper bound of the mask words (the full 64-bit word range).
-_WORD_MAX = (1 << 64) - 1
-
 
 def pairwise_mask(
     seed: int, round_idx: int, client_a: int, client_b: int, dim: int
@@ -90,10 +91,12 @@ def pairwise_mask(
 
     Symmetric in the pair (both endpoints derive the same vector); uniform
     over the full 64-bit word range, so a single application is a one-time
-    pad on the update's bit pattern.
+    pad on the update's bit pattern.  The words are the pair stream's raw
+    PCG64 output, the same words ``integers(0, 2**64 - 1, endpoint=True,
+    dtype=np.uint64)`` returns on that stream.
     """
     rng = pair_mask_rng(seed, round_idx, client_a, client_b)
-    return rng.integers(0, _WORD_MAX, size=int(dim), dtype=np.uint64, endpoint=True)
+    return rng.bit_generator.random_raw(int(dim))
 
 
 def mask_neighbours(
@@ -124,6 +127,25 @@ def mask_neighbours(
     return sorted(ring[(position + offset) % n] for offset in offsets)
 
 
+def _add_round_mask(
+    words: np.ndarray,
+    seed: int,
+    round_idx: int,
+    client_id: int,
+    participants: Iterable[int],
+    sign: int,
+) -> None:
+    """Add ``sign`` (``+1`` or ``-1``) times ``M_i`` into ``words`` in place.
+
+    One pair stream is live at a time: each is folded into ``words``
+    (mod 2**64) and dropped before the next neighbour's is expanded.
+    """
+    dim = words.shape[0]
+    for other in mask_neighbours(seed, round_idx, client_id, participants):
+        fold = np.add if (client_id < other) == (sign > 0) else np.subtract
+        fold(words, pairwise_mask(seed, round_idx, client_id, other, dim), out=words)
+
+
 def client_round_mask(
     seed: int,
     round_idx: int,
@@ -137,32 +159,12 @@ def client_round_mask(
     compromised — every participant must mask, or the pairwise terms
     involving the unmasked client would survive in the sum).  Summing the
     returned vectors over every participant is identically zero mod 2**64.
+    The mask sites never materialise ``M_i``: they reach the same loop
+    through :func:`mask_update` and :func:`unmask_update`.
     """
     total = np.zeros(int(dim), dtype=np.uint64)
-    for other in mask_neighbours(seed, round_idx, client_id, participants):
-        mask = pairwise_mask(seed, round_idx, client_id, other, dim)
-        if client_id < other:
-            total += mask
-        else:
-            total -= mask
+    _add_round_mask(total, seed, round_idx, client_id, participants, sign=1)
     return total
-
-
-def mask_words(update: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Add ``mask`` to the update's IEEE-754 words (mod 2**64).
-
-    Returns a fresh float64 array whose bit pattern is
-    ``bits(update) + mask``; the input is never modified.  The result is not
-    meaningful as numbers — it is ciphertext riding the float64 transport.
-    """
-    words = np.ascontiguousarray(update, dtype=np.float64).view(np.uint64)
-    return (words + np.asarray(mask, dtype=np.uint64)).view(np.float64)
-
-
-def unmask_words(masked: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`mask_words` (word subtraction mod 2**64)."""
-    words = np.ascontiguousarray(masked, dtype=np.float64).view(np.uint64)
-    return (words - np.asarray(mask, dtype=np.uint64)).view(np.float64)
 
 
 def mask_update(
@@ -172,9 +174,15 @@ def mask_update(
     client_id: int,
     participants: Iterable[int],
 ) -> np.ndarray:
-    """Mask one client's update with its aggregate round mask."""
-    mask = client_round_mask(seed, round_idx, client_id, participants, update.shape[0])
-    return mask_words(update, mask)
+    """Mask one client's update with its aggregate round mask.
+
+    Returns a fresh float64 vector whose words are ``bits(update) + M_i``
+    (mod 2**64); the input is never written.  The result is not meaningful
+    as numbers — it is ciphertext riding the float64 transport.
+    """
+    words = np.array(update, dtype=np.float64, order="C").view(np.uint64)
+    _add_round_mask(words, seed, round_idx, client_id, participants, sign=1)
+    return words.view(np.float64)
 
 
 def unmask_update(
@@ -184,6 +192,11 @@ def unmask_update(
     client_id: int,
     participants: Iterable[int],
 ) -> np.ndarray:
-    """Remove one client's aggregate round mask (bit-exact inverse)."""
-    mask = client_round_mask(seed, round_idx, client_id, participants, masked.shape[0])
-    return unmask_words(masked, mask)
+    """Remove one client's aggregate round mask (bit-exact inverse).
+
+    Returns a fresh float64 vector; ``masked`` is never written, so a
+    retained update keeps its ciphertext.
+    """
+    words = np.array(masked, dtype=np.float64, order="C").view(np.uint64)
+    _add_round_mask(words, seed, round_idx, client_id, participants, sign=-1)
+    return words.view(np.float64)

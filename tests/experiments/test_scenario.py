@@ -263,6 +263,11 @@ class TestValidation:
         # Building the backend checks its arguments; it starts no worker.
         with pytest.raises(ValueError, match="malformed worker address"):
             Scenario(backend="distributed:connect='no-port'")
+        with pytest.raises(ValueError, match="1-65535"):
+            Scenario(backend="distributed:connect='127.0.0.1:99999'")
+        for timeout in (0, -1, "5", True):
+            with pytest.raises(ValueError, match="spawn_timeout"):
+                Scenario(backend="distributed", backend_kwargs={"spawn_timeout": timeout})
 
     @pytest.mark.parametrize(
         "kwargs,field",

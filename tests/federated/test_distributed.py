@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +33,40 @@ from repro.federated.engine.distributed.coordinator import (
     DistributedBackend,
     _parse_addresses,
 )
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocates above what is live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _peak = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base
+
+
+class TrickleSocket:
+    """A socket double whose ``sendmsg`` takes at most ``limit`` bytes per call."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.sent = bytearray()
+        self.calls: list[int] = []
+
+    def sendmsg(self, buffers) -> int:
+        taken = 0
+        for buffer in buffers:
+            chunk = bytes(buffer[: self.limit - taken])
+            self.sent += chunk
+            taken += len(chunk)
+        self.calls.append(taken)
+        return taken
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -107,6 +142,45 @@ class TestProtocol:
         finally:
             left.close()
             right.close()
+
+    def test_frames_cross_without_copies_of_their_vectors(self):
+        # send_message gathers the frame from the vector's own buffer;
+        # recv_message fills one buffer and copies the vector out once.
+        vector = np.random.default_rng(5).normal(size=20_000)
+        left, right = socket.socketpair()
+        try:
+            for sock in (left, right):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 20)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+                sock.settimeout(5)  # a full buffer fails instead of hanging
+            _none, sent = traced_peak(
+                protocol.send_message,
+                left, protocol.MessageType.UPDATE, {"slot": 0}, {"update": vector},
+            )
+            (_msg, _fields, arrays), received = traced_peak(protocol.recv_message, right)
+        finally:
+            left.close()
+            right.close()
+        assert arrays["update"].tobytes() == vector.tobytes()
+        assert sent < 0.05 * vector.nbytes
+        assert received <= 2 * vector.nbytes * 1.01
+
+    def test_partial_sends_deliver_the_frame_bit_for_bit(self):
+        sock = TrickleSocket(limit=4096)
+        vectors = {"update": np.random.default_rng(6).normal(size=3000), "state": np.zeros(0)}
+        protocol.send_message(sock, protocol.MessageType.TASK, {"slot": 4}, vectors)
+        assert len(sock.calls) > 1
+        assert max(sock.calls) == 4096
+        assert bytes(sock.sent) == _frame(
+            protocol.encode_message({"slot": 4}, vectors),
+            msg_type=protocol.MessageType.TASK,
+        )
+        msg, fields, arrays = _receive(bytes(sock.sent))
+        assert msg is protocol.MessageType.TASK
+        assert fields == {"slot": 4}
+        assert set(arrays) == set(vectors)
+        for name, vector in vectors.items():
+            assert arrays[name].tobytes() == vector.tobytes()
 
     def test_recv_rejects_bad_magic_and_version(self):
         for header in (b"XX\x01\x06", bytes((82, 87, 99, 6))):  # magic / version
@@ -291,6 +365,11 @@ class TestCoordinatorConfig:
             _parse_addresses(["nocolon"])
         with pytest.raises(ValueError, match="host:port"):
             _parse_addresses(["h:notaport"])
+        # Ports wrap modulo 2**16 in the socket layer: 99999 would dial 34463.
+        assert _parse_addresses("h:1,h:65535") == (("h", 1), ("h", 65535))
+        for port in (99999, 65536, 0, -1):
+            with pytest.raises(ValueError, match="1-65535"):
+                _parse_addresses(f"127.0.0.1:{port}")
 
     def test_parse_listen_address(self):
         from repro.federated.engine.distributed.worker import parse_listen_address
@@ -300,6 +379,10 @@ class TestCoordinatorConfig:
         assert parse_listen_address("8080") == ("127.0.0.1", 8080)  # bare port
         with pytest.raises(ValueError, match="host:port"):
             parse_listen_address("127.0.0.1:notaport")
+        assert parse_listen_address(":65535") == ("", 65535)
+        for listen in ("99999", "-5", "127.0.0.1:65536"):
+            with pytest.raises(ValueError, match="0-65535"):
+                parse_listen_address(listen)
 
     def test_backend_is_reusable_after_close(self):
         """Matching the pool backends: close() releases, next round respawns."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.experiments import runner
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook
 from repro.federated.engine.plan import ClientUpdate
+from repro.federated.rng import pair_mask_seed_sequence
 from repro.federated.secagg import (
     MASKED_KEY,
     PlaintextRequiredError,
@@ -30,13 +32,10 @@ from repro.federated.secagg import (
     client_round_mask,
     mask_neighbours,
     mask_update,
-    mask_words,
     masking,
     pairwise_mask,
     unmask_update,
-    unmask_words,
 )
-from repro.federated.secagg.masking import _WORD_MAX
 
 #: Participant counts the mask-graph tests sweep: every n up to 17 and both
 #: sides of three powers of two.
@@ -67,6 +66,22 @@ def pair_mask_calls(monkeypatch):
     return calls
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocates above what is live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _peak = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base
+
+
 def base_scenario(**overrides) -> Scenario:
     """Tiny full-participation federation: 8 benign tasks per round."""
     scenario = Scenario(
@@ -95,6 +110,21 @@ def plaintext_history(defense: str = "mean") -> list:
 def secagg_history(hooks=None, **overrides) -> tuple[list, object]:
     result = base_scenario(secure_aggregation=True, **overrides).run(hooks=hooks)
     return result.history.to_dict()["records"], result.extras["server"]
+
+
+def assert_hooks_only_see_masked_updates(**overrides) -> None:
+    """Every update a hook sees is flagged ciphertext, and stays ciphertext.
+
+    Each retained :class:`ClientUpdate` must still hold, after the round,
+    the exact words its hook saw: unmasking never writes into its input.
+    """
+    seen: list[tuple[ClientUpdate, bytes]] = []
+    hook = CallbackHook(on_update=lambda s, p, u: seen.append((u, u.update.tobytes())))
+    records, _server = secagg_history(hooks=[hook], **overrides)
+    assert records == plaintext_history("mean")
+    assert seen
+    assert all(u.metadata.get(MASKED_KEY) for u, _words in seen)
+    assert all(u.update.tobytes() == words for u, words in seen)
 
 
 class TestMasking:
@@ -130,13 +160,13 @@ class TestMasking:
         top = int(np.count_nonzero(mask >> np.uint64(63)))
         assert 1500 < top < 2600
 
-    def test_mask_words_roundtrip_preserves_every_bit_pattern(self):
+    def test_mask_update_roundtrip_preserves_every_bit_pattern(self):
         update = np.array(
             [0.0, -0.0, 1.5, -1.5e300, np.inf, -np.inf, np.nan, 5e-324]
         )
-        mask = pairwise_mask(11, 2, 0, 1, dim=update.shape[0])
-        masked = mask_words(update, mask)
-        recovered = unmask_words(masked, mask)
+        participants = (0, 1)
+        masked = mask_update(update, 11, 2, 0, participants)
+        recovered = unmask_update(masked, 11, 2, 0, participants)
         np.testing.assert_array_equal(
             update.view(np.uint64), recovered.view(np.uint64)
         )
@@ -169,8 +199,38 @@ class TestMasking:
             )
         np.testing.assert_array_equal(word_sum, masked_sum)
 
-    def test_word_max_is_full_range(self):
-        assert _WORD_MAX == (1 << 64) - 1
+    @pytest.mark.parametrize("dim", [0, 1, 7, 102_538])
+    def test_pair_mask_is_numpys_full_range_integers(self, dim):
+        # The raw stream is what the full-range ``integers`` draw returns.
+        for seed, round_idx, a, b in ((0, 0, 0, 1), (7, 3, 5, 1), (2**40, 9, 12, 300)):
+            expected = np.random.default_rng(
+                pair_mask_seed_sequence(seed, round_idx, a, b)
+            ).integers(0, 2**64 - 1, size=dim, dtype=np.uint64, endpoint=True)
+            mask = pairwise_mask(seed, round_idx, a, b, dim)
+            assert mask.dtype == np.uint64
+            np.testing.assert_array_equal(mask, expected)
+
+    def test_mask_and_unmask_leave_their_input_unchanged(self):
+        participants = tuple(range(16))
+        update = np.random.default_rng(3).normal(size=1000)
+        before = update.tobytes()
+        masked = mask_update(update, 6, 2, 5, participants)
+        assert update.tobytes() == before
+        ciphertext = masked.tobytes()
+        recovered = unmask_update(masked, 6, 2, 5, participants)
+        assert masked.tobytes() == ciphertext
+        assert recovered.tobytes() == before
+
+    @pytest.mark.parametrize("fn", [mask_update, unmask_update], ids=["mask", "unmask"])
+    def test_peak_memory_is_one_output_and_one_stream(self, fn):
+        # n = 16 participants, so k = 8 ring neighbours: the output vector
+        # and one pair stream are live at a time, never an accumulator.
+        dim = 100_000
+        participants = tuple(range(16))
+        assert len(mask_neighbours(1, 0, 3, participants)) == 8
+        update = np.random.default_rng(4).normal(size=dim)
+        _vector, peak = traced_peak(fn, update, 1, 0, 3, participants)
+        assert peak <= 2 * dim * 8 * 1.01
 
 
 class TestMaskGraph:
@@ -433,12 +493,7 @@ class TestBitIdentity:
     def test_hooks_only_see_masked_updates(self):
         # The observability boundary: every update event outside the sealed
         # aggregator carries masked words, flagged as such.
-        seen: list[ClientUpdate] = []
-        hook = CallbackHook(on_update=lambda s, p, u: seen.append(u))
-        records, _server = secagg_history(hooks=[hook])
-        assert records == plaintext_history("mean")
-        assert seen
-        assert all(u.metadata.get(MASKED_KEY) for u in seen)
+        assert_hooks_only_see_masked_updates()
 
 
 class TestDistributedBitIdentity:
@@ -446,6 +501,9 @@ class TestDistributedBitIdentity:
         records, server = secagg_history(backend="distributed", backend_workers=2)
         assert records == plaintext_history("mean")
         assert server.backend.redispatch_count == 0
+
+    def test_hooks_only_see_masked_updates(self):
+        assert_hooks_only_see_masked_updates(backend="distributed", backend_workers=2)
 
     def test_reordered_completion(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_TEST_DELAY", "0.4")
