@@ -8,14 +8,41 @@ attacks and the trigger ablation benchmark.
 A trigger is a deterministic input transformation ``apply(x) -> x'``; poisoned
 training data is built by applying the trigger and rewriting the labels to the
 attacker's target class (:func:`poison_dataset`).
+
+The warping trigger's resampling arithmetic is pinned, because every trojan
+model, history and Attack SR starts from these bytes.  It is the arithmetic
+of ``scipy.ndimage.map_coordinates(order=1, mode="reflect")``, applied to
+each image and channel:
+
+* pixel ``(i, j)`` reads the row coordinate ``i + displacement[0, i, j]``
+  and the column coordinate ``j + displacement[1, i, j]``;
+* a coordinate ``t`` on an axis of length ``n`` is first brought inside,
+  with ``p = 2 * n``.  Below ``-p`` it becomes ``p * trunc(-t / p) + t``.
+  Then a negative ``t`` becomes ``t + p`` below ``-n``, ``1e-15 - 1`` above
+  ``-1e-15``, and ``-t - 1`` otherwise.  A ``t`` above ``n - 1`` becomes
+  ``t - p * trunc(t / p)``, and then ``p - t - 1`` if that is at least ``n``;
+* its taps are ``floor(t)`` and ``floor(t) + 1``, each folded into
+  ``[0, n)`` by half-sample reflection (``i < 0`` reads ``-i - 1`` and
+  ``i >= n`` reads ``2 * n - i - 1``), with weights
+  ``w0 = 1 - (t - floor(t))`` and ``w1 = 1 - w0``;
+* a pixel sums its four products ``(value * w_row) * w_col`` onto ``0.0``
+  in float64, row-major: (lower row, lower column), (lower, upper),
+  (upper, lower), (upper, upper).  The sum is cast once to the input's
+  dtype; an integer dtype is first rounded half away from zero (``t + 0.5``
+  or ``t - 0.5``, truncated).
+
+``tests/attacks/test_triggers.py`` pins this to ``map_coordinates`` byte for
+byte.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.registry import TRIGGERS
+from repro.registry import TRIGGERS, is_count
 
 
 class Trigger:
@@ -29,6 +56,30 @@ class Trigger:
         return self.apply(x)
 
 
+def _reflect_taps(coords: np.ndarray, n: int):
+    """Order-1 taps ``(lower, upper, w0, w1)`` of coordinates on an axis of length ``n``.
+
+    The coordinates are brought inside and the taps folded under
+    ``mode="reflect"``, as the module docstring states.
+    """
+    period = 2 * n
+    below = np.where(coords < -period, period * np.trunc(-coords / period) + coords, coords)
+    below = np.where(below < -n, below + period, np.where(below > -1e-15, 1e-15, -below) - 1)
+    above = coords - period * np.trunc(coords / period)
+    above = np.where(above >= n, period - above - 1, above)
+    coords = np.where(coords < 0, below, np.where(coords > n - 1, above, coords))
+    lower = np.floor(coords)
+    w0 = 1.0 - (coords - lower)
+    w1 = 1.0 - w0
+
+    def fold(tap: np.ndarray) -> np.ndarray:
+        tap = np.where(tap < 0, -tap - 1, tap)
+        return np.where(tap >= n, period - tap - 1, tap)
+
+    start = lower.astype(np.intp)
+    return fold(start), fold(start + 1), w0, w1
+
+
 @TRIGGERS.register("warping")
 class WarpingTrigger(Trigger):
     """WaNet-style smooth elastic warping of images.
@@ -38,6 +89,12 @@ class WarpingTrigger(Trigger):
     The distortion is imperceptible at small ``strength`` but consistent, so a
     model can learn to associate it with the target label — the same mechanism
     as WaNet [25].
+
+    ``displacement`` is read-only: the constructor derives every pixel's
+    four interpolation taps and weights from it once, and :meth:`apply`
+    gathers the whole batch through them, with the arithmetic in the module
+    docstring.  Only the field's construction (``scipy.ndimage.zoom``) needs
+    scipy.
     """
 
     def __init__(
@@ -47,12 +104,14 @@ class WarpingTrigger(Trigger):
         grid_size: int = 4,
         seed: int = 7,
     ) -> None:
+        if isinstance(image_size, bool) or not isinstance(image_size, int) or image_size < 4:
+            raise ValueError(f"image_size must be an int of at least 4, not {image_size!r}")
+        if not 0.0 <= strength < math.inf:
+            raise ValueError(f"strength must be finite and non-negative, not {strength!r}")
+        if not is_count(grid_size):
+            raise ValueError(f"grid_size must be a positive int, not {grid_size!r}")
         from scipy import ndimage
 
-        if image_size < 4:
-            raise ValueError("image_size must be at least 4")
-        if strength < 0:
-            raise ValueError("strength must be non-negative")
         self.image_size = image_size
         self.strength = strength
         rng = np.random.default_rng(seed)
@@ -64,25 +123,34 @@ class WarpingTrigger(Trigger):
         )
         field = field / (np.abs(field).max() + 1e-12)
         self.displacement = field * strength
+        self.displacement.flags.writeable = False
+        pixels = np.arange(image_size)
+        r0, r1, wr0, wr1 = _reflect_taps(pixels[:, None] + self.displacement[0], image_size)
+        c0, c1, wc0, wc1 = _reflect_taps(pixels[None, :] + self.displacement[1], image_size)
+        # One (flat pixel index, row weight, column weight) per tap, in summation order.
+        self._taps = [
+            ((r * image_size + c).ravel(), w_row.ravel(), w_col.ravel())
+            for r, w_row in ((r0, wr0), (r1, wr1))
+            for c, w_col in ((c0, wc0), (c1, wc1))
+        ]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        from scipy import ndimage
-
         if x.ndim != 4:
             raise ValueError("WarpingTrigger expects NCHW images")
         if x.shape[-1] != self.image_size or x.shape[-2] != self.image_size:
             raise ValueError("image size mismatch with the trigger's warping field")
-        grid = np.meshgrid(
-            np.arange(self.image_size), np.arange(self.image_size), indexing="ij"
-        )
-        coords = [grid[0] + self.displacement[0], grid[1] + self.displacement[1]]
-        out = np.empty_like(x)
-        for n in range(x.shape[0]):
-            for c in range(x.shape[1]):
-                out[n, c] = ndimage.map_coordinates(
-                    x[n, c], coords, order=1, mode="reflect"
-                )
-        return out
+        if x.dtype.kind not in "fiu":
+            raise TypeError(f"WarpingTrigger expects real-valued images, not {x.dtype}")
+        images = np.asarray(x, dtype=np.float64).reshape(-1, self.image_size**2)
+        out = np.zeros(images.shape)
+        for index, w_row, w_col in self._taps:
+            term = np.take(images, index, axis=1)
+            term *= w_row
+            term *= w_col
+            out += term
+        if x.dtype.kind in "iu":
+            out += np.copysign(0.5, out)
+        return out.reshape(x.shape).astype(x.dtype, copy=False)
 
 
 @TRIGGERS.register("patch")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -241,7 +242,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     # Imported lazily: the worker pulls in the whole experiments stack.
     from repro.federated.engine.distributed.worker import run_worker
 
-    return run_worker(listen=args.listen, once=args.once)
+    code = run_worker(listen=args.listen, once=args.once)
+    if args.once:
+        # A one-session worker's coordinator reaps it as soon as it exits;
+        # interpreter finalization would only delay that.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,7 +56,6 @@ from repro.federated.engine.distributed.protocol import (
     ProtocolError,
     context_fingerprint,
     context_payload,
-    message_size,
     recv_message,
     send_message,
 )
@@ -72,6 +71,10 @@ PIPELINE_DEPTH = 2
 #: The worker CLI invocation ``spawn_local`` runs (module mode keeps the
 #: child on the same interpreter and package as the coordinator).
 _WORKER_CMD = ("-m", "repro", "worker", "--listen", "127.0.0.1:0", "--once")
+
+#: Seconds :meth:`DistributedBackend.close` gives its spawned workers to exit
+#: before it kills them.
+_REAP_TIMEOUT = 10.0
 
 
 @dataclass
@@ -208,14 +211,11 @@ class DistributedBackend(ExecutionBackend):
     ) -> None:
         """Send one frame to a worker, metering it into the wire ledger.
 
-        The byte split is computed analytically by :func:`message_size` —
-        exact, because it runs the same canonical ``json.dumps`` the encoder
-        does — so metering copies no vector bytes.
+        The ledger records the byte split :func:`send_message` returns for
+        the frame it sent, so metering encodes nothing a second time.
         """
-        send_message(link.sock, msg_type, fields, arrays)
+        header, payload = send_message(link.sock, msg_type, fields, arrays)
         if self.ledger is not None:
-            lengths = {name: int(a.shape[0]) for name, a in (arrays or {}).items()}
-            header, payload = message_size(fields, lengths)
             self._record_wire(link.pid, "down", round_idx, header, payload)
 
     def _recv(self, link: _WorkerLink, round_idx: int = SETUP_ROUND):
@@ -609,8 +609,11 @@ class DistributedBackend(ExecutionBackend):
     def close(self) -> None:
         """Shut workers down and reap spawned processes (idempotent).
 
-        Like the pool backends, a closed coordinator is reusable: the next
-        round respawns (or re-attaches) its workers lazily.
+        Every worker is sent SHUTDOWN before any process is waited on, so
+        the workers exit together; the spawned processes are then reaped
+        against one shared deadline (see :func:`_reap`).  Like the pool
+        backends, a closed coordinator is reusable: the next round respawns
+        (or re-attaches) its workers lazily.
         """
         for link in self._links:
             if link.alive:
@@ -619,16 +622,26 @@ class DistributedBackend(ExecutionBackend):
                 except OSError:
                     pass
             link.close()
+        deadline = time.monotonic() + _REAP_TIMEOUT
+        for link in self._links:
             if link.proc is not None:
-                try:
-                    link.proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    link.proc.kill()
-                    link.proc.wait()
-                if link.proc.stdout is not None:
-                    link.proc.stdout.close()
+                _reap(link.proc, deadline)
         self._links = []
         self._started = False
+
+
+def _reap(proc: subprocess.Popen, deadline: float) -> None:
+    """Wait until ``deadline`` for ``proc`` to exit, kill it if it has not, and reap it.
+
+    ``communicate`` waits on the announcement pipe, which reads EOF the
+    moment the process exits, where ``Popen.wait`` with a timeout polls in
+    sleeps of up to 50 ms; it closes the pipe at EOF.
+    """
+    try:
+        proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
 
 
 def _parse_addresses(connect) -> tuple[tuple[str, int], ...]:

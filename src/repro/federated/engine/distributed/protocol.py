@@ -270,15 +270,18 @@ def send_message(
     msg_type: MessageType,
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
-) -> None:
+) -> tuple[int, int]:
     """Frame and send one message, gathered from the vectors' own buffers.
 
     The frame header, the JSON envelope and each vector's memory go out in
     gathered ``sendmsg`` calls, looping on partial sends, so no vector is
     copied into a frame.  Blocking; the frame is complete when it returns.
+    Returns the frame's ``(overhead_bytes, vector_bytes)`` split, the one
+    :func:`message_size` computes and the receiving side's meter reports.
     """
     envelope, vectors = _message_parts(fields, arrays)
-    length = len(envelope) + sum(v.nbytes for v in vectors)
+    vector_bytes = sum(v.nbytes for v in vectors)
+    length = len(envelope) + vector_bytes
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {length} bytes exceeds MAX_PAYLOAD")
     header = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, int(msg_type), length)
@@ -290,6 +293,7 @@ def send_message(
             sent -= len(buffers.pop(0))
         if sent:
             buffers[0] = buffers[0][sent:]
+    return _HEADER.size + len(envelope), vector_bytes
 
 
 def recv_message(

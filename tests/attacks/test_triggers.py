@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro.attacks import triggers
 from repro.attacks.triggers import (
     PixelPatchTrigger,
     TokenTrigger,
@@ -14,6 +16,32 @@ from repro.attacks.triggers import (
     poison_dataset,
 )
 from repro.data.dataset import Dataset
+
+
+def reference_warp(trigger: WarpingTrigger, x: np.ndarray) -> np.ndarray:
+    """``map_coordinates(order=1, mode="reflect")`` per image and channel."""
+    n = trigger.image_size
+    grid = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    coords = [grid[0] + trigger.displacement[0], grid[1] + trigger.displacement[1]]
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        for c in range(x.shape[1]):
+            out[i, c] = ndimage.map_coordinates(x[i, c], coords, order=1, mode="reflect")
+    return out
+
+
+def signed_batch(shape, seed: int) -> np.ndarray:
+    """Pixels in [-1, 2), some of them ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 2.0, size=shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    return x
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestWarpingTrigger:
@@ -61,6 +89,89 @@ class TestWarpingTrigger:
             WarpingTrigger(image_size=2)
         with pytest.raises(ValueError):
             WarpingTrigger(image_size=12, strength=-1.0)
+        with pytest.raises(ValueError, match="image_size"):
+            WarpingTrigger(image_size=16.0)
+        with pytest.raises(ValueError, match="strength"):
+            WarpingTrigger(image_size=12, strength=float("nan"))
+        with pytest.raises(ValueError, match="strength"):
+            WarpingTrigger(image_size=12, strength=float("inf"))
+        with pytest.raises(ValueError, match="grid_size"):
+            WarpingTrigger(image_size=12, grid_size=0)
+        with pytest.raises(ValueError, match="grid_size"):
+            WarpingTrigger(image_size=12, grid_size=2.5)
+        with pytest.raises(ValueError, match="grid_size"):
+            WarpingTrigger(image_size=12, grid_size=True)
+        with pytest.raises(ValueError, match="grid_size"):
+            WarpingTrigger(image_size=12, grid_size=-2)
+
+
+class TestMatchesNdimage:
+    """``WarpingTrigger.apply`` is ``map_coordinates(order=1, mode="reflect")``, byte for byte."""
+
+    @pytest.mark.parametrize("strength", [0.0, 0.75, 2.0, 7.0])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 28])
+    def test_float64_batches(self, n, strength):
+        for grid_size in (1, 4, 5):
+            for seed in (0, 3, 11):
+                trigger = WarpingTrigger(n, strength=strength, grid_size=grid_size, seed=seed)
+                x = signed_batch((3, 2, n, n), seed=n + seed)
+                assert_same_bytes(trigger.apply(x), reference_warp(trigger, x))
+
+    def test_coordinates_at_and_around_every_branch(self):
+        # Edges, one ulp either side of them, the -1e-15 guard and whole
+        # periods outside: the cases a random field rarely lands on.
+        n = 4
+        k = np.arange(-4 * n, 4 * n + 1, dtype=np.float64)
+        coords = np.concatenate([
+            k, k + 0.5, np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
+            [-0.0, -1e-16, -1e-15, np.nextafter(-1e-15, 0.0), np.nextafter(-1e-15, -1.0)],
+        ])
+        rows, cols = np.meshgrid(coords, coords, indexing="ij")
+        image = signed_batch((n, n), seed=1)
+        r0, r1, wr0, wr1 = triggers._reflect_taps(rows, n)
+        c0, c1, wc0, wc1 = triggers._reflect_taps(cols, n)
+        got = 0.0 + (image[r0, c0] * wr0) * wc0
+        got += (image[r0, c1] * wr0) * wc1
+        got += (image[r1, c0] * wr1) * wc0
+        got += (image[r1, c1] * wr1) * wc1
+        want = ndimage.map_coordinates(image, [rows, cols], order=1, mode="reflect")
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    def test_other_dtypes_keep_scipys_dtype_and_values(self, dtype):
+        trigger = WarpingTrigger(12, strength=2.0, seed=5)
+        x = signed_batch((4, 1, 12, 12), seed=2) * 100
+        if np.dtype(dtype).kind == "u":
+            x = np.abs(x)
+        x = x.astype(dtype)
+        assert_same_bytes(trigger.apply(x), reference_warp(trigger, x))
+
+    def test_empty_batch(self):
+        trigger = WarpingTrigger(8, strength=2.0)
+        for shape in [(0, 1, 8, 8), (2, 0, 8, 8)]:
+            out = trigger.apply(np.zeros(shape))
+            assert out.shape == shape
+            assert out.dtype == np.float64
+
+    def test_apply_does_not_call_scipy(self, monkeypatch):
+        trigger = WarpingTrigger(12, strength=2.0, seed=9)
+        x = signed_batch((2, 1, 12, 12), seed=4)
+        want = reference_warp(trigger, x)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("apply called scipy.ndimage.map_coordinates")
+
+        monkeypatch.setattr(ndimage, "map_coordinates", refuse)
+        assert_same_bytes(trigger.apply(x), want)
+
+    def test_displacement_is_read_only(self):
+        trigger = WarpingTrigger(8, strength=2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            trigger.displacement[0, 0, 0] = 1.0
+
+    def test_complex_images_rejected(self):
+        with pytest.raises(TypeError, match="real-valued"):
+            WarpingTrigger(8).apply(np.zeros((1, 1, 8, 8), dtype=np.complex128))
 
 
 class TestPixelPatchTrigger:

@@ -165,6 +165,23 @@ class TestProtocol:
         assert sent < 0.05 * vector.nbytes
         assert received <= 2 * vector.nbytes * 1.01
 
+    @pytest.mark.parametrize("fields, arrays", [
+        ({}, {}),
+        ({"slot": 4, "client": 17, "loss": 0.25, "num_examples": 9}, {"update": np.arange(7.0)}),
+        ({"round": 3, "label": "\u00fc"}, {"params": np.zeros(0), "state": np.ones(5, np.float32)}),
+    ], ids=["empty", "update", "two-vectors"])
+    def test_send_returns_the_split_both_sides_meter(self, fields, arrays):
+        left, right = socket.socketpair()
+        try:
+            split = protocol.send_message(left, protocol.MessageType.TASK, fields, arrays)
+            metered = []
+            protocol.recv_message(right, meter=lambda _msg, *sizes: metered.append(sizes))
+        finally:
+            left.close()
+            right.close()
+        lengths = {name: len(vector) for name, vector in arrays.items()}
+        assert split == protocol.message_size(fields, lengths) == metered[0]
+
     def test_partial_sends_deliver_the_frame_bit_for_bit(self):
         sock = TrickleSocket(limit=4096)
         vectors = {"update": np.random.default_rng(6).normal(size=3000), "state": np.zeros(0)}
@@ -356,6 +373,51 @@ class TestCoordinatorConfig:
             assert all(proc.returncode is not None for proc in started)
         finally:
             backend.close()
+
+    def test_close_shuts_every_worker_down_before_reaping_any(self, monkeypatch):
+        backend = DistributedBackend(max_workers=2)
+        events: list[tuple[str, int]] = []
+        real_send, real_reap = backend._send, coordinator._reap
+
+        def send(link, msg_type, *args, **kwargs):
+            events.append((msg_type.name, link.pid))
+            return real_send(link, msg_type, *args, **kwargs)
+
+        def reap(proc, deadline):
+            events.append(("reap", proc.pid))
+            real_reap(proc, deadline)
+
+        monkeypatch.setattr(backend, "_send", send)
+        monkeypatch.setattr(coordinator, "_reap", reap)
+        try:
+            backend.spawn_local(2)
+            procs = [link.proc for link in backend.workers]
+        finally:
+            backend.close()
+        pids = [proc.pid for proc in procs]
+        assert events == [("SHUTDOWN", pid) for pid in pids] + [("reap", pid) for pid in pids]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_reap_kills_a_process_past_the_deadline(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(30)"],
+            stdout=subprocess.PIPE, text=True,
+        )
+        coordinator._reap(proc, time.monotonic() + 0.2)
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stdout.closed
+
+    def test_reap_drains_output_until_the_process_exits(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "print('x' * 100_000); raise SystemExit(3)"],
+            stdout=subprocess.PIPE, text=True,
+        )
+        coordinator._reap(proc, time.monotonic() + 20)
+        assert proc.returncode == 3
+        assert proc.stdout.closed
 
     def test_parse_addresses(self):
         assert _parse_addresses(None) == ()

@@ -1,8 +1,9 @@
 """Cold start: neither importing the package nor building a FEMNIST federation loads scipy.
 
 scipy is imported inside the functions that call it (the statistical tests
-and the warping trigger), and ``repro`` imports a subpackage only when one of
-its names is first read.  The FEMNIST generator does its image arithmetic in
+and the warping trigger's constructor, which builds its displacement field;
+applying the trigger is NumPy-only), and ``repro`` imports a subpackage only
+when one of its names is first read.  The FEMNIST generator does its image arithmetic in
 NumPy, so the driver's dataset build and a distributed worker's context
 build load no scipy either: no worker pays the scipy import.  Each check
 runs in a fresh interpreter, because this test process has long since
