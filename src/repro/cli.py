@@ -244,8 +244,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     code = run_worker(listen=args.listen, once=args.once)
     if args.once:
-        # A one-session worker's coordinator reaps it as soon as it exits;
-        # interpreter finalization would only delay that.
+        # Whoever waits on a one-session worker sees it exit as soon as its
+        # session ends; interpreter finalization would only delay that.
         sys.stdout.flush()
         sys.stderr.flush()
         os._exit(code)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument(
         "--once",
         action="store_true",
-        help="exit after serving one coordinator (what spawned workers use)",
+        help="exit after serving one coordinator",
     )
     worker_parser.set_defaults(func=_cmd_worker)
 

@@ -185,7 +185,7 @@ def build_algorithm(config: Scenario):
 def build_backend(config: Scenario):
     """Instantiate the configured execution backend.
 
-    Backends that execute on separate interpreters (``distributed``) expose
+    Backends that execute in worker processes (``distributed``) expose
     ``configure_scenario``; they get the scenario itself so their workers
     can rebuild the execution context remotely.
     """

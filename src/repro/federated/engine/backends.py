@@ -141,7 +141,7 @@ class ExecutionBackend:
     name = "base"
 
     # Capability flags, surfaced by ``repro list backends``:
-    #: Client work runs in other OS processes (own interpreter + memory).
+    #: Client work runs in other OS processes (own address space).
     process_isolation = False
     #: Workers may live on other hosts, reached over sockets.
     distributed = False

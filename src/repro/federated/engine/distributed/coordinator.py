@@ -1,15 +1,16 @@
 """The coordinator side: ``DistributedBackend`` behind ``ExecutionBackend``.
 
-The backend owns a set of worker links — sockets to worker processes it
-spawned locally (:meth:`DistributedBackend.spawn_local`) or attached to
-(``connect="host:port,..."`` for workers started standalone with
-``python -m repro worker``).  Per round it:
+The backend owns a set of worker links — loopback sockets to worker
+processes it forked (:meth:`DistributedBackend.spawn_local`) or sockets to
+workers it attached to (``connect="host:port,..."`` for workers started
+standalone with ``python -m repro worker``).  Per round it:
 
 1. lazily starts/configures workers (``CONFIGURE`` ships the scenario
    payload; workers cache the rebuilt context by fingerprint).  Local
-   workers are started together, so their interpreter start-ups overlap.
-   Under telemetry the round that starts them carries a ``spawn`` (or, for
-   attached workers, ``connect``) span and a ``context_build`` span,
+   workers are forked from the driver, so none starts an interpreter or
+   imports numpy again.  Under telemetry the round that starts them
+   carries a ``spawn`` (or, for attached workers, ``connect``) span and a
+   ``context_build`` span,
 2. broadcasts the round's global parameters (``ROUND``),
 3. dispatches benign tasks with *work-stealing*: every worker holds at most
    :data:`PIPELINE_DEPTH` outstanding tasks and receives the next pending
@@ -38,16 +39,14 @@ import math
 import os
 import select
 import selectors
+import signal
 import socket
-import subprocess
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-import repro
 from repro.federated.engine.backends import ExecutionBackend, maybe_span
 from repro.federated.engine.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -59,20 +58,17 @@ from repro.federated.engine.distributed.protocol import (
     recv_message,
     send_message,
 )
+from repro.federated.engine.distributed.worker import fork_worker
 from repro.federated.engine.ledger import SETUP_ROUND
 from repro.federated.engine.plan import ClientTask, RoundPlan
-from repro.registry import BACKENDS
+from repro.registry import BACKENDS, is_count
 
 #: Outstanding tasks per worker.  1 would be pure work-stealing but leaves a
 #: worker idle for a dispatch round-trip between tasks; one prefetched task
 #: hides that latency without hoarding work on a slow worker.
 PIPELINE_DEPTH = 2
 
-#: The worker CLI invocation ``spawn_local`` runs (module mode keeps the
-#: child on the same interpreter and package as the coordinator).
-_WORKER_CMD = ("-m", "repro", "worker", "--listen", "127.0.0.1:0", "--once")
-
-#: Seconds :meth:`DistributedBackend.close` gives its spawned workers to exit
+#: Seconds :meth:`DistributedBackend.close` gives its forked workers to exit
 #: before it kills them.
 _REAP_TIMEOUT = 10.0
 
@@ -83,7 +79,9 @@ class _WorkerLink:
 
     sock: socket.socket
     pid: int | None = None
-    proc: subprocess.Popen | None = None
+    #: The pid this process forked the worker as, until it is reaped;
+    #: ``None`` for an attached worker.
+    child: int | None = None
     fingerprint: str | None = None
     outstanding: dict[int, ClientTask] = field(default_factory=dict)
     alive: bool = True
@@ -100,7 +98,7 @@ class _WorkerLink:
 class DistributedBackend(ExecutionBackend):
     """Fan benign clients out over socket-connected worker processes.
 
-    ``max_workers`` local workers are spawned lazily on the first round
+    ``max_workers`` local workers are forked lazily on the first round
     (default: one per CPU this process may run on, capped at 4 — its
     affinity mask, not the host's core count, so a pinned process does not
     spawn workers that can only time-slice); passing ``connect`` attaches to
@@ -128,8 +126,10 @@ class DistributedBackend(ExecutionBackend):
         wire_dtype: str = "float64",
     ) -> None:
         super().__init__()
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
+        if max_workers is not None and not is_count(max_workers):
+            raise ValueError(
+                f"max_workers must be a positive int or None, not {max_workers!r}"
+            )
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
@@ -245,65 +245,39 @@ class DistributedBackend(ExecutionBackend):
         self._started = True
 
     def spawn_local(self, count: int) -> None:
-        """Spawn ``count`` local worker processes and connect to them.
+        """Fork ``count`` local workers and connect to them over loopback TCP.
 
-        Every process is started before any announcement is read, so the
-        workers' interpreter start-ups overlap; all announcements share one
-        ``spawn_timeout`` deadline.  The call is all-or-nothing: on any
-        failure it closes every link it opened and kills and reaps every
-        process it started before re-raising, so a retried round does not
-        spawn on top of leftovers.
+        For each worker this process binds a listener on an ephemeral
+        loopback port, forks the worker onto it
+        (:func:`~repro.federated.engine.distributed.worker.fork_worker`),
+        closes its own copy and connects.  A forked worker starts with the
+        driver's imports and waits at most ``spawn_timeout`` for its
+        coordinator.  Its link is attached as a standalone worker's is,
+        HELLO and version check included: TCP and not a socketpair, because
+        loopback TCP grows its buffers to megabytes where an AF_UNIX pair's
+        stay near 200 KB.  Local spawn needs Linux (:func:`_reap` waits on a
+        pidfd).
+
+        The call is all-or-nothing: on any failure it closes every link it
+        opened and kills and reaps every worker it forked before re-raising,
+        so a retried round does not spawn on top of leftovers.
         """
-        env = os.environ.copy()
-        # The child must find the repro package no matter how this
-        # interpreter found it (src checkout, editable install, zip path).
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root + os.pathsep + existing if existing else package_root
-        )
-        procs: list[subprocess.Popen] = []
+        pids: list[int] = []
         links: list[_WorkerLink] = []
         try:
             for _ in range(count):
-                procs.append(subprocess.Popen(
-                    [sys.executable, *_WORKER_CMD],
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    env=env,
-                ))
-            deadline = time.monotonic() + self.spawn_timeout
-            for proc in procs:
-                address = self._read_announcement(proc, deadline)
-                links.append(self._connect(address, proc=proc))
+                with socket.create_server(("127.0.0.1", 0)) as listener:
+                    address = listener.getsockname()[:2]
+                    pids.append(fork_worker(listener, self.spawn_timeout))
+                links.append(self._connect(address, child=pids[-1]))
         except BaseException:
             for link in links:
                 link.close()
-            for proc in procs:
-                proc.kill()
-                proc.wait()
-                if proc.stdout is not None:
-                    proc.stdout.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
             raise
         self._links.extend(links)
-
-    def _read_announcement(self, proc: subprocess.Popen, deadline: float) -> tuple[str, int]:
-        """Wait until ``deadline`` for ``REPRO-WORKER LISTENING host port``."""
-        assert proc.stdout is not None
-        timeout = max(0.0, deadline - time.monotonic())
-        ready, _, _ = select.select([proc.stdout], [], [], timeout)
-        if not ready:
-            raise RuntimeError(
-                f"spawned worker announced nothing within {self.spawn_timeout}s"
-            )
-        line = proc.stdout.readline()
-        parts = line.split()
-        if len(parts) != 4 or " ".join(parts[:2]) != "REPRO-WORKER LISTENING":
-            raise RuntimeError(
-                f"spawned worker exited or announced garbage: {line!r} "
-                f"(returncode {proc.poll()})"
-            )
-        return parts[2], int(parts[3])
 
     def _attach_all(self, addresses: tuple[tuple[str, int], ...]) -> None:
         """Connect to every externally started worker, all or nothing.
@@ -316,16 +290,14 @@ class DistributedBackend(ExecutionBackend):
         links: list[_WorkerLink] = []
         try:
             for address in addresses:
-                links.append(self._connect(address, proc=None))
+                links.append(self._connect(address, child=None))
         except BaseException:
             for link in links:
                 link.close()
             raise
         self._links.extend(links)
 
-    def _connect(
-        self, address: tuple[str, int], proc: subprocess.Popen | None
-    ) -> _WorkerLink:
+    def _connect(self, address: tuple[str, int], child: int | None) -> _WorkerLink:
         sock = socket.create_connection(address, timeout=self.spawn_timeout)
         sock.settimeout(self.spawn_timeout)
         # The HELLO frame is metered after decode — the worker's pid (the
@@ -351,7 +323,7 @@ class DistributedBackend(ExecutionBackend):
         sock.settimeout(None)
         for header, payload in sizes:
             self._record_wire(fields.get("pid"), "up", SETUP_ROUND, header, payload)
-        return _WorkerLink(sock=sock, pid=fields.get("pid"), proc=proc)
+        return _WorkerLink(sock=sock, pid=fields.get("pid"), child=child)
 
     def _configure_links(self, round_idx: int) -> None:
         """Ship the scenario to any worker not yet on the current context.
@@ -539,19 +511,28 @@ class DistributedBackend(ExecutionBackend):
     def _fill(self, link: _WorkerLink, pending: deque, round_idx: int) -> bool:
         """Top the worker's pipeline up to :data:`PIPELINE_DEPTH` tasks.
 
+        A task that carries a state vector (FedDC drift) goes only to a
+        worker with no task outstanding.  A busy worker may be blocked
+        sending its previous UPDATE, and while this process is blocked
+        sending it a frame larger than the socket buffers, neither side
+        reads.  Stateless TASK frames fit the buffers and keep the prefetch.
+
         Returns ``False`` when the worker died mid-send; the caller must
         then run :meth:`_bury` (and usually :meth:`_refill_survivors`) —
         ``_fill`` itself only puts the undelivered task back.
         """
         while link.alive and pending and len(link.outstanding) < PIPELINE_DEPTH:
-            task = pending.popleft()
+            task = pending[0]
+            state = self.ctx.algorithm.client_benign_state(task.client_id)
+            if state is not None and link.outstanding:
+                break
+            pending.popleft()
             fields = {
                 "slot": task.slot,
                 "client": task.client_id,
                 "round": round_idx,
                 "rng_seed": task.rng_seed,
             }
-            state = self.ctx.algorithm.client_benign_state(task.client_id)
             arrays = {"state": state} if state is not None else None
             try:
                 self._send(link, MessageType.TASK, fields, arrays, round_idx=round_idx)
@@ -569,8 +550,8 @@ class DistributedBackend(ExecutionBackend):
             except (KeyError, ValueError):
                 pass  # never registered, or already deregistered
         link.close()
-        if link.proc is not None:
-            link.proc.poll()
+        if link.child is not None and os.waitpid(link.child, os.WNOHANG)[0]:
+            link.child = None  # reaped already: close() has nothing to wait for
         if link.outstanding:
             self.redispatch_count += len(link.outstanding)
             for task in sorted(link.outstanding.values(), key=lambda t: t.slot):
@@ -607,10 +588,10 @@ class DistributedBackend(ExecutionBackend):
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut workers down and reap spawned processes (idempotent).
+        """Shut workers down and reap forked workers (idempotent).
 
         Every worker is sent SHUTDOWN before any process is waited on, so
-        the workers exit together; the spawned processes are then reaped
+        the workers exit together; the forked workers are then reaped
         against one shared deadline (see :func:`_reap`).  Like the pool
         backends, a closed coordinator is reusable: the next round respawns
         (or re-attaches) its workers lazily.
@@ -624,24 +605,31 @@ class DistributedBackend(ExecutionBackend):
             link.close()
         deadline = time.monotonic() + _REAP_TIMEOUT
         for link in self._links:
-            if link.proc is not None:
-                _reap(link.proc, deadline)
+            if link.child is not None:
+                _reap(link.child, deadline)
+                link.child = None
         self._links = []
         self._started = False
 
 
-def _reap(proc: subprocess.Popen, deadline: float) -> None:
-    """Wait until ``deadline`` for ``proc`` to exit, kill it if it has not, and reap it.
+def _reap(pid: int, deadline: float) -> int:
+    """Wait until ``deadline`` for child ``pid`` to exit, SIGKILL it if it has not, and reap it.
 
-    ``communicate`` waits on the announcement pipe, which reads EOF the
-    moment the process exits, where ``Popen.wait`` with a timeout polls in
-    sleeps of up to 50 ms; it closes the pipe at EOF.
+    Returns the exit code as :func:`os.waitstatus_to_exitcode` reports it
+    (``-9`` after the kill).  The wait polls a pidfd (Linux 5.3+), which
+    becomes readable the moment the process exits, so it never sleeps
+    past the exit.
     """
+    pidfd = os.pidfd_open(pid)
     try:
-        proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        exited = poller.poll(max(0.0, deadline - time.monotonic()) * 1000)
+    finally:
+        os.close(pidfd)
+    if not exited:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _parse_addresses(connect) -> tuple[tuple[str, int], ...]:

@@ -1,8 +1,10 @@
 """Long-lived distributed-execution worker.
 
-A worker is a standalone interpreter (``python -m repro worker``) that
-listens on a TCP socket, announces its address on stdout, and serves one
-coordinator at a time:
+A worker serves one coordinator at a time over a TCP socket.  A standalone
+worker is an interpreter of its own (``python -m repro worker``) that
+listens, announces its address on stdout, and serves coordinators until
+interrupted.  A local worker is forked from the driver (:func:`fork_worker`)
+and serves that one coordinator over loopback.  Each session runs:
 
 1. On connect it sends ``HELLO`` (protocol version + pid).
 2. ``CONFIGURE`` carries a scenario payload (see
@@ -35,6 +37,7 @@ finish *last* — the reordered-completion fixture of the bit-identity tests.
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import sys
@@ -63,7 +66,7 @@ from repro.nn.serialization import flatten_params
 #: Built contexts a worker keeps warm; small because each holds a federation.
 _CONTEXT_CACHE_SIZE = 4
 
-#: The stdout announcement a coordinator parses to learn the bound address.
+#: The stdout line with which a standalone worker announces its bound address.
 ANNOUNCE_PREFIX = "REPRO-WORKER LISTENING"
 
 
@@ -142,21 +145,31 @@ class WorkerServer:
             listener.listen(1)
             host, port = listener.getsockname()[:2]
             print(f"{ANNOUNCE_PREFIX} {host} {port}", flush=True)
-            while True:
-                conn, peer = listener.accept()
-                self._log(f"coordinator connected from {peer[0]}:{peer[1]}")
-                try:
-                    self._serve_coordinator(conn)
-                except ConnectionError:
-                    # The coordinator vanished mid-send; nothing to salvage.
-                    self._log("coordinator connection lost")
-                finally:
-                    conn.close()
-                    self._log("coordinator session ended")
-                if self.once:
-                    return
+            self.accept_loop(listener)
         finally:
             listener.close()
+
+    def accept_loop(self, listener: socket.socket) -> None:
+        """Serve the coordinators that connect to ``listener``, one at a time.
+
+        Returns after the first session when ``once`` is set.  A timeout on
+        ``listener`` bounds each wait for a coordinator (``accept`` raises
+        :class:`TimeoutError`); a session's socket never has one.
+        """
+        while True:
+            conn, peer = listener.accept()
+            conn.settimeout(None)
+            self._log(f"coordinator connected from {peer[0]}:{peer[1]}")
+            try:
+                self._serve_coordinator(conn)
+            except ConnectionError:
+                # The coordinator vanished mid-send; nothing to salvage.
+                self._log("coordinator connection lost")
+            finally:
+                conn.close()
+                self._log("coordinator session ended")
+            if self.once:
+                return
 
     def _context_for(self, fingerprint: str, payload: dict) -> _WorkerContext:
         """Fetch or build the context for a fingerprint (LRU-cached)."""
@@ -292,6 +305,54 @@ class WorkerServer:
         if telemetry:
             update_fields["telemetry"]["mono"] = time.monotonic()
         send_message(conn, MessageType.UPDATE, update_fields, {"update": update.update})
+
+
+def fork_worker(listener: socket.socket, accept_timeout: float) -> int:
+    """Fork a worker that serves one coordinator on ``listener``; return its pid.
+
+    The child is a copy of this process, so it starts with numpy and repro
+    already imported.  It never returns into the caller's stack: it leaves
+    through ``os._exit``, with status 0 once its session ends and 1 after
+    printing a traceback to stderr.  Before it serves, the child
+
+    * freezes the garbage collector, so no object created before the fork
+      is finalised in it (a finaliser could close a descriptor number the
+      child has reused for its own socket);
+    * points ``sys.stdout`` and ``sys.stderr`` back at the process's own
+      streams, since replacements such as pytest's capture objects write to
+      descriptors the next step closes;
+    * closes every inherited descriptor except 0-2 and ``listener``, so
+      its copy of another link's socket cannot keep that link open; and
+    * waits at most ``accept_timeout`` seconds for the coordinator.
+
+    The output streams are flushed before the fork, or the child would
+    write their buffered output a second time.  The caller still holds its
+    own copy of ``listener`` and closes it.
+    """
+    for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+        if stream is not None:
+            stream.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        gc.freeze()
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+        keep = listener.fileno()
+        os.closerange(3, keep)
+        os.closerange(max(3, keep + 1), os.sysconf("SC_OPEN_MAX"))
+        listener.settimeout(accept_timeout)
+        WorkerServer(once=True).accept_loop(listener)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 def parse_listen_address(listen: str) -> tuple[str, int]:

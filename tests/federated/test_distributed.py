@@ -10,6 +10,8 @@ tasks are re-dispatched to the survivor).
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
 import os
 import signal
@@ -28,7 +30,7 @@ import pytest
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook, build_round_plan
 from repro.federated.engine.backends import EngineContext, make_backend
-from repro.federated.engine.distributed import coordinator, protocol
+from repro.federated.engine.distributed import coordinator, protocol, worker
 from repro.federated.engine.distributed.coordinator import (
     DistributedBackend,
     _parse_addresses,
@@ -49,6 +51,23 @@ def traced_peak(fn, *args):
         if started:
             tracemalloc.stop()
     return result, peak - base
+
+
+#: This checkout's ``src``, for the fresh interpreters some tests start.
+_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
+)
+
+
+def fork_child(code: int, sleep: float = 0.0) -> int:
+    """Fork a child that sleeps ``sleep`` seconds, then exits with ``code``."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            time.sleep(sleep)
+        finally:
+            os._exit(code)
+    return pid
 
 
 class TrickleSocket:
@@ -349,75 +368,208 @@ class TestCoordinatorConfig:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert DistributedBackend().max_workers == 1
 
-    def test_failed_spawn_leaves_no_workers(self, monkeypatch):
-        """One bad worker fails the whole spawn: no link open, every process reaped."""
-        real_popen = subprocess.Popen
-        started: list[subprocess.Popen] = []
+    @pytest.mark.parametrize("max_workers", [2.5, True, "2", 0, -1])
+    def test_max_workers_must_be_a_count(self, max_workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            DistributedBackend(max_workers=max_workers)
 
-        def popen(args, **kwargs):
-            if started:  # the second worker announces garbage, then hangs
-                args = [sys.executable, "-c",
-                        "print('garbage', flush=True); import time; time.sleep(30)"]
-            started.append(real_popen(args, **kwargs))
-            return started[-1]
+    @pytest.mark.parametrize("failure", ["fork", "hello"])
+    def test_failed_spawn_leaves_no_workers(self, monkeypatch, failure):
+        """A failed second worker fails the whole spawn: no link open, every fork reaped.
 
-        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
-        backend = DistributedBackend(max_workers=2)
+        ``fork``: the second ``os.fork`` raises.  ``hello``: the second
+        worker is forked after the protocol version is patched to the
+        previous one, so it inherits the patch and says so in its HELLO.
+        """
+        real_fork = os.fork
+        forked: list[int] = []
+
+        def fork():
+            if forked:
+                if failure == "fork":
+                    raise OSError(errno.EAGAIN, "fork refused")
+                monkeypatch.setattr(
+                    worker, "PROTOCOL_VERSION", protocol.PROTOCOL_VERSION - 1
+                )
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        backend = DistributedBackend(max_workers=2, spawn_timeout=10.0)
         begin = time.monotonic()
         try:
-            with pytest.raises(RuntimeError, match="garbage"):
+            with pytest.raises(OSError if failure == "fork" else protocol.ProtocolError):
                 backend.spawn_local(2)
             assert time.monotonic() - begin < 20
             assert backend.workers == []
-            assert len(started) == 2
-            assert all(proc.returncode is not None for proc in started)
+            assert len(forked) == (1 if failure == "fork" else 2)
+            for pid in forked:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            backend.close()
+
+    def test_spawn_starts_no_interpreter(self, monkeypatch):
+        """Local workers are forked from this process, not exec'd."""
+
+        def popen(*_args, **_kwargs):
+            raise AssertionError("spawn_local started a subprocess")
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        backend = DistributedBackend(max_workers=2)
+        try:
+            backend.spawn_local(2)
+            links = backend.workers
+            assert len(links) == 2
+            assert [link.child for link in links] == [link.pid for link in links]
         finally:
             backend.close()
 
     def test_close_shuts_every_worker_down_before_reaping_any(self, monkeypatch):
         backend = DistributedBackend(max_workers=2)
         events: list[tuple[str, int]] = []
+        statuses: list[int] = []
         real_send, real_reap = backend._send, coordinator._reap
 
         def send(link, msg_type, *args, **kwargs):
             events.append((msg_type.name, link.pid))
             return real_send(link, msg_type, *args, **kwargs)
 
-        def reap(proc, deadline):
-            events.append(("reap", proc.pid))
-            real_reap(proc, deadline)
+        def reap(pid, deadline):
+            events.append(("reap", pid))
+            statuses.append(real_reap(pid, deadline))
+            return statuses[-1]
 
         monkeypatch.setattr(backend, "_send", send)
         monkeypatch.setattr(coordinator, "_reap", reap)
         try:
             backend.spawn_local(2)
-            procs = [link.proc for link in backend.workers]
+            pids = [link.child for link in backend.workers]
         finally:
             backend.close()
-        pids = [proc.pid for proc in procs]
         assert events == [("SHUTDOWN", pid) for pid in pids] + [("reap", pid) for pid in pids]
-        assert [proc.returncode for proc in procs] == [0, 0]
+        assert statuses == [0, 0]
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
     def test_reap_kills_a_process_past_the_deadline(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "import time; time.sleep(30)"],
-            stdout=subprocess.PIPE, text=True,
-        )
-        coordinator._reap(proc, time.monotonic() + 0.2)
-        assert proc.returncode == -signal.SIGKILL
-        assert proc.stdout.closed
+        pid = fork_child(0, sleep=30)
+        begin = time.monotonic()
+        assert coordinator._reap(pid, time.monotonic() + 0.2) == -signal.SIGKILL
+        assert time.monotonic() - begin < 10
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
-    def test_reap_drains_output_until_the_process_exits(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "print('x' * 100_000); raise SystemExit(3)"],
-            stdout=subprocess.PIPE, text=True,
-        )
-        coordinator._reap(proc, time.monotonic() + 20)
-        assert proc.returncode == 3
-        assert proc.stdout.closed
+    def test_reap_returns_the_exit_status(self):
+        pid = fork_child(3)
+        assert coordinator._reap(pid, time.monotonic() + 20) == 3
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_forked_worker_holds_only_its_own_descriptors(self):
+        """No inherited descriptor survives the fork: 0-2 and two sockets only."""
+        other = DistributedBackend(max_workers=1)
+        backend = DistributedBackend(max_workers=1)
+        try:
+            other.spawn_local(1)
+            backend.spawn_local(1)
+            fd_dir = f"/proc/{backend.workers[0].pid}/fd"
+            targets = {int(fd): os.readlink(f"{fd_dir}/{fd}") for fd in os.listdir(fd_dir)}
+            other_link = os.readlink(f"/proc/self/fd/{other.workers[0].sock.fileno()}")
+        finally:
+            backend.close()
+            other.close()
+        assert {0, 1, 2} <= set(targets)
+        extra = [target for fd, target in targets.items() if fd > 2]
+        # Its listener and its session socket, and no copy of the other link.
+        assert len(extra) == 2
+        assert all(target.startswith("socket:") for target in extra)
+        assert other_link not in extra
+
+    def test_crashed_coordinator_link_ends_its_worker(self):
+        """Closing a link without SHUTDOWN ends its worker, whoever forked since.
+
+        The second worker is forked while the first link is open; had it
+        kept its copy of that socket, the first worker would never read EOF.
+        """
+        first = DistributedBackend(max_workers=1)
+        second = DistributedBackend(max_workers=1)
+        try:
+            first.spawn_local(1)
+            second.spawn_local(1)
+            link = first.workers[0]
+            link.close()  # as a crashed coordinator would: no SHUTDOWN
+            assert coordinator._reap(link.child, time.monotonic() + 10) == 0
+            link.child = None
+        finally:
+            first.close()
+            second.close()
+
+    def test_forked_worker_finalises_no_object_of_the_driver(self, monkeypatch):
+        """Garbage made before the fork is never collected in a worker.
+
+        A finaliser run in the child could close a descriptor number the
+        child has reused for its own socket.  The stand-in here, an
+        unreachable cycle made right before the fork, closes every
+        descriptor above 2 if it is ever finalised outside the driver; the
+        worker collects garbage before it accepts its coordinator.
+        """
+        driver = os.getpid()
+
+        class Finaliser:
+            def __init__(self):
+                self.cycle = self
+
+            def __del__(self):
+                if os.getpid() != driver:
+                    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+
+        real_fork, real_accept_loop = os.fork, worker.WorkerServer.accept_loop
+
+        def fork():
+            Finaliser()
+            return real_fork()
+
+        def accept_loop(server, listener):
+            gc.collect()
+            return real_accept_loop(server, listener)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(worker.WorkerServer, "accept_loop", accept_loop)
+        records, _server = distributed_history(backend_workers=1)
+        assert records == serial_history("mean")
+
+    def test_fork_writes_buffered_output_once(self, capfd, monkeypatch):
+        # Block-buffered whatever buffering this process started with, and
+        # flushed by the worker as it exits.
+        with (
+            open(1, "w", buffering=1 << 16, closefd=False) as stdout,
+            monkeypatch.context() as patch,
+        ):
+            patch.setattr(sys, "__stdout__", stdout)
+            stdout.write("buffered before the fork\n")
+            backend = DistributedBackend(max_workers=1)
+            try:
+                backend.spawn_local(1)
+            finally:
+                backend.close()
+        assert capfd.readouterr().out.count("buffered before the fork") == 1
+
+    def test_accept_loop_gives_up_when_no_coordinator_connects(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.2)
+            begin = time.monotonic()
+            with pytest.raises(TimeoutError):
+                worker.WorkerServer(once=True).accept_loop(listener)
+        assert time.monotonic() - begin < 5
+
+    def test_forked_worker_exits_when_no_coordinator_connects(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            pid = worker.fork_worker(listener, accept_timeout=0.2)
+        assert coordinator._reap(pid, time.monotonic() + 10) == 1
 
     def test_parse_addresses(self):
         assert _parse_addresses(None) == ()
@@ -507,12 +659,41 @@ class TestBitIdentity:
     def test_distributed_equals_serial(self, defense):
         records, server = distributed_history(defense=defense)
         assert records == serial_history(defense)
-        # The workers really were separate interpreters.
+        # No worker died mid-round, so no task ran twice.
         assert server.backend.redispatch_count == 0
 
     def test_feddc_state_ships_with_tasks(self):
         records, _server = distributed_history(algorithm="feddc")
         assert records == serial_history("mean", "feddc")
+
+    def test_feddc_drift_larger_than_the_socket_buffers(self):
+        """A TASK that carries drift goes only to a worker with nothing outstanding.
+
+        At ``hidden=(4096,)`` a drift vector is 8.75 MB, more than the
+        loopback buffers hold.  Prefetched to a worker that is sending its
+        previous UPDATE, it blocks both sides' sends for good.  The runs
+        happen in a fresh interpreter with a timeout, so a hang fails this
+        test instead of stalling the suite.
+        """
+        scenario = base_scenario(
+            num_clients=4, num_classes=10, image_size=16, hidden=(4096,),
+            rounds=1, algorithm="feddc",
+        )
+        code = (
+            "import json\n"
+            "from repro.experiments.scenario import Scenario\n"
+            f"scenario = Scenario.from_dict(json.loads({scenario.to_json()!r}))\n"
+            "serial = scenario.run().history.to_dict()\n"
+            "run = scenario.with_overrides(backend='distributed', backend_workers=1).run()\n"
+            "print(json.dumps(run.history.to_dict() == serial))\n"
+        )
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert json.loads(out.stdout.splitlines()[-1]) is True
 
     def test_reordered_completion(self, monkeypatch):
         """Forced out-of-order arrival must not change the history."""
@@ -565,9 +746,7 @@ class TestBitIdentity:
 def worker_address():
     """Run `python -m repro worker` for one test; yield its announced address."""
     env = os.environ.copy()
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE, text=True, env=env,
