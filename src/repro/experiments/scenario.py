@@ -32,9 +32,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from repro.federated.algorithms.base import consumes_updates
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.backends import make_backend
-from repro.federated.server import ServerConfig
+from repro.federated.server import ServerConfig, secure_aggregation_conflict
 from repro.registry import (
     ALGORITHMS,
     ATTACKS,
@@ -263,9 +264,19 @@ class Scenario:
             raise ValueError("an attack requires a positive compromised_fraction")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        for name in ("num_shards", "trojan_epochs"):
+        for name in ("num_clients", "samples_per_client", "num_shards", "trojan_epochs"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
+        target = self.target_class
+        if (
+            not isinstance(target, int)
+            or isinstance(target, bool)
+            or not 0 <= target < self.num_classes
+        ):
+            raise ValueError(
+                f"target_class must be an int in [0, num_classes={self.num_classes}), "
+                f"not {target!r}"
+            )
         for name in ("backend_workers", "max_test_samples", "eval_every"):  # None: unset
             value = getattr(self, name)
             if value is not None and not is_count(value):
@@ -296,6 +307,8 @@ class Scenario:
             defense = DEFENSES.get(self.defense)
             if getattr(defense, "requires_plaintext_updates", False):
                 raise PlaintextRequiredError(self.defense)
+            if consumes_updates(ALGORITHMS.get(self.algorithm)):
+                raise ValueError(secure_aggregation_conflict(repr(self.algorithm)))
 
     def server_config(self) -> ServerConfig:
         """The server-side round configuration this scenario runs with.

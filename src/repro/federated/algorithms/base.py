@@ -92,3 +92,17 @@ class FederatedAlgorithm:
     ) -> np.ndarray:
         """Parameters of the client's personalised model used for evaluation."""
         raise NotImplementedError
+
+
+def consumes_updates(algorithm) -> bool:
+    """Whether ``algorithm`` (a class or an instance) reads per-client updates.
+
+    True when it overrides :meth:`FederatedAlgorithm.post_aggregate` (FedDC,
+    MetaFed).  Secure aggregation withholds those updates from the server,
+    so :class:`~repro.experiments.scenario.Scenario` and
+    :class:`~repro.federated.server.FederatedServer` reject the pair through
+    this one check, and the server retains a round's updates only for an
+    algorithm (or a hook) that consumes them.
+    """
+    cls = algorithm if isinstance(algorithm, type) else type(algorithm)
+    return cls.post_aggregate is not FederatedAlgorithm.post_aggregate

@@ -42,6 +42,7 @@ import selectors
 import signal
 import socket
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -68,8 +69,7 @@ from repro.registry import BACKENDS, is_count
 #: hides that latency without hoarding work on a slow worker.
 PIPELINE_DEPTH = 2
 
-#: Seconds :meth:`DistributedBackend.close` gives its forked workers to exit
-#: before it kills them.
+#: Seconds :func:`_release` gives forked workers to exit before it kills them.
 _REAP_TIMEOUT = 10.0
 
 
@@ -151,7 +151,10 @@ class DistributedBackend(ExecutionBackend):
                 f"wire_dtype={wire_dtype!r} is not supported: every vector "
                 "crosses the wire as float64"
             )
+        #: Mutated in place only, so that the finaliser releases this very
+        #: list: a backend dropped without close() still reaps its workers.
         self._links: list[_WorkerLink] = []
+        weakref.finalize(self, _release, self._links)
         self._started = False
         self._scenario_payload: dict | None = None
         self._fingerprint: str | None = None
@@ -591,10 +594,10 @@ class DistributedBackend(ExecutionBackend):
         """Shut workers down and reap forked workers (idempotent).
 
         Every worker is sent SHUTDOWN before any process is waited on, so
-        the workers exit together; the forked workers are then reaped
-        against one shared deadline (see :func:`_reap`).  Like the pool
-        backends, a closed coordinator is reusable: the next round respawns
-        (or re-attaches) its workers lazily.
+        the workers exit together; :func:`_release` then closes the links
+        and reaps the forked workers.  Like the pool backends, a closed
+        coordinator is reusable: the next round respawns (or re-attaches)
+        its workers lazily.
         """
         for link in self._links:
             if link.alive:
@@ -602,14 +605,26 @@ class DistributedBackend(ExecutionBackend):
                     self._send(link, MessageType.SHUTDOWN, {})
                 except OSError:
                     pass
-            link.close()
-        deadline = time.monotonic() + _REAP_TIMEOUT
-        for link in self._links:
-            if link.child is not None:
-                _reap(link.child, deadline)
-                link.child = None
-        self._links = []
+        _release(self._links)
         self._started = False
+
+
+def _release(links: list[_WorkerLink]) -> None:
+    """Close every link, then reap each forked worker against one deadline.
+
+    Shared by :meth:`DistributedBackend.close` and the finaliser of a
+    backend dropped without it: a worker whose link closes reads EOF and
+    ends its session.  Each worker gets until one shared deadline, then
+    SIGKILL (see :func:`_reap`).  Empties ``links``.
+    """
+    for link in links:
+        link.close()
+    deadline = time.monotonic() + _REAP_TIMEOUT
+    for link in links:
+        if link.child is not None:
+            _reap(link.child, deadline)
+            link.child = None
+    links.clear()
 
 
 def _reap(pid: int, deadline: float) -> int:

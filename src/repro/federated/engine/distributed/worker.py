@@ -29,10 +29,6 @@ Determinism needs no extra machinery: a task's randomness comes entirely
 from its ``(seed, round, client)`` stream seed (:mod:`repro.federated.rng`)
 and vectors cross the wire as raw float64, so a remote worker computes the
 exact bytes the serial backend would.
-
-``REPRO_WORKER_TEST_DELAY`` (seconds, test-only) makes the worker sleep
-``delay / (1 + task.slot)`` after computing each update, so lower slots
-finish *last* — the reordered-completion fixture of the bit-identity tests.
 """
 
 from __future__ import annotations
@@ -127,7 +123,6 @@ class WorkerServer:
         self.port = port
         self.once = once
         self._contexts: OrderedDict[str, _WorkerContext] = OrderedDict()
-        self._test_delay = float(os.environ.get("REPRO_WORKER_TEST_DELAY", "0") or 0)
         #: Seconds the most recent context build took; attached to the first
         #: profiled UPDATE after the build, then cleared (context builds are
         #: per-session, not per-task, so charging every task would mislead).
@@ -298,10 +293,6 @@ class WorkerServer:
                 {"traceback": traceback.format_exc(), "slot": slot},
             )
             return
-        if self._test_delay:
-            # Test-only completion scrambler: lower slots sleep longest, so
-            # updates arrive at the coordinator in (roughly) reversed order.
-            time.sleep(self._test_delay / (1.0 + task.slot))
         if telemetry:
             update_fields["telemetry"]["mono"] = time.monotonic()
         send_message(conn, MessageType.UPDATE, update_fields, {"update": update.update})

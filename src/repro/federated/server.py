@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.defenses.base import AggregationContext, Aggregator, MeanAggregator
-from repro.federated.algorithms.base import FederatedAlgorithm
+from repro.federated.algorithms.base import FederatedAlgorithm, consumes_updates
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine.backends import (
     EngineContext,
@@ -141,6 +141,16 @@ class ServerConfig:
         return parse_spec(self.aggregation_mode)
 
 
+def secure_aggregation_conflict(algorithm: str) -> str:
+    """Why secure aggregation cannot run ``algorithm``, one that :func:`consumes_updates`."""
+    return (
+        f"algorithm {algorithm} consumes per-client updates in post_aggregate, "
+        "which secure aggregation withholds from the server; disable "
+        "secure_aggregation or use an algorithm that only reads the aggregate "
+        "(e.g. fedavg)"
+    )
+
+
 class FederatedServer:
     """Runs federated training, optionally under attack and/or defense."""
 
@@ -189,14 +199,8 @@ class FederatedServer:
             # secagg package in the hot path of plaintext runs.
             from repro.federated.secagg import SecureAggregator
 
-            if self._algorithm_consumes_updates():
-                raise ValueError(
-                    f"algorithm {type(self.algorithm).__name__} consumes "
-                    "per-client updates in post_aggregate, which secure "
-                    "aggregation withholds from the server; disable "
-                    "secure_aggregation or use an algorithm that only reads "
-                    "the aggregate (e.g. fedavg)"
-                )
+            if consumes_updates(self.algorithm):
+                raise ValueError(secure_aggregation_conflict(type(self.algorithm).__name__))
             # Raises PlaintextRequiredError for an update-inspecting defense.
             self.aggregator = SecureAggregator(self.aggregator, seed=config.seed)
         self.attack = attack
@@ -256,13 +260,6 @@ class FederatedServer:
             self.run_round()
         return self.history
 
-    def _algorithm_consumes_updates(self) -> bool:
-        """Whether the algorithm's post_aggregate reads the benign updates."""
-        return (
-            type(self.algorithm).post_aggregate
-            is not FederatedAlgorithm.post_aggregate
-        )
-
     def _collect(self, plan):
         """Fold the round's updates into the aggregator as they arrive.
 
@@ -315,7 +312,7 @@ class FederatedServer:
             telemetry=self.telemetry,
         )
         state = self.aggregator.begin_round(ctx)
-        retain = self.hooks.wants_collected_results() or self._algorithm_consumes_updates()
+        retain = self.hooks.wants_collected_results() or consumes_updates(self.algorithm)
         retained: list[ClientUpdate] = []
         benign_losses_by_slot: dict[int, float] = {}
 

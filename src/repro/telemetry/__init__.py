@@ -5,7 +5,8 @@ touching what a run computes: spans and metrics are recorded with the
 monotonic clock, consume no RNG draws, and live entirely outside
 :class:`~repro.federated.history.TrainingHistory` — histories with
 telemetry on are bit-identical to telemetry off, per seed, on every
-execution backend (pinned in ``tests/federated/test_telemetry.py``).
+execution backend (pinned by the traced cells of
+``tests/federated/test_invariant_matrix.py``).
 
 Three layers:
 

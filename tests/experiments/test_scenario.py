@@ -216,10 +216,13 @@ class TestValidation:
             ({"trojan_epochs": 0}, "trojan_epochs"),
             ({"trojan_epochs": 1.5}, "trojan_epochs"),
             ({"attack": "mrepl", "trojan_epochs": 0}, "trojan_epochs"),
+            ({"num_clients": 2.5}, "num_clients"),
+            ({"samples_per_client": 2.5}, "samples_per_client"),
         ],
         ids=["epochs_float", "epochs_bool", "batch_size_float", "batch_size_bool",
              "eval_every_0", "eval_every_float", "eval_every_bool",
-             "trojan_epochs_0", "trojan_epochs_float", "mrepl_trojan_epochs_0"],
+             "trojan_epochs_0", "trojan_epochs_float", "mrepl_trojan_epochs_0",
+             "num_clients_float", "samples_per_client_float"],
     )
     def test_counts_fail_at_construction(self, kwargs, name):
         # Each of these used to construct, then fail or misbehave only after
@@ -228,6 +231,12 @@ class TestValidation:
             tiny_scenario(**kwargs)
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             Scenario.from_dict({**Scenario().to_dict(), **kwargs})
+
+    @pytest.mark.parametrize("target_class", [7, -1, 1.0, True])
+    def test_target_class_outside_the_classes_fails_at_construction(self, target_class):
+        # target_class=7 of 4 classes used to fail only after the dataset build.
+        with pytest.raises(ValueError, match=r"target_class must be an int in \[0, num_"):
+            tiny_scenario(num_classes=4, target_class=target_class)
 
     @pytest.mark.parametrize(
         "kwargs, built",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.federated.engine.backends import SerialBackend
+from repro.federated.engine.distributed import protocol, worker
 
 
 class ReorderedBackend(SerialBackend):
@@ -36,3 +39,23 @@ class ReorderedBackend(SerialBackend):
 @pytest.fixture()
 def reordered_backend() -> ReorderedBackend:
     return ReorderedBackend()
+
+
+@pytest.fixture()
+def delay_updates(monkeypatch):
+    """Call with ``seconds`` to make workers hold each UPDATE ``seconds / (1 + slot)``.
+
+    Lower slots then arrive last, out of slot order.  Local workers are
+    forked from the test process, so they inherit the patch.
+    """
+    send = worker.send_message
+
+    def delay(seconds: float) -> None:
+        def delayed(sock, msg_type, fields, arrays=None):
+            if msg_type is protocol.MessageType.UPDATE:
+                time.sleep(seconds / (1.0 + fields["slot"]))
+            return send(sock, msg_type, fields, arrays)
+
+        monkeypatch.setattr(worker, "send_message", delayed)
+
+    return delay

@@ -1,23 +1,19 @@
 """Federated-level pinned tests for the cross-client batched backend.
 
-The kernel-level ground truth lives in ``tests/nn/test_batched_kernels.py``; these
-tests pin the acceptance bar one level up: a seeded ``backend="batched"`` run
-produces the **bit-identical** :class:`TrainingHistory` of the serial backend
-— for the plain mean defense, for krum, and for FedDC including its per-client
-drift state — and every fallback path (unbatchable model, singleton groups,
-empty client data) degrades to the serial task path rather than diverging.
+The kernel-level ground truth lives in ``tests/nn/test_batched_kernels.py``.
+One level up, a seeded ``backend="batched"`` run produces the
+**bit-identical** :class:`TrainingHistory` of the serial backend; the
+invariant matrix (``test_invariant_matrix.py``) holds that for each
+defense, FedDC's drift and CollaPois's driver-side bookkeeping.  The tests
+here pin every fallback path (unbatchable model, singleton groups, empty
+client data): each degrades to the serial task path rather than diverging.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.triggers import PixelPatchTrigger
-from repro.core.collapois import CollaPoisAttack
-from repro.defenses.base import MeanAggregator
-from repro.defenses.krum import Krum
 from repro.federated.algorithms.fedavg import FedAvg
-from repro.federated.algorithms.feddc import FedDC
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.engine import build_round_plan, make_backend
 from repro.federated.engine.batched import BatchedBackend
@@ -27,40 +23,14 @@ from repro.nn.layers import Flatten
 from repro.nn.model import BatchedSequential, Sequential, make_mlp
 
 
-def _make_server(
-    federation,
-    factory,
-    backend,
-    algorithm=None,
-    aggregator=None,
-    attack=False,
-    rounds=4,
-    sample_rate=0.5,
-):
+def _make_server(federation, factory, backend, rounds=4, sample_rate=0.5):
     config = ServerConfig(
         rounds=rounds,
         participation=("uniform", {"sample_rate": sample_rate}),
         seed=2,
         local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
     )
-    attack_obj = None
-    compromised = None
-    if attack:
-        attack_obj = CollaPoisAttack(trojan_epochs=2)
-        compromised = [0, 3]
-        attack_obj.setup(
-            federation, compromised, factory, PixelPatchTrigger(12, patch_size=3), 0, seed=2
-        )
-    return FederatedServer(
-        federation,
-        factory,
-        (algorithm or FedAvg)(),
-        config,
-        aggregator=aggregator,
-        attack=attack_obj,
-        compromised_ids=compromised,
-        backend=backend,
-    )
+    return FederatedServer(federation, factory, FedAvg(), config, backend=backend)
 
 
 def _history_fingerprint(history):
@@ -82,56 +52,6 @@ def _assert_identical_runs(reference, other):
     other.close()
     np.testing.assert_array_equal(reference.global_params, other.global_params)
     assert _history_fingerprint(reference.history) == _history_fingerprint(other.history)
-
-
-class TestBatchedBitIdentity:
-    """``backend="batched"`` must reproduce serial histories byte-for-byte."""
-
-    def test_mean_defense_matches_serial(self, small_federation, image_model_factory):
-        reference = _make_server(
-            small_federation, image_model_factory, "serial",
-            aggregator=MeanAggregator(), rounds=6, sample_rate=1.0,
-        )
-        other = _make_server(
-            small_federation, image_model_factory, "batched",
-            aggregator=MeanAggregator(), rounds=6, sample_rate=1.0,
-        )
-        _assert_identical_runs(reference, other)
-
-    def test_krum_defense_matches_serial(self, small_federation, image_model_factory):
-        reference = _make_server(
-            small_federation, image_model_factory, "serial",
-            aggregator=Krum(num_malicious=2), rounds=6,
-        )
-        other = _make_server(
-            small_federation, image_model_factory, "batched",
-            aggregator=Krum(num_malicious=2), rounds=6,
-        )
-        _assert_identical_runs(reference, other)
-
-    def test_feddc_matches_serial_including_drift(
-        self, small_federation, image_model_factory
-    ):
-        # FedDC's per-client drift both feeds the batched proximal term and
-        # is written back from batched updates — state must round-trip too.
-        reference = _make_server(
-            small_federation, image_model_factory, "serial", algorithm=FedDC, rounds=6
-        )
-        other = _make_server(
-            small_federation, image_model_factory, "batched", algorithm=FedDC, rounds=6
-        )
-        _assert_identical_runs(reference, other)
-        np.testing.assert_array_equal(
-            reference.algorithm.drift, other.algorithm.drift
-        )
-
-    def test_attacked_run_matches_serial(self, small_federation, image_model_factory):
-        # Malicious tasks stay on the driver model; only benign work stacks.
-        reference = _make_server(small_federation, image_model_factory, "serial", attack=True)
-        other = _make_server(small_federation, image_model_factory, "batched", attack=True)
-        _assert_identical_runs(reference, other)
-        recorded = sum(len(r.compromised_sampled) for r in other.history.records)
-        assert len(other.attack.psi_history) == recorded
 
 
 class TestBatchedFallbacks:

@@ -99,18 +99,7 @@ class TestBackendRegistry:
 
 
 class TestBackendEquivalence:
-    """Driver-side state survives backends that run benign work elsewhere."""
-
-    def test_stateful_attack_bookkeeping_survives_parallel_backends(
-        self, small_federation, image_model_factory
-    ):
-        # psi_history is attack-side state; it must accumulate in the driver
-        # even when benign work runs as one stacked model.
-        server = _make_server(small_federation, image_model_factory, "batched", attack=True)
-        server.run()
-        server.close()
-        recorded = sum(len(r.compromised_sampled) for r in server.history.records)
-        assert len(server.attack.psi_history) == recorded
+    """What every backend reports for the updates it runs."""
 
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_every_update_reports_its_clients_example_count(

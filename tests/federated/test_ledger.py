@@ -2,10 +2,11 @@
 
 Two layers: the :class:`CommunicationLedger` counter container itself
 (recording, queries, serialisation), and the end-to-end accounting — every
-run carries a model-channel ledger that is identical across backends, the
-distributed backend meters its real wire frames into the same ledger, and
-the ledger survives the results JSON round trip and renders via
-``repro ledger``.
+run carries a model-channel ledger, the distributed backend meters its real
+wire frames into the same ledger in closed form, and the ledger survives
+the results JSON round trip and renders via ``repro ledger``.  That the
+model channel is identical across execution modes is held by the
+invariant matrix (``test_invariant_matrix.py``).
 """
 
 from __future__ import annotations
@@ -129,25 +130,6 @@ class TestRunLedger:
             row["frames"] for row in ledger.round_rows() if row["direction"] == "up"
         )
         assert down == up == 16
-
-    def test_model_channel_is_backend_independent(self):
-        serial = run_result().ledger
-        batched = run_result(backend="batched").ledger
-        assert batched.to_dict() == serial.to_dict()
-
-    def test_distributed_run_meters_wire_frames(self):
-        ledger = run_result(backend="distributed", backend_workers=2).ledger
-        assert ledger.channels() == ["model", "wire"]
-        # Setup frames (HELLO/CONFIGURE) land outside any round.
-        assert SETUP_ROUND in ledger.rounds()
-        wire_rows = [r for r in ledger.round_rows() if r["channel"] == "wire"]
-        directions = {r["direction"] for r in wire_rows}
-        assert directions == {"down", "up"}
-        # The model channel still matches the serial run exactly.
-        model_entries = [
-            e for e in ledger.to_dict()["entries"] if e["channel"] == "model"
-        ]
-        assert model_entries == run_result().ledger.to_dict()["entries"]
 
     def test_result_json_roundtrip_keeps_ledger(self):
         result = run_result()

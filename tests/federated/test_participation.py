@@ -193,37 +193,6 @@ class TestRegistryFamily:
 class TestServerIntegration:
     """Participation models plugged into the server round loop."""
 
-    def _run(self, federation, factory, backend="serial", **config_kwargs):
-        config = ServerConfig(
-            rounds=3,
-            seed=2,
-            local=LocalTrainingConfig(epochs=1, batch_size=8, lr=0.05),
-            **config_kwargs,
-        )
-        server = FederatedServer(
-            federation, factory, FedAvg(), config, backend=backend
-        )
-        with server:
-            history = server.run()
-        return history, server.global_params
-
-    def test_churn_is_bit_identical_across_backends(
-        self, small_federation, image_model_factory, reordered_backend
-    ):
-        reference, ref_params = self._run(
-            small_federation, image_model_factory, "serial",
-            participation="churn:sample_rate=0.6,availability=0.9,min_clients=2",
-        )
-        other, params = self._run(
-            small_federation, image_model_factory, reordered_backend,
-            participation="churn:sample_rate=0.6,availability=0.9,min_clients=2",
-        )
-        assert reordered_backend.out_of_order
-        assert [r.sampled_clients for r in other.records] == [
-            r.sampled_clients for r in reference.records
-        ]
-        np.testing.assert_array_equal(params, ref_params)
-
     def test_injected_model_instance_wins(self, small_federation, image_model_factory):
         class FixedCohort(UniformParticipation):
             def sample_round(self, ctx):

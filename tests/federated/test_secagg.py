@@ -1,11 +1,14 @@
 """Tests for pairwise-masked secure aggregation.
 
 The acceptance bar: per seed, ``secure_aggregation=True`` produces a
-``TrainingHistory`` bit-identical to the plaintext run for every server-blind
-defense, on every backend — including forced out-of-order completion and a
-worker SIGKILLed mid-round — while inspection defenses fail fast with the
-structured capability error and nothing outside the sealed aggregator layer
-ever observes a plaintext update.
+``TrainingHistory`` bit-identical to the plaintext run for every
+server-blind defense, on every backend, while inspection defenses and
+update-consuming algorithms fail at construction and nothing outside the
+sealed aggregator layer ever observes a plaintext update.  The invariant
+matrix (``test_invariant_matrix.py``) holds the bit-identity, the masked
+hook view, a sparse SecAgg+ ring and each rejection in its secure cells.
+The tests here pin the masks themselves, their ring and their counts, the
+sealed aggregator, and a worker SIGKILLed mid-round.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.defenses.base import AggregationContext
-from repro.experiments import runner
 from repro.experiments.scenario import Scenario
 from repro.federated.engine import CallbackHook
 from repro.federated.engine.plan import ClientUpdate
@@ -102,29 +104,13 @@ def base_scenario(**overrides) -> Scenario:
 
 
 @lru_cache(maxsize=None)
-def plaintext_history(defense: str = "mean") -> list:
-    result = base_scenario(defense=defense).run()
-    return result.history.to_dict()["records"]
+def plaintext_history() -> list:
+    return base_scenario().run().history.to_dict()["records"]
 
 
 def secagg_history(hooks=None, **overrides) -> tuple[list, object]:
     result = base_scenario(secure_aggregation=True, **overrides).run(hooks=hooks)
     return result.history.to_dict()["records"], result.extras["server"]
-
-
-def assert_hooks_only_see_masked_updates(**overrides) -> None:
-    """Every update a hook sees is flagged ciphertext, and stays ciphertext.
-
-    Each retained :class:`ClientUpdate` must still hold, after the round,
-    the exact words its hook saw: unmasking never writes into its input.
-    """
-    seen: list[tuple[ClientUpdate, bytes]] = []
-    hook = CallbackHook(on_update=lambda s, p, u: seen.append((u, u.update.tobytes())))
-    records, _server = secagg_history(hooks=[hook], **overrides)
-    assert records == plaintext_history("mean")
-    assert seen
-    assert all(u.metadata.get(MASKED_KEY) for u, _words in seen)
-    assert all(u.update.tobytes() == words for u, words in seen)
 
 
 class TestMasking:
@@ -443,15 +429,6 @@ class TestCapabilityFlags:
         assert requires == {"krum", "median", "trimmed_mean", "rlr",
                            "detector", "flare"}
 
-    def test_scenario_rejects_inspection_defense_under_secagg(self):
-        with pytest.raises(PlaintextRequiredError, match="krum"):
-            base_scenario(defense="krum", secure_aggregation=True)
-
-    def test_update_consuming_algorithm_rejected(self):
-        scenario = base_scenario(algorithm="feddc", secure_aggregation=True)
-        with pytest.raises(ValueError, match="post_aggregate"):
-            scenario.run()
-
     def test_scenario_json_roundtrip_keeps_secagg(self):
         scenario = base_scenario(secure_aggregation=True)
         clone = Scenario.from_json(scenario.to_json())
@@ -459,67 +436,10 @@ class TestCapabilityFlags:
         assert clone == scenario
 
 
-class TestDistributedConstruction:
-    def test_float64_wire_dtype_with_secagg_constructs(self):
-        from repro.federated.engine.distributed.coordinator import DistributedBackend
-
-        scenario = base_scenario(
-            backend="distributed",
-            backend_kwargs={"wire_dtype": "float64"},
-            secure_aggregation=True,
-        )
-        assert isinstance(runner.build_backend(scenario), DistributedBackend)
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("defense", ["mean", "weighted_mean", "norm_bound"])
-    def test_serial_secagg_equals_plaintext(self, defense):
-        records, _server = secagg_history(defense=defense)
-        assert records == plaintext_history(defense)
-
-    @pytest.mark.parametrize("defense", ["mean", "weighted_mean"])
-    def test_reordered_secagg_equals_plaintext(
-        self, defense, reordered_backend, monkeypatch
-    ):
-        plain = base_scenario(defense=defense).run()  # on the serial backend
-        monkeypatch.setattr(runner, "build_backend", lambda _config: reordered_backend)
-        records, server = secagg_history(defense=defense)
-        assert reordered_backend.out_of_order
-        assert records == plain.history.to_dict()["records"]
-        np.testing.assert_array_equal(
-            server.global_params, plain.extras["server"].global_params
-        )
-
-    def test_hooks_only_see_masked_updates(self):
-        # The observability boundary: every update event outside the sealed
-        # aggregator carries masked words, flagged as such.
-        assert_hooks_only_see_masked_updates()
-
-
 class TestDistributedBitIdentity:
-    def test_distributed_secagg_equals_plaintext(self):
-        records, server = secagg_history(backend="distributed", backend_workers=2)
-        assert records == plaintext_history("mean")
-        assert server.backend.redispatch_count == 0
-
-    def test_hooks_only_see_masked_updates(self):
-        assert_hooks_only_see_masked_updates(backend="distributed", backend_workers=2)
-
-    def test_reordered_completion(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_TEST_DELAY", "0.4")
-        arrivals: list[int] = []
-        hook = CallbackHook(on_update=lambda s, p, u: arrivals.append(u.slot))
-        records, _server = secagg_history(
-            hooks=[hook], backend="distributed", backend_workers=2
-        )
-        assert records == plaintext_history("mean")
-        per_round = len(arrivals) // 2
-        first_round = arrivals[:per_round]
-        assert first_round != sorted(first_round), "delays failed to reorder arrivals"
-
-    def test_worker_kill_mid_round_recovers_masks(self, monkeypatch):
+    def test_worker_kill_mid_round_recovers_masks(self, delay_updates):
         """Masks re-derive deterministically on the surviving worker."""
-        monkeypatch.setenv("REPRO_WORKER_TEST_DELAY", "0.3")
+        delay_updates(0.3)
         killed: list[int] = []
 
         def kill_one(server, plan, update):
@@ -535,6 +455,6 @@ class TestDistributedBitIdentity:
         records, server = secagg_history(
             hooks=[hook], backend="distributed", backend_workers=2
         )
-        assert records == plaintext_history("mean")
+        assert records == plaintext_history()
         assert killed, "test never killed a worker"
         assert server.backend.redispatch_count > 0

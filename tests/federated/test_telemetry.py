@@ -1,18 +1,18 @@
 """End-to-end telemetry tests across the engine.
 
-The acceptance bar: per seed, ``telemetry=True`` produces a
-``TrainingHistory`` bit-identical to the uninstrumented run on every
-backend — telemetry is strictly out-of-band observation — while the trace
-carries the expected spans per feature (dispatch, client training, secagg
-masking, aggregation, evaluation), distributed runs merge
-worker-measured spans over the wire with per-link clock offsets, and the
-whole bundle survives the results-JSON round trip.
+Telemetry is strictly out-of-band observation: per seed, ``telemetry=True``
+produces a ``TrainingHistory`` bit-identical to the uninstrumented run on
+every backend, and every traced run records its ``round``,
+``client_train`` and ``aggregate`` spans.  The invariant matrix
+(``test_invariant_matrix.py``) holds both in each traced cell.  The tests
+here pin what only some features show: secagg masking and evaluation
+spans, worker-measured spans merged over the wire with per-link clock
+offsets, and the bundle's results-JSON round trip.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 import pytest
 
@@ -39,42 +39,8 @@ def base_scenario(**overrides) -> Scenario:
     return scenario.with_overrides(**overrides) if overrides else scenario
 
 
-@lru_cache(maxsize=None)
-def plain_history() -> str:
-    """The uninstrumented serial history, as a canonical JSON string."""
-    result = base_scenario().run()
-    assert result.telemetry is None
-    return json.dumps(result.history.to_dict()["records"])
-
-
 def _span_names(telemetry: dict) -> set[str]:
     return {span["name"] for span in telemetry["spans"]}
-
-
-class TestBitIdentityAcrossBackends:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"backend": "serial"},
-            {"backend": "batched"},
-            {"backend": "distributed", "backend_workers": 2},
-        ],
-        ids=["serial", "batched", "distributed"],
-    )
-    def test_instrumented_history_matches_plain_serial(self, overrides):
-        result = base_scenario(telemetry=True, **overrides).run()
-        assert json.dumps(result.history.to_dict()["records"]) == plain_history(), (
-            f"telemetry changed the history on {overrides['backend']}"
-        )
-        telemetry = result.telemetry
-        assert telemetry is not None and telemetry["version"] == 1
-        names = _span_names(telemetry)
-        assert {"round", "client_train", "aggregate"} <= names
-        rounds = [s for s in telemetry["spans"] if s["name"] == "round"]
-        assert len(rounds) == 2
-        assert all(s["end"] is not None for s in telemetry["spans"])
-        assert telemetry["metrics"]["rounds_total"]["value"] == 2
-        assert telemetry["metrics"]["clients_sampled_total"]["value"] == 16
 
 
 class TestFeatureSpans:
