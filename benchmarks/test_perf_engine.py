@@ -31,8 +31,8 @@ def _backward_reference_loop(conv: Conv2d, grad_out: np.ndarray) -> np.ndarray:
     grad = grad_out.transpose(0, 2, 3, 1)
     cols_2d = conv._cols.reshape(-1, conv._cols.shape[-1])
     grad_2d = grad.reshape(-1, conv.out_channels)
-    conv.grads["W"] += (grad_2d.T @ cols_2d).reshape(conv.params["W"].shape)
-    conv.grads["b"] += grad_2d.sum(axis=0)
+    np.matmul(grad_2d.T, cols_2d, out=conv.grads["W"].reshape(conv.out_channels, -1))
+    np.sum(grad_2d, axis=0, out=conv.grads["b"])
     w_mat = conv.params["W"].reshape(conv.out_channels, -1)
     grad_cols = (grad_2d @ w_mat).reshape(batch, out_h, out_w, conv.in_channels, k, k)
     grad_x = np.zeros(conv._x_shape, dtype=np.float64)

@@ -25,6 +25,12 @@ class Dataset:
             )
         if self.y.ndim != 1:
             raise ValueError("labels must be a 1-D integer array")
+        # Training indexes class columns with the labels: a float label would
+        # be truncated and a negative one would wrap to the last class.
+        if not np.issubdtype(self.y.dtype, np.integer):
+            raise ValueError(f"y must hold integer labels, got dtype {self.y.dtype}")
+        if len(self.y) and self.y.min() < 0:
+            raise ValueError(f"y must hold non-negative labels, got {self.y.min()}")
 
     def __len__(self) -> int:
         return int(self.x.shape[0])

@@ -72,16 +72,18 @@ def train_epochs(
     Every mini-batch takes one ``optimiser`` step on the softmax
     cross-entropy loss; a positive ``proximal_mu`` first adds
     ``proximal_mu * (params - anchor)`` to the gradient.  Each epoch draws
-    its shuffle from ``rng``.  Returns the final epoch's per-batch losses.
+    its shuffle from ``rng``.  Returns the final epoch's per-batch losses,
+    the only scalar losses it evaluates.  ``model.backward`` overwrites
+    every gradient, so a step does not zero them first.
     """
     criterion = SoftmaxCrossEntropy()
     losses: list[float] = []
-    for _epoch in range(epochs):
-        losses = []
+    for epoch in range(epochs):
+        last_epoch = epoch == epochs - 1
         for batch_x, batch_y in data.batches(batch_size, rng=rng):
-            optimiser.zero_grad()
-            logits = model.forward(batch_x, training=True)
-            losses.append(criterion.forward(logits, batch_y))
+            criterion.prepare(model.forward(batch_x, training=True), batch_y)
+            if last_epoch:
+                losses.append(criterion.loss())
             model.backward(criterion.backward())
             if proximal_mu > 0.0:
                 model.grads += proximal_mu * (model.params - anchor)
@@ -237,25 +239,24 @@ def local_train_batched(
     x_epoch = np.empty((clients, max_n) + datasets[0].x.shape[1:], dtype=datasets[0].x.dtype)
     y_epoch = np.empty((clients, max_n), dtype=datasets[0].y.dtype)
     last_epoch_losses: list[list[float]] = [[] for _ in range(clients)]
-    for _epoch in range(config.epochs):
+    for epoch in range(config.epochs):
+        last_epoch = epoch == config.epochs - 1
         for c, data in enumerate(datasets):
             order = rngs[c].permutation(sizes[c])
             x_epoch[c, : sizes[c]] = data.x[order]
             y_epoch[c, : sizes[c]] = data.y[order]
-        epoch_losses: list[list[float]] = [[] for _ in range(clients)]
         for start, runs in step_runs:
             for a, b, size in runs:
                 sub = model.view(a, b)
                 logits = sub.forward(x_epoch[a:b, start : start + size], training=True)
-                step_losses = criterion.forward(logits, y_epoch[a:b, start : start + size])
-                grad = criterion.backward()
-                sub.backward(grad)
+                criterion.prepare(logits, y_epoch[a:b, start : start + size])
+                if last_epoch:
+                    for i, loss in enumerate(criterion.loss().tolist()):
+                        last_epoch_losses[a + i].append(loss)
+                sub.backward(criterion.backward())
                 if config.proximal_mu > 0.0:
                     sub.grads += config.proximal_mu * (sub.params - anchors[a:b])
                 optimiser.step_slice(a, b)
-                for i in range(b - a):
-                    epoch_losses[a + i].append(float(step_losses[i]))
-        last_epoch_losses = epoch_losses
     updates = model.params - global_params
     # Per-client mean over a list of python floats — the exact reduction the
     # serial path's ``float(np.mean(last_epoch_losses))`` performs.

@@ -6,7 +6,14 @@ Every layer follows the same contract:
   array, caching whatever is needed for the backward pass.
 * ``backward(grad_out)`` consumes the gradient of the loss with respect to the
   layer output and returns the gradient with respect to the layer input,
-  accumulating parameter gradients in ``self.grads``.
+  writing the parameter gradients into ``self.grads``: a layer with
+  parameters overwrites them (``np.matmul``/``np.sum`` with ``out=``), so
+  two calls leave what one call leaves and no ``zero_grad`` is needed
+  between steps.
+* ``backward_params(grad_out)`` writes the same parameter gradients and
+  computes no input gradient.  A model calls it on its first layer with
+  parameters, whose input gradient nothing reads (see
+  :meth:`repro.nn.model.Sequential.backward`).
 * ``params`` / ``grads`` are dictionaries keyed by parameter name.  A
   standalone layer owns its arrays; inside a model they are reshaped views
   of the model's flat ``params`` / ``grads`` buffers (see
@@ -61,8 +68,16 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Write the parameter gradients for ``grad_out``; skip the input gradient.
+
+        The weight layers override this to leave out the input-gradient
+        work; any other layer runs its whole ``backward``.
+        """
+        self.backward(grad_out)
+
     def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero, in place."""
+        """Reset the parameter gradients to zero, in place."""
         for grad in self.grads.values():
             grad.fill(0.0)
 
@@ -100,11 +115,14 @@ class Linear(Layer):
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return grad_out @ self.params["W"].T
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads["W"] += self._x.T @ grad_out
-        self.grads["b"] += grad_out.sum(axis=0)
-        return grad_out @ self.params["W"].T
+        np.matmul(self._x.T, grad_out, out=self.grads["W"])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
 
 
 class ReLU(Layer):
@@ -278,16 +296,9 @@ class Conv2d(Layer):
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
+        grad_2d = self._backward_params(grad_out)
         batch, _, out_h, out_w = grad_out.shape
         k = self.kernel_size
-        grad = grad_out.transpose(0, 2, 3, 1)
-        cols_2d = self._cols.reshape(-1, self._cols.shape[-1])
-        grad_2d = grad.reshape(-1, self.out_channels)
-        self.grads["W"] += (grad_2d.T @ cols_2d).reshape(self.params["W"].shape)
-        self.grads["b"] += grad_2d.sum(axis=0)
-
         w_mat = self.params["W"].reshape(self.out_channels, -1)
         grad_cols = grad_2d @ w_mat
         grad_cols = grad_cols.reshape(batch, out_h, out_w, self.in_channels, k, k)
@@ -309,6 +320,19 @@ class Conv2d(Layer):
             pad = self.padding
             grad_x = grad_x[:, :, pad:-pad, pad:-pad]
         return grad_x
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: np.ndarray) -> np.ndarray:
+        """Write the parameter gradients; return ``grad_out`` as (positions, channels)."""
+        if self._cols is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        grad_2d = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        cols_2d = self._cols.reshape(-1, self._cols.shape[-1])
+        np.matmul(grad_2d.T, cols_2d, out=self.grads["W"].reshape(self.out_channels, -1))
+        np.sum(grad_2d, axis=0, out=self.grads["b"])
+        return grad_2d
 
 
 class MaxPool2d(Layer):
@@ -375,19 +399,14 @@ class MaxPool2d(Layer):
 # use — that is what makes the batched path *bitwise* identical to running
 # each client through the serial layer, not merely numerically close.
 #
-# Two deliberate contract deviations from the serial layers, both in the name
-# of round throughput:
-#
-# * ``backward`` OVERWRITES ``self.grads`` instead of accumulating — the
-#   batched trainer performs exactly one backward per optimiser step, so the
-#   serial accumulate-into-zeros dance (a ``zeros_like`` allocation plus an
-#   extra full pass per parameter per step) buys nothing.  Parameter
-#   trajectories are unaffected: serial ``0 + g`` and batched ``g`` feed the
-#   same SGD arithmetic.
-# * matmul results land in per-layer persistent buffers (``out=``) keyed by
-#   shape, so steady-state training does no large allocations.  A buffer is
-#   only valid until the same layer's next call with that shape, which the
-#   strictly sequential step loop of ``local_train_batched`` guarantees.
+# They keep the serial layers' contract: ``backward`` and ``backward_params``
+# OVERWRITE ``self.grads`` (``out=``), as every trainer performs exactly one
+# backward per optimiser step.  One deviation, in the name of round
+# throughput: matmul results land in per-layer persistent buffers (``out=``)
+# keyed by shape, so steady-state training does no large allocations.  A
+# buffer is only valid until the same layer's next call with that shape,
+# which the strictly sequential step loop of ``local_train_batched``
+# guarantees.
 # ---------------------------------------------------------------------------
 
 
@@ -435,13 +454,16 @@ class BatchedLinear(_BufferMixin, Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        grad_x = self._buf("bwd", self._x.shape)
+        np.matmul(grad_out, self.params["W"].transpose(0, 2, 1), out=grad_x)
+        return grad_x
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         np.matmul(self._x.transpose(0, 2, 1), grad_out, out=self.grads["W"])
         np.sum(grad_out, axis=1, out=self.grads["b"])
-        grad_x = self._buf("bwd", self._x.shape)
-        np.matmul(grad_out, self.params["W"].transpose(0, 2, 1), out=grad_x)
-        return grad_x
 
 
 class BatchedFlatten(Layer):
@@ -551,21 +573,10 @@ class BatchedConv2d(_BufferMixin, Layer):
         return out.transpose(0, 1, 4, 2, 3)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
+        grad_2d = self._backward_params(grad_out)
         clients, batch, _, out_h, out_w = grad_out.shape
         k = self.kernel_size
         ckk = self._cols.shape[-1]
-        grad = grad_out.transpose(0, 1, 3, 4, 2)
-        cols_2d = self._cols.reshape(clients, -1, ckk)
-        grad_2d = grad.reshape(clients, -1, self.out_channels)
-        np.matmul(
-            grad_2d.transpose(0, 2, 1),
-            cols_2d,
-            out=self.grads["W"].reshape(clients, self.out_channels, ckk),
-        )
-        np.sum(grad_2d, axis=1, out=self.grads["b"])
-
         w_mat = self.params["W"].reshape(clients, self.out_channels, -1)
         grad_cols = self._buf("bwd", (clients, grad_2d.shape[1], ckk))
         np.matmul(grad_2d, w_mat, out=grad_cols)
@@ -585,6 +596,25 @@ class BatchedConv2d(_BufferMixin, Layer):
             pad = self.padding
             grad_x = grad_x[:, :, :, pad:-pad, pad:-pad]
         return grad_x
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: np.ndarray) -> np.ndarray:
+        """Write the parameter gradients; return ``grad_out`` as (clients, positions, channels)."""
+        if self._cols is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        clients = grad_out.shape[0]
+        ckk = self._cols.shape[-1]
+        grad_2d = grad_out.transpose(0, 1, 3, 4, 2).reshape(clients, -1, self.out_channels)
+        cols_2d = self._cols.reshape(clients, -1, ckk)
+        np.matmul(
+            grad_2d.transpose(0, 2, 1),
+            cols_2d,
+            out=self.grads["W"].reshape(clients, self.out_channels, ckk),
+        )
+        np.sum(grad_2d, axis=1, out=self.grads["b"])
+        return grad_2d
 
 
 class BatchedMaxPool2d(Layer):

@@ -1,9 +1,11 @@
 """Loss functions.
 
-Both losses expose ``forward(logits, targets)`` returning a scalar and
+Every loss exposes ``forward(logits, targets)`` returning a scalar and
 ``backward()`` returning the gradient with respect to the logits (already
 averaged over the batch), matching the convention used by the training loops
-in :mod:`repro.federated`.
+in :mod:`repro.federated`.  The cross-entropy losses split ``forward`` into
+``prepare`` (the softmax ``backward`` needs) and ``loss`` (the scalar), so a
+training step whose loss nobody reads skips it.
 """
 
 from __future__ import annotations
@@ -19,30 +21,54 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxCrossEntropy:
-    """Combined softmax + cross-entropy loss with integer class targets."""
+    """Combined softmax + cross-entropy loss with integer class targets.
+
+    ``forward`` is :meth:`prepare` then :meth:`loss`.
+    """
 
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._targets: np.ndarray | None = None
+        # batch size -> np.arange(batch); a trainer sees one or two sizes.
+        self._rows: dict[int, np.ndarray] = {}
 
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+    def _arange(self, batch: int) -> np.ndarray:
+        rows = self._rows.get(batch)
+        if rows is None:
+            rows = self._rows[batch] = np.arange(batch)
+        return rows
+
+    def prepare(self, logits: np.ndarray, targets: np.ndarray) -> None:
+        """Cache the batch's softmax and labels for :meth:`loss` and :meth:`backward`."""
         if logits.ndim != 2:
             raise ValueError("logits must be (batch, num_classes)")
         if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
             raise ValueError("targets must be (batch,) integer labels")
-        probs = softmax(logits)
-        self._probs = probs
-        self._targets = targets.astype(np.int64)
-        batch = logits.shape[0]
-        picked = probs[np.arange(batch), self._targets]
-        return float(-np.log(np.clip(picked, 1e-12, None)).mean())
+        self._probs = softmax(logits)
+        self._targets = targets.astype(np.int64, copy=False)
+
+    def loss(self) -> float:
+        """Mean cross-entropy of the prepared batch.
+
+        ``np.maximum`` and ``np.add.reduce(...) / batch`` are what
+        ``np.clip(picked, 1e-12, None)`` and ``.mean()`` run, bit for bit.
+        """
+        if self._probs is None or self._targets is None:
+            raise RuntimeError("loss called before prepare")
+        batch = self._probs.shape[0]
+        picked = self._probs[self._arange(batch), self._targets]
+        return float(np.add.reduce(-np.log(np.maximum(picked, 1e-12))) / batch)
+
+    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        self.prepare(logits, targets)
+        return self.loss()
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._targets is None:
             raise RuntimeError("backward called before forward")
         batch = self._probs.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(batch), self._targets] -= 1.0
+        grad[self._arange(batch), self._targets] -= 1.0
         return grad / batch
 
     def __call__(self, logits: np.ndarray, targets: np.ndarray) -> float:
@@ -74,17 +100,27 @@ class BatchedSoftmaxCrossEntropy:
             self._index_cache[(clients, batch)] = cached
         return cached
 
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def prepare(self, logits: np.ndarray, targets: np.ndarray) -> None:
+        """Cache the batch's softmax and labels for :meth:`loss` and :meth:`backward`."""
         if logits.ndim != 3:
             raise ValueError("logits must be (clients, batch, num_classes)")
         if targets.shape != logits.shape[:2]:
             raise ValueError("targets must be (clients, batch) integer labels")
-        probs = softmax(logits)
-        self._probs = probs
-        self._targets = targets.astype(np.int64)
-        rows, cols = self._indices(*targets.shape)
-        picked = probs[rows, cols, self._targets]
-        return -np.log(np.clip(picked, 1e-12, None)).mean(axis=-1)
+        self._probs = softmax(logits)
+        self._targets = targets.astype(np.int64, copy=False)
+
+    def loss(self) -> np.ndarray:
+        """Per-client mean cross-entropy of the prepared batch, ``(clients,)``."""
+        if self._probs is None or self._targets is None:
+            raise RuntimeError("loss called before prepare")
+        clients, batch, _ = self._probs.shape
+        rows, cols = self._indices(clients, batch)
+        picked = self._probs[rows, cols, self._targets]
+        return np.add.reduce(-np.log(np.maximum(picked, 1e-12)), axis=-1) / batch
+
+    def forward(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        self.prepare(logits, targets)
+        return self.loss()
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._targets is None:

@@ -67,6 +67,19 @@ def _pack(layers: list[Layer], lead: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     return params, grads
 
 
+def _first_weight_layer(layers: list[Layer]) -> int:
+    """Index of the first layer with parameters (0 if none has any)."""
+    return next((i for i, layer in enumerate(layers) if layer.params), 0)
+
+
+def _backward(layers: list[Layer], first: int, grad_out: np.ndarray) -> None:
+    """Back-propagate ``grad_out`` from the top layer down to ``layers[first]``."""
+    grad = grad_out
+    for layer in layers[:first:-1]:
+        grad = layer.backward(grad)
+    layers[first].backward_params(grad)
+
+
 class Sequential:
     """Ordered container of layers with whole-model forward/backward.
 
@@ -80,6 +93,7 @@ class Sequential:
             raise ValueError("Sequential requires at least one layer")
         self.layers = list(layers)
         self.params, self.grads = _pack(self.layers, ())
+        self._first_weighted = _first_weight_layer(self.layers)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -87,11 +101,17 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Write ``grads`` for the last forward batch from the output gradient.
+
+        Every weight layer overwrites its gradients, so ``grads`` holds this
+        batch's gradient alone and a training step needs no ``zero_grad``.
+        Back-propagation stops at the first layer with parameters, which
+        computes no input gradient (``backward_params``); the layers below
+        it hold no parameters and are not visited, since nothing reads the
+        gradient with respect to the model input.
+        """
+        _backward(self.layers, self._first_weighted, grad_out)
 
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
@@ -134,6 +154,7 @@ class BatchedSequential:
         self.layers = list(layers)
         self.num_clients = num_clients
         self.params, self.grads = _pack(self.layers, (num_clients,))
+        self._first_weighted = _first_weight_layer(self.layers)
         self._views: dict[tuple[int, int], BatchedSequential] = {}
 
     @classmethod
@@ -149,11 +170,9 @@ class BatchedSequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad_out: np.ndarray) -> None:
+        """The client-stacked :meth:`Sequential.backward`: writes every ``grads`` row."""
+        _backward(self.layers, self._first_weighted, grad_out)
 
     def zero_grad(self) -> None:
         self.grads.fill(0.0)

@@ -39,7 +39,7 @@ class SGD:
         self._scratch = np.empty_like(model.params)
 
     def step(self) -> None:
-        """Apply one update using the gradients accumulated on the model."""
+        """Apply one update using the gradients the model's ``backward`` wrote."""
         self._update(self.model.params, self.model.grads, self._velocity, self._scratch)
 
     def _update(self, params, grads, velocity, scratch) -> None:
@@ -57,7 +57,7 @@ class SGD:
         params -= scratch
 
     def zero_grad(self) -> None:
-        """Clear accumulated gradients on the underlying model."""
+        """Zero the gradients of the underlying model."""
         self.model.zero_grad()
 
 

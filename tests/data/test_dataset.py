@@ -26,6 +26,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int))
 
+    def test_float_labels_raise(self):
+        with pytest.raises(ValueError, match="y must hold integer labels"):
+            Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]))
+
+    def test_negative_labels_raise(self):
+        with pytest.raises(ValueError, match="y must hold non-negative labels, got -1"):
+            Dataset(np.zeros((3, 2)), np.array([0, 1, -1]))
+
     def test_subset_selects_rows(self):
         data = _toy_dataset(10)
         sub = data.subset(np.array([0, 3, 5]))

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.federated.client import LocalTrainingConfig, evaluate_model, local_train
-from repro.nn.serialization import flatten_params, unflatten_params
+from repro.federated.client import (
+    LocalTrainingConfig,
+    evaluate_model,
+    local_train,
+    train_epochs,
+)
+from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.optim import SGD
+from repro.nn.serialization import flatten_params
 
 
 class TestLocalTrainingConfig:
@@ -97,6 +104,38 @@ class TestLocalTrain:
         local_train(model, global_params, small_federation.client(0).train,
                     LocalTrainingConfig(), rng)
         np.testing.assert_allclose(global_params, snapshot)
+
+
+class TestTrainEpochs:
+    def test_evaluates_the_loss_in_the_last_epoch_only(
+        self, image_model_factory, small_federation, monkeypatch
+    ):
+        # The returned losses are those of the last epoch run step by step,
+        # every batch's loss evaluated; earlier epochs evaluate none.
+        data = small_federation.client(0).train
+        evaluated = []
+        loss = SoftmaxCrossEntropy.loss
+        monkeypatch.setattr(
+            SoftmaxCrossEntropy, "loss", lambda self: evaluated.append(1) or loss(self)
+        )
+        model = image_model_factory()
+        losses = train_epochs(
+            model, data, SGD(model, lr=0.05, momentum=0.9), 3, 8, np.random.default_rng(0)
+        )
+        assert len(evaluated) == len(losses) == -(-len(data) // 8)
+
+        reference = image_model_factory()
+        optimiser = SGD(reference, lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(0)
+        train_epochs(reference, data, optimiser, 2, 8, rng)
+        criterion = SoftmaxCrossEntropy()
+        expected = []
+        for batch_x, batch_y in data.batches(8, rng=rng):
+            expected.append(criterion.forward(reference.forward(batch_x, training=True), batch_y))
+            reference.backward(criterion.backward())
+            optimiser.step()
+        assert losses == expected
+        np.testing.assert_array_equal(model.params, reference.params)
 
 
 class TestEvaluateModel:

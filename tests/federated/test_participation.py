@@ -148,10 +148,11 @@ class TestTieredParticipation:
             zip(
                 wide.sample_round(_ctx()).sampled.tolist(),
                 wide.sample_round(_ctx()).latencies,
+                strict=True,
             )
         )
         few = narrow.sample_round(_ctx())
-        for cid, lat in zip(few.sampled.tolist(), few.latencies):
+        for cid, lat in zip(few.sampled.tolist(), few.latencies, strict=True):
             assert lat == all_of[cid]
 
     def test_tiers_are_run_constant(self):

@@ -306,3 +306,30 @@ class TestDeterministicConstruction:
         rng.bit_generator.state = state
         b = Linear(4, 3, rng=rng)
         np.testing.assert_array_equal(a.params["W"], b.params["W"])
+
+
+class TestWeightLayerGradients:
+    # name -> (layer factory, input shape)
+    LAYERS = {
+        "linear": (lambda rng: Linear(4, 3, rng=rng), (5, 4)),
+        "conv": (lambda rng: Conv2d(2, 3, kernel_size=3, padding=1, rng=rng), (2, 2, 5, 5)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LAYERS))
+    def test_backward_overwrites_parameter_gradients(self, kind, rng):
+        # Two backward calls without zero_grad leave what one call leaves,
+        # and backward_params writes the same gradients backward writes.
+        make, shape = self.LAYERS[kind]
+        layer = make(rng)
+        out = layer.forward(rng.normal(size=shape))
+        grad_out = rng.normal(size=out.shape)
+        layer.backward(grad_out)
+        once = {name: grad.copy() for name, grad in layer.grads.items()}
+        assert all(grad.any() for grad in once.values())
+        layer.backward(grad_out)
+        twice = {name: grad.copy() for name, grad in layer.grads.items()}
+        layer.zero_grad()
+        layer.backward_params(grad_out)
+        for name, grad in once.items():
+            np.testing.assert_array_equal(twice[name], grad)
+            np.testing.assert_array_equal(layer.grads[name], grad)

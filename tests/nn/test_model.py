@@ -12,7 +12,7 @@ from repro.data.femnist import SyntheticFEMNIST
 from repro.experiments.runner import build_model_factory
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig, local_train, local_train_batched
-from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.layers import BatchedFlatten, Flatten, Linear, ReLU
 from repro.nn.model import (
     BatchedSequential,
     Sequential,
@@ -29,12 +29,15 @@ class TestSequential:
             Sequential([])
 
     def test_forward_backward_roundtrip(self, rng):
+        # A model's backward writes its parameter gradients and returns no
+        # input gradient, which nothing reads; a layer's backward still does.
         model = make_mlp(6, (8,), 3, seed=0)
         x = rng.normal(size=(4, 6))
         out = model.forward(x)
         assert out.shape == (4, 3)
-        grad_in = model.backward(np.ones_like(out))
-        assert grad_in.shape == x.shape
+        assert model.backward(np.ones_like(out)) is None
+        np.testing.assert_array_equal(model.layers[-1].grads["b"], np.full(3, 4.0))
+        assert all(layer.grads["W"].any() for layer in model.layers if layer.params)
 
     def test_predict_and_predict_proba(self, rng):
         model = make_mlp(4, (), 3, seed=0)
@@ -175,3 +178,38 @@ class TestFlatBuffers:
         np.testing.assert_array_equal(updates, batched.params[1:3] - flatten_params(template))
         for model in (batched, view):
             _assert_views_of_buffers(model)
+
+
+def _no_input_gradient(*_args):
+    raise AssertionError("input gradient computed below the first weight layer")
+
+
+class TestBackwardStopsAtTheFirstWeightLayer:
+    # name -> layer classes below the model's first weight layer, whose
+    # backward (serial and batched) must never run.
+    BELOW = {"runner": (Flatten, BatchedFlatten), "lenet": ()}
+
+    @pytest.mark.parametrize("kind", sorted(BELOW))
+    def test_trainers_compute_no_input_gradient(self, kind, rng, monkeypatch):
+        factory, input_shape, classes = SERIAL_MODELS[kind]
+        global_params = flatten_params(factory())
+        datasets = [_dataset(rng, n, input_shape, classes) for n in (7, 5)]
+        config = LocalTrainingConfig(epochs=2, batch_size=4, lr=0.05)
+        for cls in self.BELOW[kind]:
+            monkeypatch.setattr(cls, "backward", _no_input_gradient)
+        serial = factory()
+        batched = BatchedSequential.from_template(serial, len(datasets))
+        for model in (serial, batched):
+            # The first weight layer's own input gradient is not computed
+            # either; batched views copy the patched layer.
+            first = next(layer for layer in model.layers if layer.params)
+            monkeypatch.setattr(first, "backward", _no_input_gradient)
+        updates, _ = local_train_batched(
+            batched, global_params, datasets, config,
+            [np.random.default_rng(c) for c in range(len(datasets))],
+        )
+        for c, data in enumerate(datasets):
+            update, _ = local_train(
+                serial, global_params, data, config, np.random.default_rng(c)
+            )
+            np.testing.assert_array_equal(update, updates[c])
