@@ -69,7 +69,6 @@ def test_conv2d_backward_col2im():
     grad_out = rng.normal(size=conv.forward(x, training=True).shape)
 
     reference = _backward_reference_loop(conv, grad_out)
-    conv.zero_grad()
     vectorized = conv.backward(grad_out)
     # Same math, different floating-point summation order.
     np.testing.assert_allclose(vectorized, reference, rtol=1e-10, atol=1e-12)

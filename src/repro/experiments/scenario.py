@@ -29,6 +29,7 @@ validations — the observable behaviour is unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -262,8 +263,8 @@ class Scenario:
             raise ValueError("compromised_fraction must be in [0, 1)")
         if self.attack != "none" and self.compromised_fraction <= 0.0:
             raise ValueError("an attack requires a positive compromised_fraction")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive finite number, got {self.alpha!r}")
         for name in ("num_clients", "samples_per_client", "num_shards", "trojan_epochs"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")

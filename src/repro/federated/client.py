@@ -20,13 +20,14 @@ built by the experiment runner is dropout-free by default.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import SGD, BatchedSGD
 from repro.nn.serialization import unflatten_params
 from repro.registry import is_count
@@ -51,10 +52,14 @@ class LocalTrainingConfig:
         for name in ("epochs", "batch_size"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.proximal_mu < 0:
-            raise ValueError("proximal_mu must be non-negative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        for name in ("weight_decay", "proximal_mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
 
 
 def train_epochs(
@@ -224,7 +229,7 @@ def local_train_batched(
     model.load_global(global_params)
     optimiser = BatchedSGD(model, lr=config.lr, momentum=config.momentum,
                            weight_decay=config.weight_decay)
-    criterion = BatchedSoftmaxCrossEntropy()
+    criterion = SoftmaxCrossEntropy()
     anchors = np.broadcast_to(global_params, model.params.shape)
     if drift_corrections is not None:
         anchors = anchors - drift_corrections
@@ -266,11 +271,3 @@ def local_train_batched(
     )
     return updates, mean_losses
 
-
-def evaluate_model(model, params: np.ndarray, data: Dataset) -> float:
-    """Accuracy of ``params`` (loaded into ``model``) on a dataset."""
-    if len(data) == 0:
-        return 0.0
-    unflatten_params(model, params)
-    preds = model.predict(data.x)
-    return float((preds == data.y).mean())

@@ -10,6 +10,9 @@ config, sorts each group by dataset size, and trains it through one
 one stacked kernel dispatch per step instead of ``clients`` small ones, and
 clients with unequal dataset sizes still stack (the ragged step scheduler
 trains whatever sub-range of the stack shares a batch shape on each step).
+The stack is no second implementation: a
+:class:`~repro.nn.model.BatchedSequential` holds copies of the client
+model's own layers, whose kernels take a leading ``clients`` axis.
 
 The headline property is **bit-identity**: per run seed, the batched path
 produces the exact :class:`~repro.federated.history.TrainingHistory` bytes of
@@ -17,8 +20,9 @@ the serial backend.  That works because
 
 * each client's parameters are its own row of the stack's ``(clients, dim)``
   plane, so client weights stay strictly separate,
-* ``np.matmul`` executes a stacked matmul as one BLAS GEMM per client slice
-  with the serial shapes/strides (see :mod:`repro.nn.layers`),
+* the serial kernels run on the stack, and ``np.matmul`` executes a stacked
+  matmul as one BLAS GEMM per client slice with the serial shapes/strides
+  (see :mod:`repro.nn.layers`),
 * every reduction (bias gradients, loss means) reduces the same contiguous
   memory the serial reductions do, and
 * each client's RNG stream is drawn from its own
@@ -27,8 +31,8 @@ the serial backend.  That works because
 
 Fallbacks keep the path safe rather than clever: clients with empty data,
 algorithms whose benign path is not plain ``local_train``
-(``benign_batch_spec`` returns ``None``), models containing layers without a
-batched counterpart (``Dropout``), and singleton groups all run through the
+(``benign_batch_spec`` returns ``None``), models containing layers that
+cannot stack (``Dropout``), and singleton groups all run through the
 ordinary serial task path — which is bit-identical by construction.
 """
 

@@ -12,6 +12,7 @@ Per-round statistics are recorded in a :class:`TrainingHistory`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -97,8 +98,10 @@ class ServerConfig:
         # Building the model runs its constructor's argument checks, so a
         # bad spec fails here rather than when the server is built.
         PARTICIPATION.create(self.participation_spec())
-        if self.server_lr <= 0:
-            raise ValueError("server_lr must be positive")
+        if not (math.isfinite(self.server_lr) and self.server_lr > 0):
+            raise ValueError(
+                f"server_lr must be a positive finite number, got {self.server_lr!r}"
+            )
         if not isinstance(self.telemetry, bool):
             raise ValueError("telemetry must be a bool")
         mode, mode_kwargs = self.aggregation_spec()

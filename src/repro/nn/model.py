@@ -12,8 +12,13 @@ Every model owns one flat float64 parameter buffer ``params`` and one
 gradient buffer ``grads`` — the representation federated learning, the
 attack and the defenses work on (``Δθ = params − θ_global``).  Layers hold
 reshaped views of them (see :func:`_pack`), so the layer kernels write into
-the buffers directly, and ``zero_grad``, the optimiser step, the proximal
-term and (un)flattening each work on the whole vector at once.
+the buffers directly, and the optimiser step, the proximal term and
+(un)flattening each work on the whole vector at once.
+
+A :class:`BatchedSequential` stacks one architecture across clients: it
+holds shallow copies of a serial model's own layers whose parameters are
+``(clients, *shape)`` views of its ``(clients, dim)`` planes, and the same
+kernels run every client at once (see :mod:`repro.nn.layers`).
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
     ReLU,
-    batch_layer,
-    has_batched_counterpart,
-    slice_clients,
 )
 from repro.nn.losses import softmax
 from repro.nn.serialization import unflatten_params
@@ -105,16 +107,13 @@ class Sequential:
         """Write ``grads`` for the last forward batch from the output gradient.
 
         Every weight layer overwrites its gradients, so ``grads`` holds this
-        batch's gradient alone and a training step needs no ``zero_grad``.
+        batch's gradient alone and a training step does not zero it first.
         Back-propagation stops at the first layer with parameters, which
         computes no input gradient (``backward_params``); the layers below
         it hold no parameters and are not visited, since nothing reads the
         gradient with respect to the model input.
         """
         _backward(self.layers, self._first_weighted, grad_out)
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of inputs (evaluation mode)."""
@@ -129,8 +128,27 @@ class Sequential:
 
 
 def supports_batching(model: Sequential) -> bool:
-    """Whether every layer of ``model`` has a client-stacked counterpart."""
-    return all(has_batched_counterpart(layer) for layer in model.layers)
+    """Whether every layer of ``model`` can stack across clients."""
+    return all(layer.stackable for layer in model.layers)
+
+
+def _client_copy(layer: Layer, rows) -> Layer:
+    """A shallow copy of ``layer`` holding ``rows(array)`` of each parameter array.
+
+    The copy shares the layer's geometry and kernels; only its ``params``
+    and ``grads`` entries are new: ``rows`` maps each array to the one the
+    copy holds (a broadcast over a new leading clients axis when stacking a
+    template, a basic row slice when viewing a stack).
+    """
+    if not layer.stackable:
+        raise ValueError(
+            f"{type(layer).__name__} cannot stack across clients; run these "
+            "clients on a serial execution path"
+        )
+    clone = copy.copy(layer)
+    clone.params = {name: rows(array) for name, array in layer.params.items()}
+    clone.grads = {name: rows(array) for name, array in layer.grads.items()}
+    return clone
 
 
 class BatchedSequential:
@@ -138,11 +156,10 @@ class BatchedSequential:
 
     ``params``/``grads`` are ``(clients, dim)`` planes: row ``c`` is client
     ``c``'s flat vector in the template model's canonical order, and each
-    batched layer's ``(clients, *shape)`` arrays are views of them.  All
-    activations carry a leading ``clients`` dimension, so one
-    forward/backward pass trains every client at once — with per-slice math
-    bitwise identical to running each client through the serial
-    :class:`Sequential` (see the batched-kernel notes in
+    layer's ``(clients, *shape)`` arrays are views of them.  All activations
+    carry a leading ``clients`` axis, so one forward/backward pass trains
+    every client at once — with per-slice math bitwise identical to running
+    each client through the serial :class:`Sequential` (see
     :mod:`repro.nn.layers`).
     """
 
@@ -159,10 +176,20 @@ class BatchedSequential:
 
     @classmethod
     def from_template(cls, template: Sequential, num_clients: int) -> "BatchedSequential":
-        """Stack a serial model's architecture across ``num_clients`` clients."""
-        return cls(
-            [batch_layer(layer, num_clients) for layer in template.layers], num_clients
-        )
+        """Stack a serial model across ``num_clients`` clients.
+
+        The stack holds shallow copies of the template's own layers (see
+        :func:`_client_copy`); every client row starts at the template's
+        parameters.  Raises ``ValueError`` for a layer that cannot stack.
+        """
+        layers = [
+            _client_copy(layer, lambda array: np.broadcast_to(array, (num_clients, *array.shape)))
+            for layer in template.layers
+        ]
+        for layer in layers:
+            if isinstance(layer, Flatten):
+                layer.start_axis += 1  # keep the clients axis too
+        return cls(layers, num_clients)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -174,9 +201,6 @@ class BatchedSequential:
         """The client-stacked :meth:`Sequential.backward`: writes every ``grads`` row."""
         _backward(self.layers, self._first_weighted, grad_out)
 
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
-
     def load_global(self, vector: np.ndarray) -> None:
         """Write one flat global parameter vector into every client's row."""
         unflatten_params(self, vector)
@@ -185,9 +209,10 @@ class BatchedSequential:
         """A cached sub-model over client rows ``[a, b)`` sharing storage.
 
         The view's ``params``/``grads`` are rows ``[a, b)`` of this model's
-        planes and its layers' arrays are views of those rows (see
-        :func:`repro.nn.layers.slice_clients`), so training through the view
-        updates the parent in place.  Views are cached per range — the ragged
+        planes and its layers are copies of this model's holding rows
+        ``[a, b)`` of their arrays (see :func:`_client_copy`), so training
+        through the view updates the parent in place.  Activation caches are
+        per view once it has run.  Views are cached per range — the ragged
         step scheduler revisits the same handful of prefixes every epoch.
         """
         if a == 0 and b == self.num_clients:
@@ -199,7 +224,9 @@ class BatchedSequential:
         cached = self._views.get((a, b))
         if cached is None:
             cached = copy.copy(self)
-            cached.layers = [slice_clients(layer, a, b) for layer in self.layers]
+            cached.layers = [
+                _client_copy(layer, lambda array: array[a:b]) for layer in self.layers
+            ]
             cached.num_clients = b - a
             cached.params = self.params[a:b]
             cached.grads = self.grads[a:b]

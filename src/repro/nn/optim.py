@@ -56,10 +56,6 @@ class SGD:
         np.multiply(update, self.lr, out=scratch)
         params -= scratch
 
-    def zero_grad(self) -> None:
-        """Zero the gradients of the underlying model."""
-        self.model.zero_grad()
-
 
 class BatchedSGD(SGD):
     """SGD over a batched model's ``(clients, dim)`` parameter plane.

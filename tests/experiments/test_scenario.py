@@ -149,6 +149,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="num_shards"):
             Scenario(num_shards=True)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_fails_at_construction(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            Scenario(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("momentum", 1.5), ("lr", float("nan")), ("proximal_mu", float("nan"))],
+    )
+    def test_bad_local_training_floats_fail_at_construction(self, field, value):
+        # These used to construct, build the dataset and train the trojan
+        # before failing in round 0, or to run to the end without a word.
+        with pytest.raises(ValueError, match=field):
+            Scenario(local={field: value}, attack="collapois")
+
     def test_num_shards_round_trips(self):
         scenario = Scenario(num_shards=4)
         assert Scenario.from_dict(scenario.to_dict()).num_shards == 4

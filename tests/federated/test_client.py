@@ -8,13 +8,18 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.federated.client import (
     LocalTrainingConfig,
-    evaluate_model,
     local_train,
     train_epochs,
 )
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import SGD
-from repro.nn.serialization import flatten_params
+from repro.nn.serialization import flatten_params, unflatten_params
+
+
+def _accuracy(model, params: np.ndarray, data: Dataset) -> float:
+    """Accuracy of ``params`` (loaded into ``model``) on ``data``."""
+    unflatten_params(model, params)
+    return float((model.predict(data.x) == data.y).mean())
 
 
 class TestLocalTrainingConfig:
@@ -34,6 +39,25 @@ class TestLocalTrainingConfig:
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             LocalTrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("momentum", 1.5),
+            ("momentum", -0.1),
+            ("momentum", float("nan")),
+            ("weight_decay", -1.0),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("proximal_mu", float("nan")),
+            ("proximal_mu", float("inf")),
+        ],
+    )
+    def test_non_finite_or_out_of_range_floats_raise(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LocalTrainingConfig(**{field: value})
 
 
 class TestLocalTrain:
@@ -74,12 +98,23 @@ class TestLocalTrain:
         model = image_model_factory()
         global_params = flatten_params(image_model_factory())
         data = small_federation.client(2).train
-        before = evaluate_model(model, global_params, data)
+        before = _accuracy(model, global_params, data)
         update, _ = local_train(
             model, global_params, data, LocalTrainingConfig(epochs=8, batch_size=8, lr=0.05), rng
         )
-        after = evaluate_model(model, global_params + update, data)
+        after = _accuracy(model, global_params + update, data)
         assert after >= before
+
+    def test_many_epochs_memorise_local_data(self, image_model_factory, small_federation):
+        model = image_model_factory()
+        global_params = flatten_params(image_model_factory())
+        data = small_federation.client(0).train
+        update, _ = local_train(
+            model, global_params, data,
+            LocalTrainingConfig(epochs=20, batch_size=8, lr=0.08),
+            np.random.default_rng(0),
+        )
+        assert _accuracy(model, global_params + update, data) > 0.8
 
     def test_proximal_term_shrinks_update(self, image_model_factory, small_federation):
         data = small_federation.client(0).train
@@ -137,22 +172,3 @@ class TestTrainEpochs:
         assert losses == expected
         np.testing.assert_array_equal(model.params, reference.params)
 
-
-class TestEvaluateModel:
-    def test_perfectly_memorised_data(self, image_model_factory, small_federation):
-        model = image_model_factory()
-        global_params = flatten_params(image_model_factory())
-        data = small_federation.client(0).train
-        update, _ = local_train(
-            model, global_params, data,
-            LocalTrainingConfig(epochs=20, batch_size=8, lr=0.08),
-            np.random.default_rng(0),
-        )
-        accuracy = evaluate_model(model, global_params + update, data)
-        assert accuracy > 0.8
-
-    def test_empty_dataset_scores_zero(self, image_model_factory):
-        model = image_model_factory()
-        params = flatten_params(model)
-        empty = Dataset(np.zeros((0, 1, 12, 12)), np.zeros(0, dtype=np.int64))
-        assert evaluate_model(model, params, empty) == 0.0

@@ -36,6 +36,11 @@ class TestServerConfig:
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
 
+    @pytest.mark.parametrize("server_lr", [float("nan"), float("inf")])
+    def test_non_finite_server_lr_raises(self, server_lr):
+        with pytest.raises(ValueError, match="server_lr"):
+            ServerConfig(server_lr=server_lr)
+
     def test_default_config_maps_to_bare_uniform(self):
         # No spec: the uniform model's own defaults apply.
         assert ServerConfig().participation_spec() == ("uniform", {})

@@ -1,12 +1,13 @@
-"""Bitwise equivalence of the client-stacked kernels against their serial
-counterparts.
+"""Bitwise equivalence of the client-stacked layers against the serial ones.
 
-Every test here asserts ``assert_array_equal`` — not ``allclose``.  The whole
-point of the batched execution path is that stacking clients into a leading
-array dimension changes *nothing* about each client's arithmetic (see the
-batched-kernel notes in :mod:`repro.nn.layers`), and these tests are the
-ground truth for that claim at the kernel level; the federated-level pinned
-tests in ``tests/federated/test_batched.py`` build on it.
+A client stack (:class:`~repro.nn.model.BatchedSequential`) runs shallow
+copies of a serial model's own layers, with a leading ``clients`` axis on
+their parameters and activations.  Every test here stacks serial layers and
+asserts ``assert_array_equal`` — not ``allclose`` — between each client
+slice and the serial layer run on that client alone: stacking clients into
+a leading array axis must change *nothing* about each client's arithmetic
+(see :mod:`repro.nn.layers`).  The federated-level pins (the invariant
+matrix's batched cells, ``benchmarks/test_perf_batched.py``) build on it.
 """
 
 from __future__ import annotations
@@ -20,19 +21,11 @@ from repro.federated.client import (
     local_train,
     local_train_batched,
 )
-from repro.nn.layers import (
-    Conv2d,
-    Dropout,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    batch_layer,
-    has_batched_counterpart,
-    slice_clients,
-)
-from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
+from repro.nn.layers import Conv2d, Dropout, Flatten, Linear, MaxPool2d
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import (
     BatchedSequential,
+    Sequential,
     make_lenet,
     make_mlp,
     supports_batching,
@@ -43,56 +36,67 @@ from repro.nn.serialization import flatten_params, unflatten_params
 CLIENTS = 5
 
 
+def _stacked(layer, clients: int = CLIENTS):
+    """The client-stacked copy of one serial layer."""
+    return BatchedSequential.from_template(Sequential([layer]), clients).layers[0]
+
+
+def _assert_slices_equal_serial(factory, x, rng):
+    """Each client slice of a stacked weight layer equals the serial layer."""
+    stacked = _stacked(factory())
+    for array in stacked.params.values():
+        array[...] = rng.normal(size=array.shape)
+    out_b = stacked.forward(x, training=True)
+    grad = rng.normal(size=out_b.shape)
+    gx_b = stacked.backward(grad)
+    for c in range(CLIENTS):
+        layer = factory()
+        for name, array in layer.params.items():
+            array[...] = stacked.params[name][c]
+        np.testing.assert_array_equal(layer.forward(x[c], training=True), out_b[c])
+        np.testing.assert_array_equal(layer.backward(grad[c]), gx_b[c])
+        for name, array in layer.grads.items():
+            np.testing.assert_array_equal(array, stacked.grads[name][c])
+
+
 class TestBatchedLinear:
     def test_bitwise_equals_serial(self, rng):
-        def factory():
-            return Linear(7, 4, rng=np.random.default_rng(0))
+        _assert_slices_equal_serial(
+            lambda: Linear(7, 4, rng=np.random.default_rng(0)),
+            rng.normal(size=(CLIENTS, 6, 7)),
+            rng,
+        )
 
-        batched = batch_layer(factory(), CLIENTS)
-        batched.params["W"][...] = rng.normal(size=(CLIENTS, 7, 4))
-        batched.params["b"][...] = rng.normal(size=(CLIENTS, 4))
-        x = rng.normal(size=(CLIENTS, 6, 7))
-        grad = rng.normal(size=(CLIENTS, 6, 4))
-
-        out_b = batched.forward(x, training=True)
-        gx_b = batched.backward(grad)
-        for c in range(CLIENTS):
-            layer = factory()
-            layer.params["W"][...] = batched.params["W"][c]
-            layer.params["b"][...] = batched.params["b"][c]
-            layer.zero_grad()
-            np.testing.assert_array_equal(layer.forward(x[c], training=True), out_b[c])
-            np.testing.assert_array_equal(layer.backward(grad[c]), gx_b[c])
-            np.testing.assert_array_equal(layer.grads["W"], batched.grads["W"][c])
-            np.testing.assert_array_equal(layer.grads["b"], batched.grads["b"][c])
+    def test_rejects_unstacked_input(self, rng):
+        with pytest.raises(ValueError, match="clients, batch"):
+            _stacked(Linear(7, 4)).forward(rng.normal(size=(6, 7)))
 
 
 class TestBatchedConv2d:
-    def test_bitwise_equals_serial(self, rng):
-        def factory():
-            return Conv2d(2, 3, kernel_size=3, padding=1, rng=np.random.default_rng(0))
-
-        batched = batch_layer(factory(), CLIENTS)
-        batched.params["W"][...] = rng.normal(size=batched.params["W"].shape)
-        batched.params["b"][...] = rng.normal(size=batched.params["b"].shape)
-        x = rng.normal(size=(CLIENTS, 4, 2, 8, 8))
-        out_b = batched.forward(x, training=True)
-        grad = rng.normal(size=out_b.shape)
-        gx_b = batched.backward(grad)
-        for c in range(CLIENTS):
-            layer = factory()
-            layer.params["W"][...] = batched.params["W"][c]
-            layer.params["b"][...] = batched.params["b"][c]
-            layer.zero_grad()
-            np.testing.assert_array_equal(layer.forward(x[c], training=True), out_b[c])
-            np.testing.assert_array_equal(layer.backward(grad[c]), gx_b[c])
-            np.testing.assert_array_equal(layer.grads["W"], batched.grads["W"][c])
-            np.testing.assert_array_equal(layer.grads["b"], batched.grads["b"][c])
+    @pytest.mark.parametrize(
+        "geometry,input_shape",
+        [
+            ({"in_channels": 2, "out_channels": 3, "kernel_size": 3, "padding": 1},
+             (4, 2, 8, 8)),
+            # The default LeNet's second conv, where a flattened GEMM differs.
+            ({"in_channels": 6, "out_channels": 16, "kernel_size": 3, "padding": 1},
+             (3, 6, 8, 8)),
+            ({"in_channels": 2, "out_channels": 3, "kernel_size": 3, "stride": 2},
+             (3, 2, 7, 7)),
+        ],
+        ids=["padded", "lenet-conv2", "stride2-valid"],
+    )
+    def test_bitwise_equals_serial(self, geometry, input_shape, rng):
+        _assert_slices_equal_serial(
+            lambda: Conv2d(**geometry, rng=np.random.default_rng(0)),
+            rng.normal(size=(CLIENTS, *input_shape)),
+            rng,
+        )
 
 
 class TestBatchedPoolFlattenLoss:
     def test_maxpool_bitwise_equals_serial(self, rng):
-        batched = batch_layer(MaxPool2d(2), CLIENTS)
+        batched = _stacked(MaxPool2d(2))
         x = rng.normal(size=(CLIENTS, 3, 2, 7, 5))  # non-divisible dims
         out_b = batched.forward(x, training=True)
         grad = rng.normal(size=out_b.shape)
@@ -103,7 +107,9 @@ class TestBatchedPoolFlattenLoss:
             np.testing.assert_array_equal(pool.backward(grad[c]), gx_b[c])
 
     def test_flatten_roundtrip(self, rng):
-        batched = batch_layer(Flatten(), CLIENTS)
+        template = Flatten()
+        batched = _stacked(template)
+        assert (template.start_axis, batched.start_axis) == (1, 2)
         x = rng.normal(size=(CLIENTS, 3, 2, 4, 4))
         out = batched.forward(x, training=True)
         assert out.shape == (CLIENTS, 3, 32)
@@ -112,13 +118,20 @@ class TestBatchedPoolFlattenLoss:
     def test_loss_bitwise_equals_serial(self, rng):
         logits = rng.normal(size=(CLIENTS, 6, 4))
         targets = rng.integers(0, 4, size=(CLIENTS, 6))
-        batched = BatchedSoftmaxCrossEntropy()
+        batched = SoftmaxCrossEntropy()
         losses = batched.forward(logits, targets)
         grads = batched.backward()
+        assert losses.shape == (CLIENTS,)
         for c in range(CLIENTS):
             serial = SoftmaxCrossEntropy()
             assert serial.forward(logits[c], targets[c]) == losses[c]
             np.testing.assert_array_equal(serial.backward(), grads[c])
+
+    def test_loss_rejects_mismatched_targets(self, rng):
+        with pytest.raises(ValueError, match="targets"):
+            SoftmaxCrossEntropy().forward(
+                rng.normal(size=(CLIENTS, 6, 4)), np.zeros((CLIENTS, 5), dtype=int)
+            )
 
 
 class TestBatchedSGD:
@@ -140,45 +153,18 @@ class TestBatchedSGD:
         ]
         x = rng.normal(size=(CLIENTS, 6, 5))
         y = rng.integers(0, 3, size=(CLIENTS, 6))
-        criterion_b = BatchedSoftmaxCrossEntropy()
+        criterion = SoftmaxCrossEntropy()
         for _step in range(3):
             logits = batched.forward(x, training=True)
-            criterion_b.forward(logits, y)
-            batched.backward(criterion_b.backward())
+            criterion.forward(logits, y)
+            batched.backward(criterion.backward())
             opt_b.step()
             for c, model in enumerate(serial_models):
-                opts[c].zero_grad()
-                criterion = SoftmaxCrossEntropy()
                 criterion.forward(model.forward(x[c], training=True), y[c])
                 model.backward(criterion.backward())
                 opts[c].step()
         for c, model in enumerate(serial_models):
             np.testing.assert_array_equal(model.params, batched.params[c])
-
-    def test_zero_grad_before_step_keeps_stepping(self, rng):
-        # zero_grad() used to rebind the gradient arrays away from the ones
-        # BatchedSGD steps, which froze the model.  Batched backward
-        # overwrites the gradients, so zeroing first must change nothing.
-        template = make_mlp(5, (4,), 3, seed=1)
-        x = rng.normal(size=(2, 6, 5))
-        y = rng.integers(0, 3, size=(2, 6))
-        results = []
-        for zero_first in (False, True):
-            batched = BatchedSequential.from_template(template, 2)
-            batched.load_global(flatten_params(template))
-            before = flatten_params(batched)
-            opt = BatchedSGD(batched, lr=0.1)
-            criterion = BatchedSoftmaxCrossEntropy()
-            for _step in range(2):
-                if zero_first:
-                    opt.zero_grad()
-                criterion.forward(batched.forward(x, training=True), y)
-                batched.backward(criterion.backward())
-                opt.step()
-            after = flatten_params(batched)
-            assert not np.array_equal(after, before)
-            results.append(after)
-        np.testing.assert_array_equal(results[1], results[0])
 
     def test_requires_batched_model(self):
         with pytest.raises(ValueError, match="client-stacked"):
@@ -186,35 +172,47 @@ class TestBatchedSGD:
 
 
 class TestBatchingSupport:
-    def test_dropout_has_no_batched_counterpart(self):
-        assert not has_batched_counterpart(Dropout(0.5, rng=np.random.default_rng(0)))
-        with pytest.raises(ValueError, match="no batched counterpart"):
-            batch_layer(Dropout(0.5, rng=np.random.default_rng(0)), CLIENTS)
+    def test_dropout_cannot_stack(self):
+        assert not Dropout.stackable
+        with pytest.raises(ValueError, match="Dropout cannot stack"):
+            BatchedSequential.from_template(make_mlp(4, (3,), 2, seed=0, dropout=0.5), CLIENTS)
 
     def test_supports_batching(self):
         assert supports_batching(make_mlp(4, (3,), 2, seed=0))
         assert supports_batching(make_lenet(image_size=8, num_classes=3, seed=0))
         assert not supports_batching(make_mlp(4, (3,), 2, seed=0, dropout=0.5))
 
+    def test_stack_copies_the_template_and_leaves_it_alone(self):
+        template = make_lenet(image_size=8, num_classes=3, conv_channels=(2, 3), fc_width=8)
+        before = template.params.copy()
+        batched = BatchedSequential.from_template(template, CLIENTS)
+        np.testing.assert_array_equal(batched.params, np.tile(before, (CLIENTS, 1)))
+        assert not np.shares_memory(batched.params, template.params)
+        batched.params += 1.0
+        np.testing.assert_array_equal(template.params, before)
+        for serial, stacked in zip(template.layers, batched.layers, strict=True):
+            assert type(stacked) is type(serial) and stacked is not serial
 
-class TestSliceClients:
+
+class TestClientViews:
     def test_views_share_storage(self, rng):
-        batched = batch_layer(Linear(4, 3, rng=np.random.default_rng(0)), CLIENTS)
-        batched.params["W"][...] = rng.normal(size=batched.params["W"].shape)
-        view = slice_clients(batched, 1, 4)
+        batched = BatchedSequential.from_template(Sequential([Linear(4, 3, rng=0)]), CLIENTS)
+        batched.params[...] = rng.normal(size=batched.params.shape)
+        view = batched.view(1, 4)
+        parent_w, view_w = batched.layers[0].params["W"], view.layers[0].params["W"]
         assert view.num_clients == 3
-        np.testing.assert_array_equal(view.params["W"], batched.params["W"][1:4])
-        view.params["W"] += 1.0  # in-place math lands in the parent planes
-        np.testing.assert_array_equal(view.params["W"], batched.params["W"][1:4])
+        np.testing.assert_array_equal(view_w, parent_w[1:4])
+        view_w += 1.0  # in-place math lands in the parent planes
+        np.testing.assert_array_equal(view_w, parent_w[1:4])
+        assert np.shares_memory(view.layers[0].grads["W"], batched.grads[1:4])
 
     def test_model_view_trains_parent_rows_only(self, rng):
         template = make_mlp(5, (4,), 3, seed=1)
         batched = BatchedSequential.from_template(template, CLIENTS)
-        batched.load_global(flatten_params(template))
         before = flatten_params(batched)
         sub = batched.view(1, 3)
         opt = BatchedSGD(batched, lr=0.1)
-        criterion = BatchedSoftmaxCrossEntropy()
+        criterion = SoftmaxCrossEntropy()
         x = rng.normal(size=(2, 6, 5))
         y = rng.integers(0, 3, size=(2, 6))
         criterion.forward(sub.forward(x, training=True), y)
@@ -229,10 +227,10 @@ class TestSliceClients:
         assert batched.view(0, CLIENTS) is batched
 
     def test_invalid_ranges_rejected(self):
-        batched = batch_layer(Linear(4, 3, rng=np.random.default_rng(0)), CLIENTS)
+        batched = BatchedSequential.from_template(Sequential([Linear(4, 3, rng=0)]), CLIENTS)
         for a, b in [(-1, 2), (2, 2), (0, CLIENTS + 1)]:
-            with pytest.raises(ValueError):
-                slice_clients(batched, a, b)
+            with pytest.raises(ValueError, match="invalid client range"):
+                batched.view(a, b)
 
 
 class TestPlanStepRuns:

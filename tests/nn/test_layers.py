@@ -15,6 +15,7 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
+from repro.nn.model import BatchedSequential, make_lenet
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -75,7 +76,6 @@ class TestLinear:
         def loss():
             return float(np.sum(layer.forward(x) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(x)
         layer.backward(2.0 * out)
         numeric = numerical_gradient(loss, layer.params["W"])
@@ -85,15 +85,6 @@ class TestLinear:
         layer = Linear(3, 2, rng=rng)
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((1, 2)))
-
-    def test_zero_grad_resets(self, rng):
-        layer = Linear(3, 2, rng=rng)
-        x = rng.normal(size=(4, 3))
-        layer.forward(x)
-        layer.backward(np.ones((4, 2)))
-        assert np.abs(layer.grads["W"]).sum() > 0
-        layer.zero_grad()
-        assert np.abs(layer.grads["W"]).sum() == 0
 
 
 class TestActivations:
@@ -155,6 +146,7 @@ class TestFlattenDropout:
         back = layer.backward(out)
         assert back.shape == x.shape
 
+
     def test_dropout_eval_mode_is_identity(self, rng):
         layer = Dropout(0.5, rng=rng)
         x = rng.normal(size=(4, 6))
@@ -213,7 +205,6 @@ class TestConv2d:
         def loss():
             return float(np.sum(conv.forward(x) ** 2))
 
-        conv.zero_grad()
         out = conv.forward(x)
         conv.backward(2.0 * out)
         numeric = numerical_gradient(loss, conv.params["W"])
@@ -223,6 +214,26 @@ class TestConv2d:
         conv = Conv2d(3, 2, kernel_size=3, rng=rng)
         with pytest.raises(ValueError):
             conv.forward(rng.normal(size=(1, 1, 8, 8)))
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("in_channels", {"in_channels": 0}),
+            ("in_channels", {"in_channels": 2.0}),
+            ("out_channels", {"out_channels": 0}),
+            ("out_channels", {"out_channels": -3}),
+            ("kernel_size", {"kernel_size": 0}),
+            ("kernel_size", {"kernel_size": 1.5}),
+            ("stride", {"stride": 0}),
+            ("stride", {"stride": True}),
+            ("padding", {"padding": -1}),
+            ("padding", {"padding": 0.5}),
+        ],
+    )
+    def test_rejects_bad_geometry(self, field, kwargs):
+        geometry = {"in_channels": 2, "out_channels": 3, "kernel_size": 3, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            Conv2d(**geometry)
 
 
 class TestMaxPool2d:
@@ -266,6 +277,11 @@ class TestMaxPool2d:
         pool = MaxPool2d(3)
         with pytest.raises(ValueError):
             pool.forward(rng.normal(size=(1, 1, 2, 4)))
+
+    @pytest.mark.parametrize("kernel_size", [0, -2, 1.5, True])
+    def test_rejects_bad_kernel_size(self, kernel_size):
+        with pytest.raises(ValueError, match="kernel_size"):
+            MaxPool2d(kernel_size)
 
 
 class TestDeterministicConstruction:
@@ -317,8 +333,8 @@ class TestWeightLayerGradients:
 
     @pytest.mark.parametrize("kind", sorted(LAYERS))
     def test_backward_overwrites_parameter_gradients(self, kind, rng):
-        # Two backward calls without zero_grad leave what one call leaves,
-        # and backward_params writes the same gradients backward writes.
+        # A second backward call leaves what one call leaves, and
+        # backward_params writes every gradient backward writes.
         make, shape = self.LAYERS[kind]
         layer = make(rng)
         out = layer.forward(rng.normal(size=shape))
@@ -328,8 +344,86 @@ class TestWeightLayerGradients:
         assert all(grad.any() for grad in once.values())
         layer.backward(grad_out)
         twice = {name: grad.copy() for name, grad in layer.grads.items()}
-        layer.zero_grad()
+        for grad in layer.grads.values():
+            grad.fill(np.nan)
         layer.backward_params(grad_out)
         for name, grad in once.items():
             np.testing.assert_array_equal(twice[name], grad)
             np.testing.assert_array_equal(layer.grads[name], grad)
+
+
+def _columns(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """Stride-1 patches of ``(batch, C, H, W)`` as ``(batch, out_h, out_w, C * k * k)``."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    batch, _, height, width = xp.shape
+    out_h, out_w = height - k + 1, width - k + 1
+    cols = np.empty((batch, out_h, out_w, xp.shape[1] * k * k))
+    for r in range(out_h):
+        for c in range(out_w):
+            cols[:, r, c] = xp[:, :, r : r + k, c : c + k].reshape(batch, -1)
+    return cols
+
+
+class TestConvGemmForm:
+    """The conv's BLAS calls, pinned host-free at ``make_lenet()``'s geometry.
+
+    Every recorded history depends on which GEMMs the conv runs, not only on
+    the numbers they stand for: the forward runs one ``cols[n, r] @ W.T``
+    GEMM per (image, output row), and the weight gradient one
+    ``grad_2dᵀ @ cols_2d`` GEMM per client.  Other forms compute the same
+    sums in another order; flattening the forward's rows into one GEMM, for
+    one, differs in the last bits at the second conv.  These checks compare
+    ``Conv2d`` with those explicit GEMMs bit for bit, serially and on a
+    3-client stack, so a form change fails on any host.
+    """
+
+    CONVS = (0, 3)  # the layer indices of make_lenet()'s two convs
+    BATCH = 4
+
+    def _check(self, conv, w, b, x, grad_out, out, grad_w, grad_b):
+        cols = _columns(x, conv.kernel_size, conv.padding)
+        w_mat = w.reshape(conv.out_channels, -1)
+        for n in range(cols.shape[0]):
+            for r in range(cols.shape[1]):
+                np.testing.assert_array_equal(out[n, :, r, :], (cols[n, r] @ w_mat.T + b).T)
+        grad_2d = grad_out.transpose(0, 2, 3, 1).reshape(-1, conv.out_channels)
+        cols_2d = cols.reshape(-1, cols.shape[-1])
+        np.testing.assert_array_equal(grad_w.reshape(w_mat.shape), grad_2d.T @ cols_2d)
+        np.testing.assert_array_equal(grad_b, grad_2d.sum(axis=0))
+
+    def _inputs(self, model, rng, lead=()):
+        """Random parameters, and each conv's input as the model feeds it."""
+        model.params[...] = rng.normal(size=model.params.shape)
+        x = rng.normal(size=(*lead, self.BATCH, 1, 16, 16))
+        inputs = {}
+        for i, layer in enumerate(model.layers[: self.CONVS[-1] + 1]):
+            inputs[i] = x
+            x = layer.forward(x, training=True)
+        return inputs
+
+    @pytest.mark.parametrize("index", CONVS)
+    def test_serial_conv_runs_the_pinned_gemms(self, index, rng):
+        model = make_lenet()
+        x = self._inputs(model, rng)[index]
+        conv = model.layers[index]
+        out = conv.forward(x, training=True)
+        grad_out = rng.normal(size=out.shape)
+        conv.backward_params(grad_out)
+        self._check(
+            conv, conv.params["W"], conv.params["b"], x, grad_out,
+            out, conv.grads["W"], conv.grads["b"],
+        )
+
+    @pytest.mark.parametrize("index", CONVS)
+    def test_stacked_conv_runs_the_pinned_gemms(self, index, rng):
+        stack = BatchedSequential.from_template(make_lenet(), 3)
+        x = self._inputs(stack, rng, lead=(3,))[index]
+        conv = stack.layers[index]
+        out = conv.forward(x, training=True)
+        grad_out = rng.normal(size=out.shape)
+        conv.backward_params(grad_out)
+        for c in range(3):
+            self._check(
+                conv, conv.params["W"][c], conv.params["b"][c], x[c], grad_out[c],
+                out[c], conv.grads["W"][c], conv.grads["b"][c],
+            )

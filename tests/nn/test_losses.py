@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, softmax
 
 
 class TestSoftmax:
@@ -60,19 +60,3 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
 
-
-class TestMSELoss:
-    def test_zero_for_identical_inputs(self, rng):
-        x = rng.normal(size=(3, 4))
-        assert MSELoss().forward(x, x.copy()) == pytest.approx(0.0)
-
-    def test_value_and_gradient(self):
-        loss = MSELoss()
-        pred = np.array([[1.0, 2.0]])
-        target = np.array([[0.0, 0.0]])
-        assert loss.forward(pred, target) == pytest.approx(2.5)
-        np.testing.assert_allclose(loss.backward(), [[1.0, 2.0]])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -12,7 +12,7 @@ from repro.data.femnist import SyntheticFEMNIST
 from repro.experiments.runner import build_model_factory
 from repro.experiments.scenario import Scenario
 from repro.federated.client import LocalTrainingConfig, local_train, local_train_batched
-from repro.nn.layers import BatchedFlatten, Flatten, Linear, ReLU
+from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.model import (
     BatchedSequential,
     Sequential,
@@ -133,8 +133,6 @@ class TestFlatBuffers:
         _assert_views_of_buffers(model)
         model.backward(np.ones_like(model.forward(rng.normal(size=(3, *input_shape)))))
         assert model.grads.any()
-        model.zero_grad()
-        assert not model.grads.any()
         _assert_views_of_buffers(model)
         vector = rng.normal(size=parameter_count(model))
         unflatten_params(model, vector)
@@ -168,7 +166,6 @@ class TestFlatBuffers:
             _assert_views_of_buffers(model)
         batched.load_global(flatten_params(template))
         np.testing.assert_array_equal(batched.params, np.tile(flatten_params(template), (4, 1)))
-        batched.zero_grad()
         config = LocalTrainingConfig(epochs=1, batch_size=4, lr=0.05, momentum=0.5)
         updates, _ = local_train_batched(
             view, flatten_params(template),
@@ -186,8 +183,8 @@ def _no_input_gradient(*_args):
 
 class TestBackwardStopsAtTheFirstWeightLayer:
     # name -> layer classes below the model's first weight layer, whose
-    # backward (serial and batched) must never run.
-    BELOW = {"runner": (Flatten, BatchedFlatten), "lenet": ()}
+    # backward (serial and stacked) must never run.
+    BELOW = {"runner": (Flatten,), "lenet": ()}
 
     @pytest.mark.parametrize("kind", sorted(BELOW))
     def test_trainers_compute_no_input_gradient(self, kind, rng, monkeypatch):

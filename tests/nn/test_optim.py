@@ -15,7 +15,6 @@ def _train_steps(model, optimiser, x, y, steps):
     criterion = SoftmaxCrossEntropy()
     losses = []
     for _ in range(steps):
-        optimiser.zero_grad()
         logits = model.forward(x, training=True)
         losses.append(criterion.forward(logits, y))
         model.backward(criterion.backward())
@@ -83,7 +82,6 @@ class TestSGD:
         optimiser = SGD(model, lr=0.1, momentum=0.9, weight_decay=0.01)
         criterion = SoftmaxCrossEntropy()
         for _ in range(3):
-            optimiser.zero_grad()
             criterion.forward(model.forward(x, training=True), y)
             model.backward(criterion.backward())
             for i, (layer, name) in enumerate(slots):
